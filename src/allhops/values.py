@@ -60,8 +60,3 @@ def from_int64(arr: np.ndarray) -> np.ndarray:
     out = arr.astype(np.float64)
     out[arr == INT64_INF] = INF
     return out
-
-
-def value_str(x) -> str:
-    """Canonical text rendering: decimal integer or the literal `inf`."""
-    return "inf" if x == INF else str(int(x))

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -160,6 +161,17 @@ def test_gadget_verify_commands(capsys, tmp_path):
     assert code == 0 and "verify ok" in out
 
 
+@pytest.mark.parametrize("gadget,text", [
+    ("mpp", ""), ("conv", ""), ("triangle", ""), ("mpp", "# only a comment\n"),
+    ("mpp", "4 x\n"), ("mpp", "4\n"), ("conv", "two\n"), ("conv", "2 2\n"), ("triangle", "a a a\n"),
+])
+def test_gadget_bad_header_is_input_error(capsys, tmp_path, gadget, text):
+    path = tmp_path / "in.txt"
+    path.write_text(text)
+    code, _, err = run_cli(capsys, "gadget", gadget, "--input", str(path))
+    assert code == 1 and err.startswith("allhops: ")
+
+
 def test_gadget_emits_graph_and_names(capsys, tmp_path):
     out_path = tmp_path / "tree.el"
     names_path = tmp_path / "tree.names"
@@ -182,17 +194,129 @@ def test_console_script_installed():
     assert out.returncode == 0 and out.stdout.startswith("3 2")
 
 
-def test_threads_env_fallback(monkeypatch, capsys, f1_path):
-    monkeypatch.setenv("ALLHOPS_THREADS", "2")
-    code, out, _ = run_cli(capsys, "single-pair", "--graph", f1_path, "--s", "0", "--t", "2")
-    assert code == 0 and out == "1\t10\n2\t2\n"
-    monkeypatch.setenv("ALLHOPS_THREADS", "0")
-    code, _, err = run_cli(capsys, "check", "--graph", f1_path)
-    assert code == 1 and "threads" in err
-
-
 def test_selftest_runs_green(capsys):
     code, out, _ = run_cli(capsys, "selftest")
     assert code == 0
     lines = [l for l in out.splitlines() if l.startswith("selftest")]
     assert lines and all(l.endswith("ok") for l in lines)
+
+
+# Record output (`u v h d` tables, oracle answers, `h d` pairs) pinned byte
+# for byte.  In SMALL, distances go negative, vertex 3 reaches nothing, and
+# d(0, 3) last improves at h = n - 1; it is queried with --max-hop above
+# n - 1.  The large graph's tables span many render chunks.
+SMALL = "4 6\n0 1 3\n1 2 -2\n0 2 4\n2 0 1\n2 3 5\n0 3 9\n"
+SMALL_QUERIES = "0 2 1\n0 2 2\n1 2 3\n0 3 3\n3 0 2\n3 3 1\n2 1 3\n"
+
+
+def _large_graph(n: int = 20) -> str:
+    """Weights w + p(u) - p(v) with w >= 0: negative edges but no negative
+    cycle.  No edge enters n - 1, so that column is unreachable."""
+    edges = []
+    for u in range(n):
+        for k in (1, 3, 7):
+            v = (u * k + 1) % (n - 1)
+            if v != u:
+                edges.append((u, v, (u * k) % 5 + u % 4 - v % 4))
+    return f"{n} {len(edges)}\n" + "".join(f"{u} {v} {w}\n" for u, v, w in edges)
+
+
+def _large_queries(n: int = 20) -> str:
+    return "".join(f"{i % n} {(7 * i + 3) % n} {i % (n - 1) + 1}\n" for i in range(300))
+
+
+GOLDEN_SHA256 = {
+    ("small", "all-pairs", "tsv"): "f8e9ad643e0b518909578b3332f2664eb70423c0f8736195516ce7c7e4119434",
+    ("small", "all-pairs", "json-lines"): "9b4b776083b25a6dd01974dfbc1dfd763610cfc5541c81481d266cbb3ee762b6",
+    ("small", "single-source", "tsv"): "0cd36c4ea6e34b1052810e692e64d83a5f4b040883d9932e2b080f6829d42d67",
+    ("small", "single-source", "json-lines"): "6cd4993501d76ea1f4e00ae3660007ac955863c3bc7debcc2d2533114a2126cf",
+    ("small", "bf", "tsv"): "0cd36c4ea6e34b1052810e692e64d83a5f4b040883d9932e2b080f6829d42d67",
+    ("small", "bf", "json-lines"): "6cd4993501d76ea1f4e00ae3660007ac955863c3bc7debcc2d2533114a2126cf",
+    ("small", "single-pair", "tsv"): "0fb3ef3997e1e2770087232da7070b895ed67b448717b00df98dc6aa8bd6b324",
+    ("small", "single-pair", "json-lines"): "23043ef5f16ea2444231338cf18e760219f82a5793ae029f9423b55c930cf139",
+    ("small", "oracle-bf", "tsv"): "7a412384855f1c83f38d69dc70e6d975c45fdbd33e4431165ed04421883e2499",
+    ("small", "oracle-bf", "json-lines"): "9d5896a20986d33a4b6d5d8d48f5a98ba7e8739115adca98ae600206aedaa71c",
+    ("small", "oracle-mn", "tsv"): "7a412384855f1c83f38d69dc70e6d975c45fdbd33e4431165ed04421883e2499",
+    ("small", "oracle-mn", "json-lines"): "9d5896a20986d33a4b6d5d8d48f5a98ba7e8739115adca98ae600206aedaa71c",
+    ("large", "all-pairs", "tsv"): "dbae9b97d74ecd26e931664a8f4ccc925e3b5bd89075400b6895a263dedef0bd",
+    ("large", "all-pairs", "json-lines"): "64af7688e042bde6086abf29ceb2162c33b9d8d25501ee15d1ad089c7c0eb7ef",
+    ("large", "single-source", "tsv"): "72a2d7d7754894f7431fdc3ffcc3cd0a285d61f71f98bc3956c907487320fdc0",
+    ("large", "single-source", "json-lines"): "7217ca85e557132cadb55554f9afbeb3661523731a750c4a0d97caf85ed49337",
+    ("large", "bf", "tsv"): "72a2d7d7754894f7431fdc3ffcc3cd0a285d61f71f98bc3956c907487320fdc0",
+    ("large", "bf", "json-lines"): "7217ca85e557132cadb55554f9afbeb3661523731a750c4a0d97caf85ed49337",
+    ("large", "single-pair", "tsv"): "ec1c1ffff5b6cff2895c09aad87bc920a41c3577290064390c5231a06905925e",
+    ("large", "single-pair", "json-lines"): "cd552818ebab6e1c700c29565d4c74864472f137878702fb21c7673bfe46697f",
+    ("large", "oracle-bf", "tsv"): "75a55c59311e4f16e91543816b92e3a50c1bd903cda9bd09a12b477d633ab2ce",
+    ("large", "oracle-bf", "json-lines"): "fc394878f985c782b5b553efcbf61f53569596e8865a5d2ae669fe6b7e1bd9f9",
+    ("large", "oracle-mn", "tsv"): "75a55c59311e4f16e91543816b92e3a50c1bd903cda9bd09a12b477d633ab2ce",
+    ("large", "oracle-mn", "json-lines"): "fc394878f985c782b5b553efcbf61f53569596e8865a5d2ae669fe6b7e1bd9f9",
+}
+
+
+def _record_outputs(capsys, tmp_path, graph_text, queries_text, extra):
+    graph = tmp_path / "g.el"
+    graph.write_text(graph_text)
+    queries = tmp_path / "q.txt"
+    queries.write_text(queries_text)
+    oracle = str(tmp_path / "g.ahdo")
+    for kind in ("bf", "mn"):
+        code, _, _ = run_cli(capsys, "oracle", "build", "--kind", kind, "--graph", str(graph),
+                             "--out", f"{oracle}.{kind}")
+        assert code == 0
+    commands = {
+        "all-pairs": ["all-pairs", "--graph", str(graph), *extra],
+        "single-source": ["single-source", "--graph", str(graph), "--s", "0", *extra],
+        "bf": ["bf", "--graph", str(graph), "--s", "0", *extra],
+        "single-pair": ["single-pair", "--graph", str(graph), "--s", "0", "--t", "3", *extra],
+        "oracle-bf": ["oracle", "query", "--oracle", f"{oracle}.bf", "--queries", str(queries)],
+        "oracle-mn": ["oracle", "query", "--oracle", f"{oracle}.mn", "--queries", str(queries)],
+    }
+    outs = {}
+    for name, argv in commands.items():
+        for fmt in ("tsv", "json-lines"):
+            code, out, _ = run_cli(capsys, "--format", fmt, *argv)
+            assert code == 0
+            outs[name, fmt] = out
+    return outs
+
+
+@pytest.fixture
+def small_outputs(capsys, tmp_path):
+    return _record_outputs(capsys, tmp_path, SMALL, SMALL_QUERIES, ["--max-hop", "5"])
+
+
+@pytest.fixture
+def large_outputs(capsys, tmp_path):
+    return _record_outputs(capsys, tmp_path, _large_graph(), _large_queries(), [])
+
+
+def test_record_output_golden_sha256(small_outputs, large_outputs):
+    got = {
+        (graph, name, fmt): hashlib.sha256(out.encode()).hexdigest()
+        for graph, outs in (("small", small_outputs), ("large", large_outputs))
+        for (name, fmt), out in outs.items()
+    }
+    assert got == GOLDEN_SHA256
+
+
+def test_record_output_literal_lines(small_outputs, large_outputs):
+    assert small_outputs["bf", "tsv"] == "# u v h d\n" + "".join(
+        f"0\t{v}\t{h}\t{d}\n"
+        for v, ds in enumerate(("0 0 0 0 0", "3 3 3 3 3", "4 1 1 1 1", "9 9 6 6 6"))
+        for h, d in enumerate(ds.split(), start=1)
+    )
+    assert small_outputs["oracle-bf", "json-lines"] == (
+        '{"u": 0, "v": 2, "h": 1, "d": 4}\n'
+        '{"u": 0, "v": 2, "h": 2, "d": 1}\n'
+        '{"u": 1, "v": 2, "h": 3, "d": -2}\n'
+        '{"u": 0, "v": 3, "h": 3, "d": 6}\n'
+        '{"u": 3, "v": 0, "h": 2, "d": "inf"}\n'
+        '{"u": 3, "v": 3, "h": 1, "d": 0}\n'
+        '{"u": 2, "v": 1, "h": 3, "d": 4}\n'
+    )
+    assert small_outputs["single-pair", "json-lines"].splitlines()[-1] == '{"h": 5, "d": 6}'
+    lines = large_outputs["all-pairs", "json-lines"].splitlines()
+    assert len(lines) == 20 * 20 * 19
+    assert lines[0] == '{"u": 0, "v": 0, "h": 1, "d": 0}'
+    assert lines[-1] == '{"u": 19, "v": 19, "h": 19, "d": 0}'
+    assert lines[19 * 19 + 18] == '{"u": 0, "v": 19, "h": 19, "d": "inf"}'

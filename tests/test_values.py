@@ -11,7 +11,6 @@ from allhops.values import (
     add,
     from_int64,
     to_int64,
-    value_str,
 )
 
 
@@ -41,9 +40,3 @@ def test_int64_roundtrip():
     packed = to_int64(arr)
     assert packed[-1] == INT64_INF
     assert np.array_equal(from_int64(packed), arr)
-
-
-def test_value_str():
-    assert value_str(INF) == "inf"
-    assert value_str(-12.0) == "-12"
-    assert value_str(3) == "3"
