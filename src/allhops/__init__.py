@@ -20,20 +20,11 @@ from .graph import (
     weight_matrix,
 )
 from .matrices import DistMatrix, MatrixSeq, matrix_seq, square_matrix, tropical_identity
-from .minplus import (
-    HopSeq,
-    StrategyError,
-    matseq_convolution,
-    minplus_power,
-    minplus_product,
-    seq_convolution,
-)
+from .minplus import StrategyError, matseq_convolution, minplus_power, minplus_product
 from .oracles import (
-    BoundedOracle,
     FullTableOracle,
+    LevelOracle,
     MemoryBudgetError,
-    MnOracle,
-    MppOracle,
     build_oracle_bf,
     build_oracle_bounded,
     build_oracle_mn,

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph import Graph, weight_matrix
+from .matrices import identity_rows
 from .minplus import mp_array
 from .values import INF
 
@@ -69,8 +70,7 @@ def _bf_multi(g: Graph, sources, L: int, with_exact: bool) -> AllHopsTable:
     sources = tuple(sources)
     nS, n = len(sources), g.n
     us, ws, heads, starts = _edge_groups(g)
-    ex_prev = np.full((nS, n), INF)
-    ex_prev[np.arange(nS), sources] = 0.0
+    ex_prev = identity_rows(sources, n)
     le = np.full((L + 1, nS, n), INF)
     le[0] = ex_prev
     ex = None
@@ -104,8 +104,7 @@ def allhops_from_powers(g: Graph, H: int | None = None) -> AllHopsTable:
     n = g.n
     w = weight_matrix(g)
     ex = np.full((H + 1, n, n), INF)
-    ex[0] = np.full((n, n), INF)
-    np.fill_diagonal(ex[0], 0.0)
+    ex[0] = identity_rows(range(n), n)
     le = ex.copy()
     for h in range(1, H + 1):
         ex[h] = w if h == 1 else mp_array(ex[h - 1], w)

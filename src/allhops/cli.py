@@ -351,7 +351,10 @@ def _cmd_gadget(args) -> int:
             parts = line.split()
             if len(parts) != 3 or parts[0] not in groups:
                 raise ParseError(f"triangle input: bad edge line {line!r}")
-            groups[parts[0]].append((int(parts[1]), int(parts[2])))
+            try:
+                groups[parts[0]].append((int(parts[1]), int(parts[2])))
+            except ValueError:
+                raise ParseError(f"triangle input: non-integer vertex in {line!r}") from None
         gadget = reductions.build_triangle_gadget(n, groups["ij"], groups["jk"], groups["ki"])
         _gadget_emit(args, gadget)
         if args.verify:
@@ -364,6 +367,8 @@ def _cmd_gadget(args) -> int:
         return 0
     if args.gadget_cmd == "mpp":
         n, x = _read_matrix_lines(lines, 1, 2, "mpp header")[0].tolist()
+        if n < 1 or x < 1 or n % x:
+            raise ParseError("mpp header: x must be a positive divisor of n")
         A = _read_matrix_lines(lines, n, n // x, "A")
         B = _read_matrix_lines(lines, n // x, n, "B")
         gadget = reductions.reduce_mpp_to_exact_hops(A, B, x)

@@ -146,13 +146,6 @@ def hop1_matrix(g: Graph) -> np.ndarray:
     return w
 
 
-def identity_matrix(n: int) -> np.ndarray:
-    """d_{<=0} / d_0: zero diagonal, +inf elsewhere."""
-    w = np.full((n, n), INF)
-    np.fill_diagonal(w, 0.0)
-    return w
-
-
 def detect_negative_cycle(g: Graph) -> bool:
     """True iff some directed cycle has negative total weight.
 

@@ -55,10 +55,17 @@ def square_matrix(data, vertices=None) -> DistMatrix:
     return DistMatrix(idx, idx, a)
 
 
+def identity_rows(rows, n: int) -> np.ndarray:
+    """Rows `rows` of the min-plus identity (d_{<=0}): 0 at (i, rows[i]),
+    +inf elsewhere."""
+    rows = np.asarray(rows, dtype=np.int64)
+    out = np.full((rows.size, n), INF)
+    out[np.arange(rows.size), rows] = 0.0
+    return out
+
+
 def tropical_identity(n: int) -> DistMatrix:
-    a = np.full((n, n), INF)
-    np.fill_diagonal(a, 0.0)
-    return square_matrix(a)
+    return square_matrix(identity_rows(range(n), n))
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,6 @@
-"""Min-plus (tropical) kernels: matrix product, matrix power, scalar
-sequence convolution, and min-plus convolution of matrix sequences.
+"""Min-plus (tropical) kernels: matrix product, matrix power, the hop
+extension shared by the all-pairs solver and the sampled oracles, and
+min-plus convolution of matrix sequences.
 
 Every operation has a straightforward reference kernel; the matrix-sequence
 convolution additionally has a `polynomial` strategy that encodes entries
@@ -11,14 +12,11 @@ entry-for-entry.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .matrices import DistMatrix, MatrixSeq
 from .values import INF
 
-SEQ_STRATEGIES = ("naive", "monotone")
 MATSEQ_STRATEGIES = ("naive", "polynomial")
 
 # Temp-array budget for the broadcast product: ~32 MB of float64 per chunk.
@@ -64,13 +62,32 @@ def mp_power_array(w: np.ndarray, q: int) -> np.ndarray:
     return result
 
 
-def seq_conv_arrays(av: np.ndarray, bv: np.ndarray) -> np.ndarray:
-    """Min-plus convolution of two 1-D value arrays (offsets handled by caller)."""
-    la, lb = len(av), len(bv)
-    out = np.full(la + lb - 1, INF)
-    for i in range(la):
-        np.minimum(out[i : i + lb], av[i] + bv, out=out[i : i + lb])
-    return out
+def extend_hops(
+    out: np.ndarray,
+    table: np.ndarray,
+    rows: np.ndarray,
+    mid_rows: np.ndarray,
+    mid_cols: np.ndarray,
+) -> None:
+    """Extend hop-indexed rows past the table's horizon through split vertices.
+
+    `table[h]` is d_{<=h}(P, V) for h = 0..K, and `out[0..K]` already holds
+    its rows `rows`.  The split set X is rows `mid_rows` of the table, which
+    are the vertices `mid_cols`.  For h = K+1 .. len(out)-1, in place:
+
+        out[h] = min(out[h-1], min over g in [h-K, K] of
+                     d_{<=h-g}(rows, X) (x) d_{<=g}(X, V))
+
+    Every sum is an exact integer, so the evaluation order of min and +
+    cannot change a value.  One (rows x X) by (X x V) product per (h, g)
+    keeps the temporaries at a single hop's size.
+    """
+    K = table.shape[0] - 1
+    for h in range(K + 1, out.shape[0]):
+        out[h] = out[h - 1]
+        for g in range(h - K, K + 1):
+            prod = mp_array(table[h - g][rows][:, mid_cols], table[g][mid_rows])
+            np.minimum(out[h], prod, out=out[h])
 
 
 def matseq_conv_arrays(a3: np.ndarray, b3: np.ndarray) -> np.ndarray:
@@ -98,46 +115,6 @@ def minplus_power(w: DistMatrix, q: int) -> DistMatrix:
     if w.rows != w.cols:
         raise ValueError("min-plus power needs a square matrix")
     return DistMatrix(w.rows, w.cols, mp_power_array(w.data, q))
-
-
-@dataclass(frozen=True)
-class HopSeq:
-    """Scalar extended-distance sequence; position p is hop offset+p."""
-
-    offset: int
-    values: np.ndarray
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=np.float64)
-        if v.ndim != 1 or v.size < 1:
-            raise ValueError("HopSeq needs a nonempty 1-D value array")
-        object.__setattr__(self, "values", v)
-
-    def __len__(self) -> int:
-        return self.values.size
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, HopSeq):
-            return NotImplemented
-        return self.offset == other.offset and np.array_equal(self.values, other.values)
-
-
-def _non_increasing(v: np.ndarray) -> bool:
-    return bool(np.all(v[:-1] >= v[1:])) if v.size > 1 else True
-
-
-def seq_convolution(a: HopSeq, b: HopSeq, strategy: str = "naive") -> HopSeq:
-    """C_z = min over x+y=z of a_x + b_y; out-of-range summands are +inf.
-
-    The `monotone` strategy asserts both inputs non-increasing and runs the
-    reference kernel (the interface point for a faster monotone kernel).
-    """
-    if strategy not in SEQ_STRATEGIES:
-        raise StrategyError(f"unknown sequence strategy {strategy!r}")
-    if strategy == "monotone":
-        if not (_non_increasing(a.values) and _non_increasing(b.values)):
-            raise StrategyError("monotone strategy requires non-increasing inputs")
-    return HopSeq(a.offset + b.offset, seq_conv_arrays(a.values, b.values))
 
 
 def matseq_convolution(

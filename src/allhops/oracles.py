@@ -2,16 +2,19 @@
 
 Five kinds share one query contract (d_{<=h}(u,v) for 1 <= h <= n-1):
 
-* powers / bf - full 3-D tables, O(1) lookup; built either by iterated
-  min-plus powers or by Bellman-Ford from every vertex; bit-identical.
-* mn      - log-many levels of shrinking samples, each with forward and
-  backward Bellman-Ford tables out to a doubling hop budget; queries scan
-  levels and split points.
-* mpp     - geometric (3/2) levels of nested samples whose tables are
-  assembled by block min-plus products; two-sided query scan.
-* bounded - geometric levels built either by stacked exact-hop powers (small
-  hop budgets) or by per-sample sequence convolutions (large budgets), with
-  a configurable crossover; query scan as for mn.
+* powers / bf - FullTableOracle: full 3-D tables, O(1) lookup; built either
+  by iterated min-plus powers or by Bellman-Ford from every vertex;
+  bit-identical.
+* mn / mpp / bounded - LevelOracle: levels j of sampled vertices S_j, each
+  with forward and backward tables d_{<=h}(S_j, V) and d_{<=h}(V, S_j) for
+  h up to a hop budget K_j.  A query splits at the sampled vertices of
+  every level with K_{j-1} <= h.  The kinds differ only in the build:
+  - mn: log-many shrinking samples, doubling budgets, Bellman-Ford from
+    every sampled vertex in both directions;
+  - mpp: geometric (3/2) budgets over nested samples; each level extends
+    the previous one with `minplus.extend_hops`, splitting at S_{j-1};
+  - bounded: the same ladder with its own sample sizes, but levels with
+    K_j <= kstar (the crossover) are stacked exact-hop powers instead.
 
 Oracles are immutable after build; `query` only touches the work counters.
 A versioned binary snapshot (magic AHDO1) makes build and query separable
@@ -29,8 +32,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .baselines import _bf_multi
-from .graph import Graph, hop1_matrix, reverse, weight_matrix
-from .minplus import mp_array
+from .graph import Graph, ParseError, reverse, weight_matrix
+from .matrices import identity_rows
+from .minplus import extend_hops, mp_array
 from .sampling import SamplePlan, round_sample
 from .solvers import _exact_hop_stack, _require_no_neg_cycle
 from .values import INF, from_int64, to_int64
@@ -72,12 +76,6 @@ def _check_query(n: int, u: int, v: int, h: int) -> None:
         raise ValueError(f"hop budget {h} outside [1, {n - 1}]")
 
 
-def _ident_rows(verts: np.ndarray, n: int) -> np.ndarray:
-    out = np.full((len(verts), n), INF)
-    out[np.arange(len(verts)), verts] = 0.0
-    return out
-
-
 # ---------------------------------------------------------------------------
 # full-table oracles (powers / bf)
 
@@ -93,6 +91,10 @@ class FullTableOracle:
     def query(self, u: int, v: int, h: int):
         _check_query(self.n, u, v, h)
         return self.le[min(h, self.H), u, v]
+
+    def _snapshot(self):
+        """(seed, C, kstar, [(budget, sample, arrays)]) as save_oracle writes it."""
+        return 0, 1.0, 0, [(self.H, np.arange(self.n), [self.le])]
 
 
 def _check_mem(cells: int, mem_cap_bytes: int) -> None:
@@ -111,7 +113,7 @@ def build_oracle_powers(
         H = max(1, n - 1)
     _check_mem((H + 1) * n * n, mem_cap_bytes)
     le = np.full((H + 1, n, n), INF)
-    np.fill_diagonal(le[0], 0.0)
+    le[0] = identity_rows(range(n), n)
     power = None
     w = weight_matrix(g)
     for h in range(1, H + 1):
@@ -133,72 +135,79 @@ def build_oracle_bf(
 
 
 # ---------------------------------------------------------------------------
-# mn oracle: doubling hop budgets, per-level BF in both directions
+# sampled-level oracles (mn / mpp / bounded)
 
 
 @dataclass
-class MnLevel:
-    budget: int
-    sample: np.ndarray
-    fwd: np.ndarray  # (budget+1, |S|, n): d_{<=h}(s, v)
-    bwd: np.ndarray  # (budget+1, |S|, n): d_{<=h}(v, s) laid out as rev rows
+class LevelOracle:
+    """Levels j with hop budgets ks[j] (non-decreasing) and sorted samples S_j:
+    fwd[j][h][i, v] = d_{<=h}(samples[j][i], v) and
+    bwd[j][h][i, u] = d_{<=h}(u, samples[j][i]) for h = 0..ks[j]."""
 
-
-@dataclass
-class MnOracle:
+    kind: str
     n: int
     seed: int
     C: float
-    levels: list[MnLevel]
+    ks: list[int]
+    samples: list[np.ndarray]
+    fwd: list[np.ndarray]
+    bwd: list[np.ndarray]
+    kstar: int = 0  # bounded's crossover budget; 0 for mn and mpp
     counters: WorkCounters = field(default_factory=WorkCounters)
 
     def storage_cells(self) -> int:
-        return sum(lv.fwd.size + lv.bwd.size for lv in self.levels)
+        return sum(a.size for a in self.fwd) + sum(a.size for a in self.bwd)
 
     def query(self, u: int, v: int, h: int):
+        """Minimum over levels and splits a of d_{<=a}(u, s) + d_{<=h-a}(s, v).
+
+        Every candidate is the weight of a walk with at most h hops, so no
+        answer undercuts d_{<=h}(u, v); a sampled vertex on a shortest walk
+        makes it exact.  Level j serves walks longer than K_{j-1} hops, so
+        the scan stops at the first level with K_{j-1} > h.
+        """
         _check_query(self.n, u, v, h)
         if u == v:
             return 0.0
-        top = h.bit_length() - 1  # 2^top <= h < 2^(top+1)
         best = INF
-        for lv in self.levels[: top + 1]:
-            if lv.sample.size == 0:
+        for j, k in enumerate(self.ks):
+            if j and self.ks[j - 1] > h:
+                break
+            if self.samples[j].size == 0:
                 continue
-            hmax = min(h, lv.budget)
-            hp = np.arange(1, hmax + 1)
-            to_s = lv.bwd[hp, :, u]  # d_{<=h'}(u, s)
-            from_s = lv.fwd[np.minimum(h - hp, lv.budget), :, v]
+            a = np.arange(min(h, k) + 1)
+            to_s = self.bwd[j][a, :, u]
+            from_s = self.fwd[j][np.minimum(h - a, k), :, v]
             self.counters.add_adds(to_s.size)
-            cand = (to_s + from_s).min()
-            if cand < best:
-                best = cand
+            best = min(best, (to_s + from_s).min())
         return best
 
+    def _snapshot(self):
+        levels = zip(self.ks, self.samples, self.fwd, self.bwd)
+        return self.seed, self.C, self.kstar, [(k, s, [f, b]) for k, s, f, b in levels]
 
-def build_oracle_mn(g: Graph, plan: SamplePlan) -> MnOracle:
+
+def build_oracle_mn(g: Graph, plan: SamplePlan) -> LevelOracle:
+    """Doubling budgets 2^(i+1) over shrinking samples, Bellman-Ford tables."""
     _require_no_neg_cycle(g)
     n = g.n
     rng = np.random.default_rng(plan.seed)
     rev = reverse(g)
-    oracle = MnOracle(n, plan.seed, plan.C, [])
+    ks, samples, fwd, bwd = [], [], [], []
+    relaxations = 0
     top = max(0, n.bit_length() - 1)  # floor(log2 n)
     for i in range(top + 1):
         size = min(n, math.ceil(plan.C * n * math.log(n) / 2**i)) if n > 1 else 0
         sample = round_sample(rng, n, size, plan.pinned)
         budget = min(2 ** (i + 1), max(1, n - 1))
-        if sample.size:
-            fwd = _bf_multi(g, sample, budget, with_exact=False).le
-            bwd = _bf_multi(rev, sample, budget, with_exact=False).le
-            oracle.counters.add_relaxations(2 * g.m * budget * sample.size)
-        else:
-            fwd = np.full((budget + 1, 0, n), INF)
-            bwd = fwd.copy()
-        oracle.levels.append(MnLevel(budget, sample, fwd, bwd))
+        ks.append(budget)
+        samples.append(sample)
+        fwd.append(_bf_multi(g, sample, budget, with_exact=False).le)
+        bwd.append(_bf_multi(rev, sample, budget, with_exact=False).le)
+        relaxations += 2 * g.m * budget * sample.size
+    oracle = LevelOracle("mn", n, plan.seed, plan.C, ks, samples, fwd, bwd)
+    oracle.counters.add_relaxations(relaxations)
     return oracle
-
-
-# ---------------------------------------------------------------------------
-# mpp oracle: nested geometric levels built by block min-plus products
 
 
 def _geometric_ladder(n: int) -> list[int]:
@@ -222,178 +231,54 @@ def _nested_samples(n: int, plan: SamplePlan, ks: list[int], denom) -> list[np.n
     return samples
 
 
-def _mpp_tables(g: Graph, samples: list[np.ndarray], ks: list[int]) -> list[np.ndarray]:
-    """tables[j][h] = d_{<=h}(S_j, V) for h = 0..K_j, by block products.
+def _extend_level(
+    prev: np.ndarray, prev_verts: np.ndarray, verts: np.ndarray, k_new: int
+) -> np.ndarray:
+    """d_{<=h}(S_j, V) for h = 0..k_new from the previous level's table
+    d_{<=h}(S_{j-1}, V), h = 0..K_{j-1}, splitting at every vertex of
+    S_{j-1} (which contains S_j)."""
+    k_prev = prev.shape[0] - 1
+    sel = np.searchsorted(prev_verts, verts)
+    out = np.empty((k_new + 1, len(verts), prev.shape[2]))
+    out[: k_prev + 1] = prev[:, sel]
+    extend_hops(out, prev, sel, np.arange(len(prev_verts)), prev_verts)
+    return out
 
-    The block matrix B over row index (s, h) and column index (s', h') has
-    finite entries d_{<=h-h'}(s, s') only on the band h - h' <= K_prev, so
-    the product D = B * C is evaluated per target hop with the all-infinity
-    columns dropped.
-    """
-    n = g.n
-    base = np.stack([_ident_rows(np.arange(n), n), hop1_matrix(g)])
-    tables = [base]
-    for j in range(1, len(ks)):
-        k_prev, k_new = ks[j - 1], ks[j]
-        prev = tables[j - 1]
-        prev_verts, verts = samples[j - 1], samples[j]
-        sel = np.searchsorted(prev_verts, verts)
-        cur = np.full((k_new + 1, len(verts), n), INF)
-        cur[: k_prev + 1] = prev[: k_prev + 1][:, sel, :]
-        if k_new > k_prev and len(verts):
-            sp = len(prev_verts)
-            prev_cols = prev[:, :, prev_verts]  # d_{<=g}(S_{j-1}, S_{j-1})
-            for h in range(k_prev + 1, k_new + 1):
-                hp = np.arange(max(1, h - k_prev), k_prev + 1)
-                # B-row block for hop h: (|S_j|, band * sp)
-                b2 = (
-                    prev_cols[h - hp][:, sel, :].swapaxes(0, 1).reshape(len(verts), -1)
-                )
-                c2 = prev[hp].reshape(len(hp) * sp, n)
-                d2 = mp_array(b2, c2)
-                cur[h] = np.minimum(prev[k_prev][sel], d2)
-        tables.append(cur)
+
+def _level_tables(
+    g: Graph, samples: list[np.ndarray], ks: list[int], kstar: int
+) -> list[np.ndarray]:
+    """tables[j][h] = d_{<=h}(S_j, V) for h = 0..ks[j]: stacked exact-hop
+    powers at level 0 and for budgets up to kstar, `_extend_level` above."""
+    tables = []
+    for j, k in enumerate(ks):
+        if j == 0 or k <= kstar:
+            stack = _exact_hop_stack(g, samples[j], k)
+            stack[0] = identity_rows(samples[j], g.n)
+            np.minimum.accumulate(stack, axis=0, out=stack)
+        else:
+            stack = _extend_level(tables[-1], samples[j - 1], samples[j], k)
+        tables.append(stack)
     return tables
 
 
-@dataclass
-class MppOracle:
-    n: int
-    seed: int
-    C: float
-    ks: list[int]
-    samples: list[np.ndarray]
-    fwd: list[np.ndarray]  # fwd[j][h][si, v] = d_{<=h}(s, v)
-    bwd: list[np.ndarray]  # bwd[j][h][si, u] = d_{<=h}(u, s)
-    counters: WorkCounters = field(default_factory=WorkCounters)
-
-    def storage_cells(self) -> int:
-        return sum(a.size for a in self.fwd) + sum(a.size for a in self.bwd)
-
-    def query(self, u: int, v: int, h: int):
-        _check_query(self.n, u, v, h)
-        if u == v:
-            return 0.0
-        jstar = next(j for j, k in enumerate(self.ks) if h <= k)
-        best = INF
-        for j in range(jstar + 1):
-            if self.samples[j].size == 0:
-                continue
-            kj = self.ks[j]
-            hmax = min(h, kj)
-            hp = np.arange(1, hmax + 1)
-            to_s = self.bwd[j][np.minimum(h - hp, kj), :, u]
-            from_s = self.fwd[j][hp, :, v]
-            self.counters.add_adds(to_s.size)
-            cand = (to_s + from_s).min()
-            if cand < best:
-                best = cand
-        return best
-
-
-def build_oracle_mpp(g: Graph, plan: SamplePlan) -> MppOracle:
+def build_oracle_mpp(g: Graph, plan: SamplePlan) -> LevelOracle:
     _require_no_neg_cycle(g)
     n = g.n
     ks = _geometric_ladder(n)
     samples = _nested_samples(n, plan, ks, lambda j: 1.5**j)
-    fwd = _mpp_tables(g, samples, ks)
-    bwd = _mpp_tables(reverse(g), samples, ks)
-    return MppOracle(n, plan.seed, plan.C, ks, samples, fwd, bwd)
-
-
-# ---------------------------------------------------------------------------
-# bounded-weight oracle: stacked powers below the crossover, sequence
-# convolutions above it
+    fwd = _level_tables(g, samples, ks, 0)
+    bwd = _level_tables(reverse(g), samples, ks, 0)
+    return LevelOracle("mpp", n, plan.seed, plan.C, ks, samples, fwd, bwd)
 
 
 def default_crossover(n: int, M: int) -> int:
     return math.ceil(n ** (2 / 3) / max(1, M) ** (1 / 3))
 
 
-@dataclass
-class BoundedOracle:
-    n: int
-    seed: int
-    C: float
-    kstar: int
-    ks: list[int]
-    samples: list[np.ndarray]
-    fwd: list[np.ndarray]
-    bwd: list[np.ndarray]
-    counters: WorkCounters = field(default_factory=WorkCounters)
-
-    def storage_cells(self) -> int:
-        return sum(a.size for a in self.fwd) + sum(a.size for a in self.bwd)
-
-    def query(self, u: int, v: int, h: int):
-        _check_query(self.n, u, v, h)
-        if u == v:
-            return 0.0
-        jstar = next(j for j, k in enumerate(self.ks) if h <= k)
-        best = INF
-        for j in range(jstar + 1):
-            if self.samples[j].size == 0:
-                continue
-            kj = self.ks[j]
-            hmax = min(h, kj)
-            hp = np.arange(1, hmax + 1)
-            to_s = self.bwd[j][np.minimum(h - hp, kj), :, u]
-            from_s = self.fwd[j][hp, :, v]
-            self.counters.add_adds(to_s.size)
-            cand = (to_s + from_s).min()
-            if cand < best:
-                best = cand
-        return best
-
-
-def _extend_by_convolution(
-    prev: np.ndarray, prev_verts: np.ndarray, verts: np.ndarray, k_prev: int, k_new: int
-) -> np.ndarray:
-    """Per-sample scalar min-plus convolutions, vectorized over targets:
-    extends d_{<=h}(S_new, V) from hop K_prev to K_new with the stagnation
-    candidate folded in by a running minimum."""
-    n = prev.shape[2]
-    sel = np.searchsorted(prev_verts, verts)
-    cur = np.full((k_new + 1, len(verts), n), INF)
-    cur[: k_prev + 1] = prev[: k_prev + 1][:, sel, :]
-    for px, x in enumerate(prev_verts):
-        to_x = prev[1 : k_prev + 1][:, sel, x]  # (K_prev, |S_new|)
-        from_x = prev[1 : k_prev + 1][:, px, :]  # (K_prev, n)
-        for h in range(k_prev + 1, k_new + 1):
-            for hp in range(h - k_prev, k_prev + 1):
-                np.minimum(
-                    cur[h], to_x[hp - 1][:, None] + from_x[h - hp - 1][None, :], out=cur[h]
-                )
-    for h in range(k_prev + 1, k_new + 1):
-        np.minimum(cur[h], cur[h - 1], out=cur[h])
-    return cur
-
-
-def _bounded_tables(
-    g: Graph, samples: list[np.ndarray], ks: list[int], kstar: int
-) -> list[np.ndarray]:
-    tables = []
-    for j, k in enumerate(ks):
-        verts = samples[j]
-        if j == 0 or k <= kstar:
-            # stacked exact-hop powers, then running minima
-            if len(verts):
-                stack = _exact_hop_stack(g, verts, k)
-                stack[0] = _ident_rows(verts, g.n)
-                np.minimum.accumulate(stack, axis=0, out=stack)
-            else:
-                stack = np.full((k + 1, 0, g.n), INF)
-            tables.append(stack)
-        else:
-            tables.append(
-                _extend_by_convolution(tables[j - 1], samples[j - 1], verts, ks[j - 1], k)
-            )
-    return tables
-
-
 def build_oracle_bounded(
     g: Graph, plan: SamplePlan, kstar: int | None = None
-) -> BoundedOracle:
+) -> LevelOracle:
     if g.declared_M is None:
         raise ValueError("bounded oracle needs declared_M on the graph")
     _require_no_neg_cycle(g)
@@ -402,13 +287,18 @@ def build_oracle_bounded(
     samples = _nested_samples(n, plan, ks, lambda j: min(math.ceil(1.5**j), max(1, n - 1)))
     if kstar is None:
         kstar = default_crossover(n, g.declared_M)
-    fwd = _bounded_tables(g, samples, ks, kstar)
-    bwd = _bounded_tables(reverse(g), samples, ks, kstar)
-    return BoundedOracle(n, plan.seed, plan.C, kstar, ks, samples, fwd, bwd)
+    fwd = _level_tables(g, samples, ks, kstar)
+    bwd = _level_tables(reverse(g), samples, ks, kstar)
+    return LevelOracle("bounded", n, plan.seed, plan.C, ks, samples, fwd, bwd, kstar)
 
 
 # ---------------------------------------------------------------------------
 # snapshots
+#
+# AHDO1 layout, little-endian: magic, kind index (B), n (I), seed (Q), C (d),
+# kstar (q), level count (I); per level: budget (I), sample size (I), the
+# sample (int64 each), then its arrays: count (I), per array ndim (I), shape
+# (Q each) and int64 cells.  A full table is one level over all of V.
 
 
 def _pack_arrays(buf: io.BytesIO, arrays) -> None:
@@ -420,83 +310,83 @@ def _pack_arrays(buf: io.BytesIO, arrays) -> None:
         buf.write(to_int64(a.astype(np.float64) if a.dtype != np.float64 else a).tobytes())
 
 
-def _unpack_arrays(buf: io.BytesIO):
-    (count,) = struct.unpack("<I", buf.read(4))
-    out = []
-    for _ in range(count):
-        (ndim,) = struct.unpack("<I", buf.read(4))
-        shape = struct.unpack(f"<{ndim}Q", buf.read(8 * ndim))
-        size = int(np.prod(shape)) if ndim else 1
-        raw = np.frombuffer(buf.read(8 * size), dtype="<i8").reshape(shape)
-        out.append(from_int64(raw))
-    return out
-
-
 def save_oracle(oracle) -> bytes:
+    seed, C, kstar, levels = oracle._snapshot()
     buf = io.BytesIO()
     buf.write(MAGIC)
-    kind = oracle.kind if isinstance(oracle, FullTableOracle) else (
-        "mn" if isinstance(oracle, MnOracle)
-        else "mpp" if isinstance(oracle, MppOracle)
-        else "bounded"
-    )
-    buf.write(struct.pack("<B", KINDS.index(kind)))
-    seed = getattr(oracle, "seed", 0)
-    C = getattr(oracle, "C", 1.0)
-    buf.write(struct.pack("<IQd", oracle.n, seed, C))
-    if isinstance(oracle, FullTableOracle):
-        buf.write(struct.pack("<q", 0))
-        buf.write(struct.pack("<I", 1))
-        buf.write(struct.pack("<I", oracle.H))
-        buf.write(struct.pack("<I", oracle.n))
-        buf.write(np.arange(oracle.n, dtype="<i8").tobytes())
-        _pack_arrays(buf, [oracle.le])
-    elif isinstance(oracle, MnOracle):
-        buf.write(struct.pack("<q", 0))
-        buf.write(struct.pack("<I", len(oracle.levels)))
-        for lv in oracle.levels:
-            buf.write(struct.pack("<I", lv.budget))
-            buf.write(struct.pack("<I", lv.sample.size))
-            buf.write(lv.sample.astype("<i8").tobytes())
-            _pack_arrays(buf, [lv.fwd, lv.bwd])
-    else:
-        buf.write(struct.pack("<q", getattr(oracle, "kstar", 0)))
-        buf.write(struct.pack("<I", len(oracle.ks)))
-        for j, k in enumerate(oracle.ks):
-            buf.write(struct.pack("<I", k))
-            buf.write(struct.pack("<I", oracle.samples[j].size))
-            buf.write(oracle.samples[j].astype("<i8").tobytes())
-            _pack_arrays(buf, [oracle.fwd[j], oracle.bwd[j]])
+    header = (KINDS.index(oracle.kind), oracle.n, seed, C, kstar, len(levels))
+    buf.write(struct.pack("<BIQdqI", *header))
+    for budget, sample, arrays in levels:
+        buf.write(struct.pack("<II", budget, sample.size))
+        buf.write(sample.astype("<i8").tobytes())
+        _pack_arrays(buf, arrays)
     return buf.getvalue()
 
 
+class _Reader:
+    """Cursor over snapshot bytes; reading past the end is a ParseError."""
+
+    def __init__(self, data: bytes):
+        self.data = data
+        self.pos = 0
+
+    def take(self, size: int) -> bytes:
+        if size > len(self.data) - self.pos:
+            raise ParseError("truncated oracle snapshot")
+        self.pos += size
+        return self.data[self.pos - size : self.pos]
+
+    def unpack(self, fmt: str) -> tuple:
+        return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
+
+    def int64s(self, count: int) -> np.ndarray:
+        return np.frombuffer(self.take(8 * count), dtype="<i8")
+
+
+def _read_level(r: _Reader, n: int, full: bool):
+    """One level, checked against n: a sorted sample of distinct vertices
+    (all of V for a full table) and arrays of shape (budget+1, |S|, n)."""
+    budget, size = r.unpack("<II")
+    sample = r.int64s(size).astype(np.int64)
+    if size and (sample[0] < 0 or sample[-1] >= n or (np.diff(sample) <= 0).any()):
+        raise ParseError("oracle snapshot: sample is not sorted distinct vertices of [0, n)")
+    if full and size != n:
+        raise ParseError("oracle snapshot: full table must cover every vertex")
+    (count,) = r.unpack("<I")
+    if count != (1 if full else 2):
+        raise ParseError(f"oracle snapshot: {count} arrays in a level")
+    arrays = []
+    for _ in range(count):
+        (ndim,) = r.unpack("<I")
+        shape = r.unpack(f"<{ndim}Q")
+        if shape != (budget + 1, size, n):
+            raise ParseError(f"oracle snapshot: array shape {shape} does not match its level")
+        arrays.append(from_int64(r.int64s(math.prod(shape)).reshape(shape)))
+    return budget, sample, arrays
+
+
 def load_oracle(data: bytes):
-    buf = io.BytesIO(data)
-    if buf.read(5) != MAGIC:
-        raise ValueError("not an AHDO1 oracle snapshot")
-    (kind_idx,) = struct.unpack("<B", buf.read(1))
+    """Parse an AHDO1 snapshot; any malformed input raises ParseError."""
+    if data[: len(MAGIC)] != MAGIC:
+        raise ParseError("not an AHDO1 oracle snapshot")
+    r = _Reader(data)
+    r.take(len(MAGIC))
+    kind_idx, n, seed, C, kstar, level_count = r.unpack("<BIQdqI")
+    if kind_idx >= len(KINDS):
+        raise ParseError(f"oracle snapshot: unknown kind {kind_idx}")
     kind = KINDS[kind_idx]
-    n, seed, C = struct.unpack("<IQd", buf.read(20))
-    (extra,) = struct.unpack("<q", buf.read(8))
-    (level_count,) = struct.unpack("<I", buf.read(4))
-    levels = []
-    for _ in range(level_count):
-        (budget,) = struct.unpack("<I", buf.read(4))
-        (slen,) = struct.unpack("<I", buf.read(4))
-        sample = np.frombuffer(buf.read(8 * slen), dtype="<i8").astype(np.int64)
-        arrays = _unpack_arrays(buf)
-        levels.append((budget, sample, arrays))
-    if kind in ("powers", "bf"):
-        budget, _, arrays = levels[0]
-        return FullTableOracle(kind, n, budget, arrays[0])
-    if kind == "mn":
-        return MnOracle(
-            n, seed, C, [MnLevel(b, s, a[0], a[1]) for b, s, a in levels]
-        )
-    ks = [b for b, _, _ in levels]
-    samples = [s for _, s, _ in levels]
-    fwd = [a[0] for _, _, a in levels]
-    bwd = [a[1] for _, _, a in levels]
-    if kind == "mpp":
-        return MppOracle(n, seed, C, ks, samples, fwd, bwd)
-    return BoundedOracle(n, seed, C, int(extra), ks, samples, fwd, bwd)
+    full = kind in ("powers", "bf")
+    if n < 1 or level_count < 1 or (full and level_count != 1):
+        raise ParseError(f"oracle snapshot: {level_count} levels over {n} vertices")
+    levels = [_read_level(r, n, full) for _ in range(level_count)]
+    if r.pos != len(data):
+        raise ParseError("oracle snapshot: trailing bytes")
+    ks = [budget for budget, _, _ in levels]
+    if ks != sorted(ks):
+        raise ParseError("oracle snapshot: level budgets decrease")
+    if full:
+        return FullTableOracle(kind, n, ks[0], levels[0][2][0])
+    samples = [sample for _, sample, _ in levels]
+    fwd = [arrays[0] for _, _, arrays in levels]
+    bwd = [arrays[1] for _, _, arrays in levels]
+    return LevelOracle(kind, n, seed, C, ks, samples, fwd, bwd, kstar)

@@ -11,7 +11,9 @@ deterministic):
   pinned-target single-pair solves or the stacked exact-hop-power scheme
   combined through one rectangular min-plus product.
 * all_pairs_allhops   - geometric rounds extending every pair's sequence
-  with per-sample scalar min-plus convolutions plus a stagnation candidate.
+  by min-plus convolution through the round's sample plus a stagnation
+  candidate; the hop extension is `minplus.extend_hops`, the same kernel
+  the sampled oracles build their levels with.
 
 Internally everything runs on raw float64 stacks; sequences enter the
 shared convolution kernels through the MatrixSeq wrappers so a non-default
@@ -26,8 +28,8 @@ import numpy as np
 
 from .baselines import AllHopsTable
 from .graph import Graph, detect_negative_cycle, hop1_matrix, weight_matrix
-from .matrices import MatrixSeq
-from .minplus import matseq_convolution, mp_array
+from .matrices import MatrixSeq, identity_rows
+from .minplus import extend_hops, matseq_convolution, mp_array
 from .sampling import SamplePlan, growing_hierarchy, round_sample, shrinking_hierarchy
 from .values import INF
 
@@ -68,9 +70,7 @@ def _sp_level_tables(g: Graph, k: int, plan: SamplePlan, strategy: str = "naive"
     levels = hier.levels
     hops_cap = [min(math.ceil(n ** (r / k)), n) if n > 1 else 1 for r in range(k + 1)]
 
-    ident = np.full((n, n), INF)
-    np.fill_diagonal(ident, 0.0)
-    table = np.stack([ident, hop1_matrix(g)])
+    table = np.stack([identity_rows(range(n), n), hop1_matrix(g)])
     tables = [table]
 
     for r in range(1, k + 1):
@@ -260,18 +260,18 @@ def all_pairs_allhops(g: Graph, plan: SamplePlan) -> AllHopsTable:
     """d_{<=h}(u, v) for all pairs and h = 1..n-1.
 
     Round k extends every pair's sequence from length K_{k-1} to
-    K_k = ceil((3/2)^k): for each sampled x the scalar min-plus convolution
-    of the stored (u, x) and (x, v) sequences contributes candidates, the
-    stagnation value d_{<=K_{k-1}}(u, v) closes the short-path case.  Once
-    two consecutive hop slices are identical the table has stabilized and
-    the remaining hops are copies (the one-step recurrence is a function
-    of the previous slice alone).
+    K_k = ceil((3/2)^k): splits d_{<=h-g}(u, x) + d_{<=g}(x, v) through the
+    round's sampled x contribute candidates, and the stagnation value
+    d_{<=h-1}(u, v) closes the short-path case.  Once two consecutive hop
+    slices are identical the table has stabilized and the remaining hops
+    are copies (the one-step recurrence is a function of the previous slice
+    alone).
     """
     n = g.n
     _require_no_neg_cycle(g)
     HH = max(1, n - 1)
     le = np.full((HH + 1, n, n), INF)
-    np.fill_diagonal(le[0], 0.0)
+    le[0] = identity_rows(range(n), n)
     le[1] = hop1_matrix(g)
     rng = np.random.default_rng(plan.seed)
     k_round = 1
@@ -286,15 +286,6 @@ def all_pairs_allhops(g: Graph, plan: SamplePlan) -> AllHopsTable:
             break
         size = min(n, math.ceil(plan.C * n * math.log(n) / K_prev))
         sample = round_sample(rng, n, size, plan.pinned)
-        for x in sample:
-            fwd = le[1 : K_prev + 1, :, x].copy()  # (K_prev, n)
-            bwd = le[1 : K_prev + 1, x, :].copy()
-            for h in range(K_prev + 1, K_new + 1):
-                for hp in range(h - K_prev, K_prev + 1):
-                    np.minimum(
-                        le[h], fwd[hp - 1][:, None] + bwd[h - hp - 1][None, :], out=le[h]
-                    )
-        for h in range(K_prev + 1, K_new + 1):
-            np.minimum(le[h], le[h - 1], out=le[h])
+        extend_hops(le[: K_new + 1], le[: K_prev + 1], np.arange(n), sample, sample)
         K_prev = K_new
     return AllHopsTable(tuple(range(n)), HH, le, None)

@@ -27,18 +27,6 @@ class SaturationError(OverflowError):
     """A value left the exact-integer envelope of the kernels."""
 
 
-def is_inf(x) -> bool:
-    return x == INF
-
-
-def add(a, b):
-    """Saturating addition: inf absorbs, finite sums must stay exact."""
-    s = a + b
-    if s != INF and abs(s) > 2 * MAX_FINITE:
-        raise SaturationError(f"distance value {s} exceeds exact range")
-    return s
-
-
 def check_finite_range(arr: np.ndarray) -> None:
     """Reject finite entries outside the exact-integer envelope."""
     finite = arr[np.isfinite(arr)]

@@ -21,14 +21,6 @@ def brute_minplus(a, b):
     return out
 
 
-def brute_seq_conv(a, b):
-    out = [INF] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] = min(out[i + j], x + y)
-    return out
-
-
 def brute_matseq_conv(a_mats, b_mats):
     length = len(a_mats) + len(b_mats) - 1
     rows, cols = len(a_mats[0]), len(b_mats[0][0])

@@ -164,12 +164,29 @@ def test_gadget_verify_commands(capsys, tmp_path):
 @pytest.mark.parametrize("gadget,text", [
     ("mpp", ""), ("conv", ""), ("triangle", ""), ("mpp", "# only a comment\n"),
     ("mpp", "4 x\n"), ("mpp", "4\n"), ("conv", "two\n"), ("conv", "2 2\n"), ("triangle", "a a a\n"),
+    ("mpp", "4 0\n"), ("mpp", "4 -2\n"), ("triangle", "2 2 2\nij 0 a\n"),
 ])
 def test_gadget_bad_header_is_input_error(capsys, tmp_path, gadget, text):
     path = tmp_path / "in.txt"
     path.write_text(text)
     code, _, err = run_cli(capsys, "gadget", gadget, "--input", str(path))
     assert code == 1 and err.startswith("allhops: ")
+
+
+def test_oracle_query_bad_snapshot_is_input_error(capsys, tmp_path, f1_path):
+    snap = tmp_path / "f1.ahdo"
+    assert run_cli(capsys, "oracle", "build", "--kind", "mpp", "--graph", f1_path,
+                   "--out", str(snap))[0] == 0
+    blob = snap.read_bytes()
+    queries = tmp_path / "q.txt"
+    queries.write_text("0 2 1\n")
+    for name, data in (("text", F1.encode()), ("truncated", blob[:-3]),
+                       ("kind", blob[:5] + b"\x09" + blob[6:])):
+        bad = tmp_path / name
+        bad.write_bytes(data)
+        code, out, err = run_cli(capsys, "oracle", "query", "--oracle", str(bad),
+                                 "--queries", str(queries))
+        assert (code, out) == (1, "") and err.startswith("allhops: "), name
 
 
 def test_gadget_emits_graph_and_names(capsys, tmp_path):

@@ -4,22 +4,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from allhops import (
-    HopSeq,
     INF,
     MatrixSeq,
     StrategyError,
     apah_brute,
+    gen_random_graph,
     matseq_convolution,
     minplus_power,
     minplus_product,
-    seq_convolution,
     square_matrix,
     tropical_identity,
     weight_matrix,
 )
 from allhops.matrices import matrix_seq
+from allhops.minplus import extend_hops
 
-from _brute import brute_matseq_conv, brute_minplus, brute_seq_conv
+from _brute import brute_matseq_conv, brute_minplus
 
 ENTRY = st.one_of(st.integers(-8, 8), st.just(INF))
 
@@ -108,54 +108,37 @@ def test_power_splits_multiply(f2):
 
 
 # ---------------------------------------------------------------------------
-# scalar sequence convolution
+# hop extension
 
 
-def test_seq_convolution_example():
-    out = seq_convolution(HopSeq(1, [1, 5]), HopSeq(1, [2, 3]))
-    assert out.offset == 2 and out.values.tolist() == [3, 4, 8]
+def test_extend_hops_matches_loop():
+    rng = np.random.default_rng(7)
+    K, H, n = 3, 6, 5
+    table = rng.integers(-6, 7, size=(K + 1, 4, n)).astype(float)
+    table[rng.random(table.shape) < 0.3] = INF
+    rows, mid_rows, mid_cols = np.array([0, 2, 3]), np.array([1, 3]), np.array([0, 4])
+    out = np.full((H + 1, len(rows), n), INF)
+    out[: K + 1] = table[:, rows]
+    want = out.copy()
+    for h in range(K + 1, H + 1):
+        want[h] = want[h - 1]
+        for g in range(h - K, K + 1):
+            for xr, xc in zip(mid_rows, mid_cols):
+                for i, r in enumerate(rows):
+                    want[h, i] = np.minimum(want[h, i], table[h - g, r, xc] + table[g, xr])
+    extend_hops(out, table, rows, mid_rows, mid_cols)
+    assert np.array_equal(out, want)
 
 
-def test_seq_convolution_identity():
-    a = HopSeq(3, [7, INF, 2])
-    assert seq_convolution(a, HopSeq(0, [0])) == a
-
-
-def test_seq_convolution_absorbs_infinity():
-    out = seq_convolution(HopSeq(0, [INF, INF]), HopSeq(0, [1, 2]))
-    assert np.isinf(out.values).all() and len(out) == 3
-
-
-def test_monotone_strategy_validates():
-    with pytest.raises(StrategyError):
-        seq_convolution(HopSeq(0, [1, 5]), HopSeq(0, [3, 2]), strategy="monotone")
-    ok = seq_convolution(HopSeq(0, [5, 1]), HopSeq(0, [3, 2]), strategy="monotone")
-    assert ok == seq_convolution(HopSeq(0, [5, 1]), HopSeq(0, [3, 2]))
-
-
-@settings(max_examples=60)
-@given(
-    st.lists(ENTRY, min_size=1, max_size=6),
-    st.lists(ENTRY, min_size=1, max_size=6),
-    st.integers(-3, 3),
-    st.integers(-3, 3),
-)
-def test_seq_convolution_matches_brute(a, b, oa, ob):
-    out = seq_convolution(HopSeq(oa, a), HopSeq(ob, b))
-    assert out.offset == oa + ob
-    assert out.values.tolist() == brute_seq_conv(a, b)
-
-
-@settings(max_examples=60)
-@given(
-    st.lists(st.integers(0, 20), min_size=1, max_size=8),
-    st.lists(st.integers(0, 20), min_size=1, max_size=8),
-)
-def test_monotone_inputs_give_monotone_output(a, b):
-    a = sorted(a, reverse=True)
-    b = sorted(b, reverse=True)
-    vals = seq_convolution(HopSeq(1, a), HopSeq(1, b), strategy="monotone").values
-    assert (vals[:-1] >= vals[1:]).all()
+def test_extend_hops_splitting_everywhere_is_bellman_ford():
+    n, K = 9, 3
+    g = gen_random_graph(n, 24, 4, 3, require_no_neg_cycle=True)
+    table = apah_brute(g, K, with_exact=False).le
+    out = np.full((2 * K + 1, n, n), INF)
+    out[: K + 1] = table
+    every = np.arange(n)
+    extend_hops(out, table, every, every, every)
+    assert np.array_equal(out, apah_brute(g, 2 * K, with_exact=False).le)
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,12 @@
+import hashlib
+import struct
+
 import numpy as np
 import pytest
 
 from allhops import (
     MemoryBudgetError,
+    ParseError,
     SamplePlan,
     apah_brute,
     bellman_ford_allhops,
@@ -68,24 +72,24 @@ def test_memory_cap():
 
 def test_mn_level0_clamps_to_all_vertices(f1):
     o = build_oracle_mn(f1, SamplePlan(C=4.0, seed=0))
-    assert o.levels[0].sample.tolist() == [0, 1, 2]
+    assert o.samples[0].tolist() == [0, 1, 2]
 
 
 def test_mn_tables_are_bf_rows():
     g = gen_random_graph(30, 80, 5, 12, require_no_neg_cycle=True)
     o = build_oracle_mn(g, PLAN)
     rg = reverse(g)
-    for lv in o.levels:
-        for si, s in enumerate(lv.sample.tolist()):
-            fwd = bellman_ford_allhops(g, s, lv.budget)
-            bwd = bellman_ford_allhops(rg, s, lv.budget)
-            assert np.array_equal(lv.fwd[:, si, :], fwd.le)
-            assert np.array_equal(lv.bwd[:, si, :], bwd.le)
+    for k, sample, fwd_t, bwd_t in zip(o.ks, o.samples, o.fwd, o.bwd):
+        for si, s in enumerate(sample.tolist()):
+            fwd = bellman_ford_allhops(g, s, k)
+            bwd = bellman_ford_allhops(rg, s, k)
+            assert np.array_equal(fwd_t[:, si, :], fwd.le)
+            assert np.array_equal(bwd_t[:, si, :], bwd.le)
 
 
 def test_mn_single_vertex_graph():
     o = build_oracle_mn(graph_from_edges(1, []), PLAN)
-    assert len(o.levels) == 1
+    assert len(o.ks) == 1
     with pytest.raises(ValueError):
         o.query(0, 0, 1)
 
@@ -193,6 +197,78 @@ def test_snapshot_rejects_garbage():
         load_oracle(b"NOTMAGIC" + b"\0" * 64)
 
 
+# sha256 of save_oracle on one sampled graph (C=1 leaves levels 3.. of mpp
+# and bounded proper subsets; bounded's crossover kstar=6 runs both table
+# paths).  Pins the AHDO1 bytes, not just a self round trip.
+GOLDEN_SNAPSHOTS = {
+    "powers": "b418d55e75d25fc5d59461a841fc2c47c217d2b4a66a4dfcb27d429aacbedd3a",
+    "bf": "c8ef5ee34a36565d2c33a12d2b38b08c59bb5b71b9867147a96d21cf592b62b1",
+    "mn": "60a2f2a3b5944ed0335164477f5eedd67cb8b776917cd1725b8067063c6a06a0",
+    "mpp": "760bc9e64eed3b712d81a7a7ae1cce4b690d04491538be48776ae06ad9ac5d8a",
+    "bounded": "538a65ba64d2dab192fe2440a3f42e3f2042e176da6ccaab65d09a43e5d92790",
+}
+
+
+def test_snapshot_golden_sha256():
+    g = gen_random_graph(24, 72, 4, 2, require_no_neg_cycle=True)
+    for name, o in _all_builders(g, SamplePlan(C=1.0, seed=5)).items():
+        assert hashlib.sha256(save_oracle(o)).hexdigest() == GOLDEN_SNAPSHOTS[name], name
+
+
+def _small_snapshot():
+    g = gen_random_graph(6, 14, 3, 1, require_no_neg_cycle=True)
+    return save_oracle(build_oracle_mn(g, PLAN))
+
+
+# AHDO1 layout: magic(5) kind(1) n(4) seed(8) C(8) kstar(8) level_count(4),
+# then per level: k(4) |S|(4) sample(8|S|) array_count(4) arrays.
+_N_AT, _SAMPLE_AT = 6, 46
+
+
+def _patch(blob, at, fmt, *values):
+    return blob[:at] + struct.pack(fmt, *values) + blob[at + struct.calcsize(fmt):]
+
+
+def test_snapshot_truncation_is_parse_error():
+    blob = _small_snapshot()
+    for cut in (0, 3, 5, 6, 20, 37, 38, 45, 60, len(blob) // 2, len(blob) - 1):
+        with pytest.raises(ParseError):
+            load_oracle(blob[:cut])
+
+
+@pytest.mark.parametrize("corrupt", [
+    lambda b: _patch(b, 5, "<B", 9),  # kind byte
+    lambda b: _patch(b, _N_AT, "<I", 7),  # n disagrees with the array shapes
+    lambda b: _patch(b, _N_AT, "<I", 0),
+    lambda b: _patch(b, _SAMPLE_AT, "<q", 6),  # sample vertex out of range
+    lambda b: _patch(b, _SAMPLE_AT, "<q", -1),
+    lambda b: _patch(b, _SAMPLE_AT, "<q", 3),  # sample not sorted
+    lambda b: b[:34] + struct.pack("<I", 0),  # no levels
+    lambda b: b + b"\0",  # trailing bytes
+], ids=["kind", "n-shape", "n-zero", "sample-high", "sample-negative", "sample-unsorted",
+        "no-levels", "trailing"])
+def test_snapshot_structure_is_validated(corrupt):
+    with pytest.raises(ParseError):
+        load_oracle(corrupt(_small_snapshot()))
+
+
+def test_sampled_level_oracles_exact():
+    """C=1 at n=60: the deep levels are proper samples, so every answer
+    depends on the split vertices actually hitting the shortest walks."""
+    g = gen_random_graph(60, 240, 5, 3, require_no_neg_cycle=True)
+    plan = SamplePlan(C=1.0, seed=11)
+    brute = apah_brute(g, with_exact=False)
+    rng = np.random.default_rng(12)
+    triples = [tuple(int(x) for x in t) for t in zip(
+        rng.integers(0, g.n, 400), rng.integers(0, g.n, 400), rng.integers(1, g.n, 400)
+    )] + [(u, v, g.n - 1) for u in range(0, g.n, 7) for v in range(3, g.n, 11)]
+    for build in (build_oracle_mn, build_oracle_mpp, build_oracle_bounded):
+        o = build(g, plan)
+        assert any(s.size < g.n for s in o.samples)
+        for u, v, h in triples:
+            assert o.query(u, v, h) == brute.le[h, u, v], (o.kind, u, v, h)
+
+
 def test_counters_track_and_reset():
     g = gen_random_graph(16, 45, 4, 6, require_no_neg_cycle=True)
     o = build_oracle_mn(g, PLAN)
@@ -203,4 +279,4 @@ def test_counters_track_and_reset():
     assert per_query > 0
     o.query(0, 1, 15)
     assert o.counters.adds == 2 * per_query
-    assert o.storage_cells() == sum(lv.fwd.size + lv.bwd.size for lv in o.levels)
+    assert o.storage_cells() == sum(f.size + b.size for f, b in zip(o.fwd, o.bwd))
