@@ -343,8 +343,8 @@ def _cmd_gadget(args) -> int:
         lines = iter([l for l in (ln.strip() for ln in f) if l and not l.startswith("#")])
     if args.gadget_cmd == "triangle":
         header = _read_matrix_lines(lines, 1, 3, "triangle header")[0].tolist()
-        if len(set(header)) != 1:
-            raise ParseError("triangle input: header must be three equal part sizes")
+        if len(set(header)) != 1 or header[0] < 1:
+            raise ParseError("triangle input: header must be three equal positive part sizes")
         n = header[0]
         groups = {"ij": [], "jk": [], "ki": []}
         for line in lines:
@@ -352,9 +352,12 @@ def _cmd_gadget(args) -> int:
             if len(parts) != 3 or parts[0] not in groups:
                 raise ParseError(f"triangle input: bad edge line {line!r}")
             try:
-                groups[parts[0]].append((int(parts[1]), int(parts[2])))
+                a, b = int(parts[1]), int(parts[2])
             except ValueError:
                 raise ParseError(f"triangle input: non-integer vertex in {line!r}") from None
+            if not (0 <= a < n and 0 <= b < n):
+                raise ParseError(f"triangle input: vertex out of [0, {n}) in {line!r}")
+            groups[parts[0]].append((a, b))
         gadget = reductions.build_triangle_gadget(n, groups["ij"], groups["jk"], groups["ki"])
         _gadget_emit(args, gadget)
         if args.verify:
@@ -367,10 +370,12 @@ def _cmd_gadget(args) -> int:
         return 0
     if args.gadget_cmd == "mpp":
         n, x = _read_matrix_lines(lines, 1, 2, "mpp header")[0].tolist()
-        if n < 1 or x < 1 or n % x:
-            raise ParseError("mpp header: x must be a positive divisor of n")
+        if n < 1 or x < 2 or x & (x - 1) or n % x:
+            raise ParseError("mpp header: x must be a power of two >= 2 dividing n")
         A = _read_matrix_lines(lines, n, n // x, "A")
         B = _read_matrix_lines(lines, n // x, n, "B")
+        if min(A.min(), B.min()) < 1 or max(A.max(), B.max()) > x:
+            raise ParseError(f"mpp input: entries must lie in [1, {x}]")
         gadget = reductions.reduce_mpp_to_exact_hops(A, B, x)
         _gadget_emit(args, gadget)
         if args.verify:

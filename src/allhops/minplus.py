@@ -1,13 +1,17 @@
-"""Min-plus (tropical) kernels: matrix product, matrix power, the hop
-extension shared by the all-pairs solver and the sampled oracles, and
-min-plus convolution of matrix sequences.
+"""Min-plus (tropical) kernels: matrix product, matrix power, and one
+windowed min-plus convolution of hop-indexed matrix sequences.
 
-Every operation has a straightforward reference kernel; the matrix-sequence
-convolution additionally has a `polynomial` strategy that encodes entries
-as bivariate boolean polynomials (x-degree = hop index, y-degree = shifted
-entry value), multiplies the polynomial matrices, and reads the minimum
-y-degree per x-degree back off.  Fast strategies must agree with naive
-entry-for-entry.
+`conv_window` computes out[z] = min over x + y = z of A[x] (x) B[y] for a
+requested window of output hops only.  It serves `matseq_convolution`
+(optionally windowed), the single-pair ladder of the single-pair and
+single-source solvers, and `extend_hops`, the hop extension shared by the
+all-pairs solver and the sampled oracles' level builds.
+
+`matseq_convolution` additionally has a `polynomial` strategy that encodes
+entries as bivariate boolean polynomials (x-degree = hop index, y-degree =
+shifted entry value), multiplies the polynomial matrices, and reads the
+minimum y-degree per x-degree back off; it computes every hop and slices
+the window.  Strategies must agree entry-for-entry.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ from .values import INF
 
 MATSEQ_STRATEGIES = ("naive", "polynomial")
 
-# Temp-array budget for the broadcast product: ~32 MB of float64 per chunk.
+# Temp-array budget for the product kernels: ~32 MB of float64 per chunk.
 _CHUNK_CELLS = 1 << 22
 
 
@@ -62,6 +66,51 @@ def mp_power_array(w: np.ndarray, q: int) -> np.ndarray:
     return result
 
 
+def conv_window(a3: np.ndarray, b3: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """Min-plus convolution of raw (la,R,K) and (lb,K,C) stacks, restricted
+    to the output hops z in [lo, hi]:
+
+        out[z - lo] = min over x + y = z of a3[x] (x) b3[y]
+
+    An output hop that no (x, y) pair reaches is +inf.  B is stacked once
+    as (K, lb*C), so for each left hop x the matching y form one contiguous
+    column block and x costs one (R x K) by (K x ny*C) product.  That
+    product accumulates over the inner index k with two in-place ufuncs
+    into a reused buffer, then is minned into out[x+y].  Every sum is an
+    exact integer, so the evaluation order cannot change a value.
+    """
+    la, R, K = a3.shape
+    lb, K2, C = b3.shape
+    if K != K2:
+        raise ValueError("inner index sets do not match")
+    out = np.full((max(0, hi - lo + 1), R, C), INF)
+    width = min(lb, out.shape[0]) * C  # widest column block
+    if K == 0 or width == 0:
+        return out
+    at = np.ascontiguousarray(a3.transpose(0, 2, 1))[..., None]  # (la, K, R, 1)
+    bt = np.ascontiguousarray(b3.transpose(1, 0, 2)).reshape(K, lb * C)
+    step = max(1, _CHUNK_CELLS // width)
+    acc_buf = np.empty(min(R, step) * width)
+    tmp_buf = np.empty_like(acc_buf)
+    for x in range(la):
+        y0, y1 = max(0, lo - x), min(lb - 1, hi - x)
+        if y0 > y1:
+            continue
+        cols = bt[:, y0 * C : (y1 + 1) * C]
+        dst = out[x + y0 - lo : x + y1 - lo + 1]
+        for r0 in range(0, R, step):
+            a = at[x, :, r0 : r0 + step]
+            acc = acc_buf[: a.shape[1] * cols.shape[1]].reshape(a.shape[1], -1)
+            tmp = tmp_buf[: acc.size].reshape(acc.shape)
+            np.add(a[0], cols[0], out=acc)
+            for k in range(1, K):
+                np.add(a[k], cols[k], out=tmp)
+                np.minimum(acc, tmp, out=acc)
+            blk = dst[:, r0 : r0 + step]
+            np.minimum(blk, acc.reshape(len(acc), -1, C).transpose(1, 0, 2), out=blk)
+    return out
+
+
 def extend_hops(
     out: np.ndarray,
     table: np.ndarray,
@@ -78,27 +127,14 @@ def extend_hops(
         out[h] = min(out[h-1], min over g in [h-K, K] of
                      d_{<=h-g}(rows, X) (x) d_{<=g}(X, V))
 
-    Every sum is an exact integer, so the evaluation order of min and +
-    cannot change a value.  One (rows x X) by (X x V) product per (h, g)
-    keeps the temporaries at a single hop's size.
+    which is the windowed convolution of d_{<=.}(rows, X) with
+    d_{<=.}(X, V) over hops [K+1, H], then a running minimum from hop K.
     """
     K = table.shape[0] - 1
-    for h in range(K + 1, out.shape[0]):
-        out[h] = out[h - 1]
-        for g in range(h - K, K + 1):
-            prod = mp_array(table[h - g][rows][:, mid_cols], table[g][mid_rows])
-            np.minimum(out[h], prod, out=out[h])
-
-
-def matseq_conv_arrays(a3: np.ndarray, b3: np.ndarray) -> np.ndarray:
-    """Naive matrix-sequence convolution on raw (L,R,K) x (L',K,C) stacks."""
-    la = a3.shape[0]
-    lb = b3.shape[0]
-    out = np.full((la + lb - 1, a3.shape[1], b3.shape[2]), INF)
-    for x in range(la):
-        for y in range(lb):
-            np.minimum(out[x + y], mp_array(a3[x], b3[y]), out=out[x + y])
-    return out
+    out[K + 1 :] = conv_window(
+        table[:, rows][:, :, mid_cols], table[:, mid_rows], K + 1, out.shape[0] - 1
+    )
+    np.minimum.accumulate(out[K:], axis=0, out=out[K:])
 
 
 # ---------------------------------------------------------------------------
@@ -122,18 +158,31 @@ def matseq_convolution(
     b: MatrixSeq,
     strategy: str = "naive",
     entry_bound: int | None = None,
+    window: tuple[int, int] | None = None,
 ) -> MatrixSeq:
     """Min-plus convolution of matrix sequences: element z is the entrywise
-    minimum of the min-plus products A_x * B_y over all x + y = z."""
+    minimum of the min-plus products A_x * B_y over all x + y = z.
+
+    `window = (lo, hi)` keeps only the hops lo..hi (hop indices, offsets
+    included; hops no pair reaches are +inf); by default every hop from
+    a.offset + b.offset to a.last + b.last is returned."""
     if strategy not in MATSEQ_STRATEGIES:
         raise StrategyError(f"unknown matrix-sequence strategy {strategy!r}")
     if a.cols != b.rows:
         raise ValueError("inner index sets do not match")
+    base = a.offset + b.offset
+    lo, hi = (base, a.last + b.last) if window is None else window
+    if lo > hi:
+        raise ValueError(f"empty hop window [{lo}, {hi}]")
     if strategy == "naive":
-        data = matseq_conv_arrays(a.data, b.data)
+        data = conv_window(a.data, b.data, lo - base, hi - base)
     else:
-        data = _polynomial_conv(a.data, b.data, entry_bound)
-    return MatrixSeq(a.offset + b.offset, a.rows, b.cols, data)
+        full = _polynomial_conv(a.data, b.data, entry_bound)
+        data = np.full((hi - lo + 1,) + full.shape[1:], INF)
+        z0, z1 = max(lo, base), min(hi, base + full.shape[0] - 1)
+        if z0 <= z1:
+            data[z0 - lo : z1 - lo + 1] = full[z0 - base : z1 - base + 1]
+    return MatrixSeq(lo, a.rows, b.cols, data)
 
 
 # ---------------------------------------------------------------------------

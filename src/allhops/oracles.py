@@ -82,14 +82,27 @@ def _check_query(n: int, u: int, v: int, h: int) -> None:
 
 @dataclass
 class FullTableOracle:
+    """d_{<=h} for h = 0..H.  A budget h > H is answered with d_{<=H} only
+    when the table is stable: H >= n-1, or le[H] == le[H-1], after which
+    no later hop changes a value (le[h+1] is a function of le[h] alone).
+    Otherwise such a budget is out of range."""
+
     kind: str
     n: int
     H: int
     le: np.ndarray  # (H+1, n, n)
     counters: WorkCounters = field(default_factory=WorkCounters)
+    stable: bool = field(init=False)
+
+    def __post_init__(self):
+        self.stable = self.H >= self.n - 1 or (
+            self.H >= 1 and np.array_equal(self.le[self.H], self.le[self.H - 1])
+        )
 
     def query(self, u: int, v: int, h: int):
         _check_query(self.n, u, v, h)
+        if h > self.H and not self.stable:
+            raise ValueError(f"hop budget {h} outside [1, {self.H}]")
         return self.le[min(h, self.H), u, v]
 
     def _snapshot(self):

@@ -15,9 +15,12 @@ deterministic):
   candidate; the hop extension is `minplus.extend_hops`, the same kernel
   the sampled oracles build their levels with.
 
-Internally everything runs on raw float64 stacks; sequences enter the
-shared convolution kernels through the MatrixSeq wrappers so a non-default
-strategy (e.g. the polynomial kernel) can be routed through the same code.
+Internally everything runs on raw float64 stacks.  The matrix-sequence
+convolutions of the single-pair ladder (which the single-source solver
+also runs) and of the all-pairs hop extension are the windowed kernel
+`minplus.conv_window`, asked for exactly the output hops the caller
+reads.  The ladder reaches it through `matseq_convolution`, so that the
+`polynomial` strategy can be selected.
 """
 
 from __future__ import annotations
@@ -43,13 +46,12 @@ def _require_no_neg_cycle(g: Graph) -> None:
         raise NegativeCycleError("graph has a negative cycle")
 
 
-def _conv(a3, aoff, b3, boff, verts_a, verts_mid, verts_b, strategy):
-    """Matrix-sequence min-plus convolution on raw stacks, routed through
-    the strategy-selectable kernel.  Returns (data3, offset)."""
+def _conv(a3, aoff, b3, boff, verts_a, verts_mid, verts_b, lo, hi, strategy):
+    """Hops lo..hi of the min-plus convolution of two raw hop-indexed stacks
+    (offsets aoff, boff), routed through the strategy-selectable kernel."""
     A = MatrixSeq(aoff, tuple(verts_a), tuple(verts_mid), a3)
     B = MatrixSeq(boff, tuple(verts_mid), tuple(verts_b), b3)
-    out = matseq_convolution(A, B, strategy=strategy)
-    return out.data, out.offset
+    return matseq_convolution(A, B, strategy=strategy, window=(lo, hi)).data
 
 
 # ---------------------------------------------------------------------------
@@ -86,11 +88,10 @@ def _sp_level_tables(g: Graph, k: int, plan: SamplePlan, strategy: str = "naive"
         # when the first window pokes past it (only happens for H == 1).
         known = prev
         if 1 + half_hi > H:
-            boot, boff = _conv(
-                prev, 0, prev, 0, prev_verts, prev_verts, prev_verts, strategy
+            boot = _conv(
+                prev, 0, prev, 0, prev_verts, prev_verts, prev_verts, H + 1, 1 + half_hi, strategy
             )
-            need = 1 + half_hi
-            known = np.concatenate([prev, boot[H + 1 - boff : need + 1 - boff]])
+            known = np.concatenate([prev, boot])
 
         def window(lo: int, hi: int, src: np.ndarray, src_off: int) -> tuple[np.ndarray, int]:
             """Materialize d_{<=j} for j in [max(lo,0), hi] from src, seeding
@@ -110,10 +111,11 @@ def _sp_level_tables(g: Graph, k: int, plan: SamplePlan, strategy: str = "naive"
         d_win, d_off = window(1 - half_lo, 1 + half_hi, known, 0)
         windows = {0: (d_win, d_off)}
         for i in range(1, L + 1):
-            conv, coff = _conv(
-                d_win, d_off, d_win, d_off, prev_verts, prev_verts, prev_verts, strategy
+            lo, hi = max((1 << i) - half_lo, 0), (1 << i) + half_hi
+            conv = _conv(
+                d_win, d_off, d_win, d_off, prev_verts, prev_verts, prev_verts, lo, hi, strategy
             )
-            d_win, d_off = window((1 << i) - half_lo, (1 << i) + half_hi, conv, coff)
+            d_win, d_off = window(lo, hi, conv, lo)
             windows[i] = (d_win, d_off)
 
         # Prefix extension: rows S_r, cols S_{r-1}, doubling the known range.
@@ -129,13 +131,12 @@ def _sp_level_tables(g: Graph, k: int, plan: SamplePlan, strategy: str = "naive"
             w_data, w_off = windows[i]
             s_lo, s_hi = 1 << i, (1 << i) + half_hi
             sub = w_data[s_lo - w_off : s_hi - w_off + 1]
-            conv, coff = _conv(
-                P[: (1 << i) + 1], 0, sub, s_lo, cur_verts, prev_verts, prev_verts, strategy
-            )
             lo = known_hi + 1
-            np.minimum(
-                P[lo : target + 1], conv[lo - coff : target - coff + 1], out=P[lo : target + 1]
+            conv = _conv(
+                P[: (1 << i) + 1], 0, sub, s_lo, cur_verts, prev_verts, prev_verts, lo, target,
+                strategy,
             )
+            np.minimum(P[lo : target + 1], conv, out=P[lo : target + 1])
             np.minimum.accumulate(P[known_hi : target + 1], axis=0, out=P[known_hi : target + 1])
             known_hi = target
 

@@ -165,12 +165,34 @@ def test_gadget_verify_commands(capsys, tmp_path):
     ("mpp", ""), ("conv", ""), ("triangle", ""), ("mpp", "# only a comment\n"),
     ("mpp", "4 x\n"), ("mpp", "4\n"), ("conv", "two\n"), ("conv", "2 2\n"), ("triangle", "a a a\n"),
     ("mpp", "4 0\n"), ("mpp", "4 -2\n"), ("triangle", "2 2 2\nij 0 a\n"),
+    ("triangle", "2 2 2\nij 0 5\n"), ("triangle", "2 2 2\nki -1 0\n"), ("triangle", "0 0 0\n"),
+    ("mpp", "6 3\n" + "1 1\n" * 6 + "1 1 1 1 1 1\n" * 2),
+    ("mpp", "2 2\n1\n3\n1 1\n"),
 ])
 def test_gadget_bad_header_is_input_error(capsys, tmp_path, gadget, text):
     path = tmp_path / "in.txt"
     path.write_text(text)
     code, _, err = run_cli(capsys, "gadget", gadget, "--input", str(path))
     assert code == 1 and err.startswith("allhops: ")
+
+
+@pytest.mark.parametrize("kind", ["powers", "bf"])
+def test_full_table_query_past_horizon(capsys, tmp_path, f1_path, kind):
+    snap = str(tmp_path / "f1.ahdo")
+    assert run_cli(capsys, "oracle", "build", "--kind", kind, "--graph", f1_path,
+                   "--max-hop", "1", "--out", snap)[0] == 0
+    queries = tmp_path / "q.txt"
+    queries.write_text("0 2 2\n")
+    code, out, err = run_cli(capsys, "oracle", "query", "--oracle", snap, "--queries", str(queries))
+    assert (code, out) == (2, "") and err.startswith("allhops: hop budget 2")
+    # a cut at or past the stabilization hop keeps answering every h <= n-1
+    graph = tmp_path / "path.el"
+    graph.write_text("5 2\n0 1 1\n1 2 1\n")
+    assert run_cli(capsys, "oracle", "build", "--kind", kind, "--graph", str(graph),
+                   "--max-hop", "3", "--out", snap)[0] == 0
+    queries.write_text("0 2 4\n")
+    code, out, _ = run_cli(capsys, "oracle", "query", "--oracle", snap, "--queries", str(queries))
+    assert code == 0 and out.splitlines()[-1] == "0\t2\t4\t2"
 
 
 def test_oracle_query_bad_snapshot_is_input_error(capsys, tmp_path, f1_path):

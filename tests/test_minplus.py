@@ -16,8 +16,9 @@ from allhops import (
     tropical_identity,
     weight_matrix,
 )
+from allhops import minplus
 from allhops.matrices import matrix_seq
-from allhops.minplus import extend_hops
+from allhops.minplus import conv_window, extend_hops
 
 from _brute import brute_matseq_conv, brute_minplus
 
@@ -186,6 +187,76 @@ def test_matseq_polynomial_equals_naive_seeded():
         vals2[rng.random((4, 4, 4)) < 0.25] = INF
         b = MatrixSeq(0, tuple(range(4)), tuple(range(4)), vals2)
         assert matseq_convolution(a, b, "polynomial", 3) == matseq_convolution(a, b)
+
+
+def _brute_window(a3, b3, lo, hi):
+    """Hops lo..hi of the brute convolution, +inf where no (x, y) pair lands."""
+    la, R, K = a3.shape
+    lb, _, C = b3.shape
+    full = np.full((la + lb - 1, R, C), INF)
+    if K and R:
+        full[:] = brute_matseq_conv(a3.tolist(), b3.tolist())
+    want = np.full((hi - lo + 1, R, C), INF)
+    for z in range(max(lo, 0), min(hi, la + lb - 2) + 1):
+        want[z - lo] = full[z]
+    return want
+
+
+def _stack(rng, length, rows, cols):
+    v = rng.integers(-6, 7, size=(length, rows, cols)).astype(float)
+    v[rng.random(v.shape) < 0.3] = INF
+    return v
+
+
+@pytest.mark.parametrize("la,lb,R,K,C", [
+    (3, 3, 2, 3, 2), (4, 2, 3, 2, 2), (1, 5, 2, 3, 3), (5, 1, 2, 2, 1),
+    (3, 4, 1, 3, 2), (3, 2, 2, 3, 1), (2, 3, 1, 2, 1), (3, 3, 2, 0, 2),
+])
+@pytest.mark.parametrize("chunk", [None, 1])
+def test_conv_window_matches_brute_every_window(monkeypatch, la, lb, R, K, C, chunk):
+    """Every window, including ones reaching past both ends of the output
+    and ones where some left hop x has no matching y; chunk=1 takes the
+    product one row at a time."""
+    if chunk:
+        monkeypatch.setattr(minplus, "_CHUNK_CELLS", chunk)
+    rng = np.random.default_rng(la * 100 + lb * 10 + K)
+    a3, b3 = _stack(rng, la, R, K), _stack(rng, lb, K, C)
+    top = la + lb - 1
+    for lo in range(-1, top + 1):
+        for hi in range(lo, top + 1):
+            got = conv_window(a3, b3, lo, hi)
+            assert np.array_equal(got, _brute_window(a3, b3, lo, hi)), (lo, hi)
+
+
+def test_matseq_window_polynomial_equals_naive():
+    rng = np.random.default_rng(4)
+    a = MatrixSeq(1, range(3), range(2), _stack(rng, 3, 3, 2))
+    b = MatrixSeq(2, range(2), range(4), _stack(rng, 4, 2, 4))
+    for lo in range(1, 11):
+        for hi in range(lo, 11):
+            naive = matseq_convolution(a, b, window=(lo, hi))
+            assert naive == matseq_convolution(a, b, "polynomial", window=(lo, hi))
+            assert naive.offset == lo
+            assert np.array_equal(naive.data, _brute_window(a.data, b.data, lo - 3, hi - 3))
+    with pytest.raises(ValueError):
+        matseq_convolution(a, b, window=(5, 4))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_conv_window_property(data):
+    la, lb = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 4))
+    R, K, C = (data.draw(st.integers(0, 3)) for _ in range(3))
+    lo = data.draw(st.integers(-2, la + lb))
+    hi = data.draw(st.integers(lo, la + lb + 1))
+
+    def stack(length, rows, cols):
+        cells = data.draw(st.lists(ENTRY, min_size=length * rows * cols,
+                                   max_size=length * rows * cols))
+        return np.array(cells, dtype=float).reshape(length, rows, cols)
+
+    a3, b3 = stack(la, R, K), stack(lb, K, C)
+    assert np.array_equal(conv_window(a3, b3, lo, hi), _brute_window(a3, b3, lo, hi))
 
 
 def test_matseq_polynomial_bound_violation():

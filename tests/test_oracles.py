@@ -60,6 +60,23 @@ def test_powers_and_bf_bit_identical():
     assert save_oracle(a)[6:] == save_oracle(b)[6:]  # same payload past the kind byte
 
 
+def test_full_table_past_its_horizon(f1):
+    """A table cut at H answers h > H only once it has stabilized; on f1,
+    d_<=2(0, 2) = 2 improves on d_<=1(0, 2) = 10."""
+    path = graph_from_edges(5, [(0, 1, 1), (1, 2, 1)])  # stable from hop 2 on
+    for build in (build_oracle_powers, build_oracle_bf):
+        short = build(f1, 1)
+        stable = build(path, 3)
+        for o in (short, load_oracle(save_oracle(short))):
+            assert o.query(0, 2, 1) == 10
+            with pytest.raises(ValueError, match="hop budget 2"):
+                o.query(0, 2, 2)
+        for o in (stable, load_oracle(save_oracle(stable))):
+            assert o.query(0, 2, 4) == 2 and o.query(0, 1, 4) == 1
+        with pytest.raises(ValueError):
+            build(f1, 0).query(0, 1, 1)
+
+
 def test_memory_cap():
     g = gen_random_graph(40, 100, 3, 1, require_no_neg_cycle=True)
     with pytest.raises(MemoryBudgetError):
