@@ -165,10 +165,14 @@ def _emit_records(args, blocks, fields) -> None:
             out.write("".join(map(line.format, *cols, dtext)))
 
 
-def _hop_range(n: int, max_hop: int | None) -> range:
-    top = n - 1 if max_hop is None else max_hop
+def _check_max_hop(max_hop: int | None) -> None:
     if max_hop is not None and max_hop < 1:
         raise UsageError("--max-hop must be >= 1")
+
+
+def _hop_range(n: int, max_hop: int | None) -> range:
+    _check_max_hop(max_hop)
+    top = n - 1 if max_hop is None else max_hop
     return range(1, max(top, 0) + 1)
 
 
@@ -258,6 +262,7 @@ def _cmd_all_pairs(args) -> int:
 
 
 def _cmd_oracle_build(args) -> int:
+    _check_max_hop(args.max_hop)
     g = _read_graph(args.graph)
     plan = SamplePlan(C=args.C, seed=args.seed)
     if args.kind == "powers":
@@ -333,6 +338,8 @@ def _gadget_emit(args, gadget) -> None:
 
 def _cmd_gadget(args) -> int:
     if args.gadget_cmd == "tree":
+        if args.l < 1:
+            raise UsageError("--l must be >= 1")
         gadget = reductions.build_tree_gadget(args.l, args.reversed)
         _gadget_emit(args, gadget)
         if args.verify:
@@ -387,6 +394,8 @@ def _cmd_gadget(args) -> int:
             sys.stdout.write("verify ok\n")
         return 0
     (n,) = _read_matrix_lines(lines, 1, 1, "conv header")[0].tolist()
+    if n < 1:
+        raise ParseError("conv header: n must be >= 1")
     A = _read_matrix_lines(lines, n, n, "A")
     B = _read_matrix_lines(lines, n, n, "B")
     gadget = reductions.reduce_convolution_to_hops(A, B)

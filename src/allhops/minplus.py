@@ -7,6 +7,11 @@ requested window of output hops only.  It serves `matseq_convolution`
 single-source solvers, and `extend_hops`, the hop extension shared by the
 all-pairs solver and the sampled oracles' level builds.
 
+Where the split set is all of V (the solvers' unsampled levels and rounds,
+the oracle levels that extend from S_{j-1} = V), the kernel takes one split
+per output hop (`one_split`), which on exact prefix tables equals taking
+every split.
+
 `matseq_convolution` additionally has a `polynomial` strategy that encodes
 entries as bivariate boolean polynomials (x-degree = hop index, y-degree =
 shifted entry value), multiplies the polynomial matrices, and reads the
@@ -66,7 +71,9 @@ def mp_power_array(w: np.ndarray, q: int) -> np.ndarray:
     return result
 
 
-def conv_window(a3: np.ndarray, b3: np.ndarray, lo: int, hi: int) -> np.ndarray:
+def conv_window(
+    a3: np.ndarray, b3: np.ndarray, lo: int, hi: int, *, one_split: bool = False
+) -> np.ndarray:
     """Min-plus convolution of raw (la,R,K) and (lb,K,C) stacks, restricted
     to the output hops z in [lo, hi]:
 
@@ -78,6 +85,14 @@ def conv_window(a3: np.ndarray, b3: np.ndarray, lo: int, hi: int) -> np.ndarray:
     product accumulates over the inner index k with two in-place ufuncs
     into a reused buffer, then is minned into out[x+y].  Every sum is an
     exact integer, so the evaluation order cannot change a value.
+
+    `one_split` takes a single pair per output hop: x = min(la-1, z) and
+    y = z - x.  The left hops x < la-1 then only feed y = 0, and every
+    z >= la-1 comes from one wide product at x = la-1.  Precondition: both
+    stacks are exact prefix tables (slice p is d_{<=hop}, hop its offset
+    plus p) and their inner index is every vertex.  Then every split gives
+    the same value, d_{<=a} (x) d_{<=b} = d_{<=a+b}, because a walk of at
+    most a + b hops splits at its vertex after min(a, length) hops.
     """
     la, R, K = a3.shape
     lb, K2, C = b3.shape
@@ -94,6 +109,8 @@ def conv_window(a3: np.ndarray, b3: np.ndarray, lo: int, hi: int) -> np.ndarray:
     tmp_buf = np.empty_like(acc_buf)
     for x in range(la):
         y0, y1 = max(0, lo - x), min(lb - 1, hi - x)
+        if one_split and x < la - 1:
+            y1 = min(y1, 0)
         if y0 > y1:
             continue
         cols = bt[:, y0 * C : (y1 + 1) * C]
@@ -129,10 +146,16 @@ def extend_hops(
 
     which is the windowed convolution of d_{<=.}(rows, X) with
     d_{<=.}(X, V) over hops [K+1, H], then a running minimum from hop K.
+    When X is all of V, the table must be exact and one split per hop is
+    taken (see `conv_window`).
     """
     K = table.shape[0] - 1
     out[K + 1 :] = conv_window(
-        table[:, rows][:, :, mid_cols], table[:, mid_rows], K + 1, out.shape[0] - 1
+        table[:, rows][:, :, mid_cols],
+        table[:, mid_rows],
+        K + 1,
+        out.shape[0] - 1,
+        one_split=len(mid_cols) == table.shape[2],
     )
     np.minimum.accumulate(out[K:], axis=0, out=out[K:])
 

@@ -19,8 +19,10 @@ Internally everything runs on raw float64 stacks.  The matrix-sequence
 convolutions of the single-pair ladder (which the single-source solver
 also runs) and of the all-pairs hop extension are the windowed kernel
 `minplus.conv_window`, asked for exactly the output hops the caller
-reads.  The ladder reaches it through `matseq_convolution`, so that the
-`polynomial` strategy can be selected.
+reads.  When the split set is all of V, the kernel takes one split per
+output hop, which is exact on exact prefix tables.  The ladder's
+`polynomial` strategy goes through `matseq_convolution` instead and
+takes every split.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ import numpy as np
 from .baselines import AllHopsTable
 from .graph import Graph, detect_negative_cycle, hop1_matrix, weight_matrix
 from .matrices import MatrixSeq, identity_rows
-from .minplus import extend_hops, matseq_convolution, mp_array
+from .minplus import conv_window, extend_hops, matseq_convolution, mp_array
 from .sampling import SamplePlan, growing_hierarchy, round_sample, shrinking_hierarchy
 from .values import INF
 
@@ -46,11 +48,17 @@ def _require_no_neg_cycle(g: Graph) -> None:
         raise NegativeCycleError("graph has a negative cycle")
 
 
-def _conv(a3, aoff, b3, boff, verts_a, verts_mid, verts_b, lo, hi, strategy):
+def _conv(a3, aoff, b3, boff, lo, hi, strategy, one_split):
     """Hops lo..hi of the min-plus convolution of two raw hop-indexed stacks
-    (offsets aoff, boff), routed through the strategy-selectable kernel."""
-    A = MatrixSeq(aoff, tuple(verts_a), tuple(verts_mid), a3)
-    B = MatrixSeq(boff, tuple(verts_mid), tuple(verts_b), b3)
+    (offsets aoff, boff).  `naive` calls the windowed kernel directly, with
+    one split per output hop when `one_split` holds (see `conv_window`);
+    `polynomial` goes through `matseq_convolution` and takes every split."""
+    if strategy == "naive":
+        base = aoff + boff
+        return conv_window(a3, b3, lo - base, hi - base, one_split=one_split)
+    (_, R, K), C = a3.shape, b3.shape[2]
+    A = MatrixSeq(aoff, range(R), range(K), a3)
+    B = MatrixSeq(boff, range(K), range(C), b3)
     return matseq_convolution(A, B, strategy=strategy, window=(lo, hi)).data
 
 
@@ -83,14 +91,18 @@ def _sp_level_tables(g: Graph, k: int, plan: SamplePlan, strategy: str = "naive"
         Nr = hops_cap[r]
         half_lo, half_hi = H // 2, (H + 1) // 2
         L = max(0, Nr.bit_length() - 1)  # floor(log2(Nr))
+        # Split sets only shrink: the ladder's levels, the all-pairs rounds'
+        # samples and the oracles' nested levels.  So a split set of all of
+        # V is only preceded by full ones, the tables it splits are exact
+        # prefix tables, and one split per output hop gives every split's
+        # value (`minplus.conv_window`).
+        one_split = len(prev_verts) == n
 
         # Known exact prefix over S_{r-1}; extend once by self-convolution
         # when the first window pokes past it (only happens for H == 1).
         known = prev
         if 1 + half_hi > H:
-            boot = _conv(
-                prev, 0, prev, 0, prev_verts, prev_verts, prev_verts, H + 1, 1 + half_hi, strategy
-            )
+            boot = _conv(prev, 0, prev, 0, H + 1, 1 + half_hi, strategy, one_split)
             known = np.concatenate([prev, boot])
 
         def window(lo: int, hi: int, src: np.ndarray, src_off: int) -> tuple[np.ndarray, int]:
@@ -112,9 +124,7 @@ def _sp_level_tables(g: Graph, k: int, plan: SamplePlan, strategy: str = "naive"
         windows = {0: (d_win, d_off)}
         for i in range(1, L + 1):
             lo, hi = max((1 << i) - half_lo, 0), (1 << i) + half_hi
-            conv = _conv(
-                d_win, d_off, d_win, d_off, prev_verts, prev_verts, prev_verts, lo, hi, strategy
-            )
+            conv = _conv(d_win, d_off, d_win, d_off, lo, hi, strategy, one_split)
             d_win, d_off = window(lo, hi, conv, lo)
             windows[i] = (d_win, d_off)
 
@@ -132,10 +142,7 @@ def _sp_level_tables(g: Graph, k: int, plan: SamplePlan, strategy: str = "naive"
             s_lo, s_hi = 1 << i, (1 << i) + half_hi
             sub = w_data[s_lo - w_off : s_hi - w_off + 1]
             lo = known_hi + 1
-            conv = _conv(
-                P[: (1 << i) + 1], 0, sub, s_lo, cur_verts, prev_verts, prev_verts, lo, target,
-                strategy,
-            )
+            conv = _conv(P[: (1 << i) + 1], 0, sub, s_lo, lo, target, strategy, one_split)
             np.minimum(P[lo : target + 1], conv, out=P[lo : target + 1])
             np.minimum.accumulate(P[known_hi : target + 1], axis=0, out=P[known_hi : target + 1])
             known_hi = target

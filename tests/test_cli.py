@@ -167,13 +167,29 @@ def test_gadget_verify_commands(capsys, tmp_path):
     ("mpp", "4 0\n"), ("mpp", "4 -2\n"), ("triangle", "2 2 2\nij 0 a\n"),
     ("triangle", "2 2 2\nij 0 5\n"), ("triangle", "2 2 2\nki -1 0\n"), ("triangle", "0 0 0\n"),
     ("mpp", "6 3\n" + "1 1\n" * 6 + "1 1 1 1 1 1\n" * 2),
-    ("mpp", "2 2\n1\n3\n1 1\n"),
+    ("mpp", "2 2\n1\n3\n1 1\n"), ("conv", "0\n"), ("conv", "-2\n"),
 ])
 def test_gadget_bad_header_is_input_error(capsys, tmp_path, gadget, text):
     path = tmp_path / "in.txt"
     path.write_text(text)
     code, _, err = run_cli(capsys, "gadget", gadget, "--input", str(path))
     assert code == 1 and err.startswith("allhops: ")
+
+
+@pytest.mark.parametrize("depth", ["0", "-3"])
+def test_gadget_tree_depth_below_one_is_usage_error(capsys, depth):
+    code, out, err = run_cli(capsys, "gadget", "tree", "--l", depth)
+    assert (code, out) == (1, "") and err.startswith("allhops: ")
+
+
+@pytest.mark.parametrize("kind", ["powers", "bf"])
+@pytest.mark.parametrize("max_hop", ["0", "-1"])
+def test_oracle_build_max_hop_below_one_is_usage_error(capsys, tmp_path, f1_path, kind, max_hop):
+    snap = tmp_path / "f1.ahdo"
+    code, out, err = run_cli(capsys, "oracle", "build", "--kind", kind, "--graph", f1_path,
+                             "--max-hop", max_hop, "--out", str(snap))
+    assert (code, out) == (1, "") and err.startswith("allhops: --max-hop")
+    assert not snap.exists()
 
 
 @pytest.mark.parametrize("kind", ["powers", "bf"])

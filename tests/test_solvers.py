@@ -12,6 +12,7 @@ from allhops import (
     single_pair_allhops,
     single_source_allhops,
 )
+from allhops import minplus, solvers
 from allhops.solvers import _sp_level_tables
 
 PLAN = SamplePlan(C=4.0, seed=1)
@@ -165,3 +166,60 @@ def test_all_pairs_deterministic_and_rejects_cycle(f3):
     assert np.array_equal(a.le, b.le)
     with pytest.raises(NegativeCycleError):
         all_pairs_allhops(f3, PLAN)
+
+
+# ---------------------------------------------------------------------------
+# sampled split sets on long-hop inputs
+
+# Seeds on which all three solvers are exact at these C.  Exactness holds
+# only with high probability over the sample: at C = 1, seeds 2, 3 and 13
+# give a wrong single-pair or single-source table.
+_CHAIN_SEEDS = (0, 1, 4, 5, 6, 7, 8, 9, 10, 11, 12, 14)
+
+
+def _chain_dag(seed):
+    """A Hamiltonian path of weight -1 per edge through a random order, plus
+    n forward chords heavier than the segment they skip, so d_<=h(s, t)
+    keeps improving up to h = n - 1."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(40, 61))
+    order = rng.permutation(n)
+    edges = [(int(order[i]), int(order[i + 1]), -1) for i in range(n - 1)]
+    pairs = set()
+    while len(pairs) < n:
+        i, j = sorted(rng.integers(0, n, size=2).tolist())
+        if j > i + 1:
+            pairs.add((i, j))
+    edges += [(int(order[i]), int(order[j]), int(rng.integers(0, 2 * n))) for i, j in sorted(pairs)]
+    return graph_from_edges(n, edges), order, rng
+
+
+@pytest.mark.parametrize("seed", _CHAIN_SEEDS)
+def test_sampled_split_sets_on_long_hop_chains(monkeypatch, seed):
+    """At C = 1 (sp, ss) and C = 2 (all pairs), some ladder level or round
+    splits at a sample smaller than V, so the kernel takes every split
+    there; one split per hop would miss the shortest walks."""
+    flags = []
+    kernel = minplus.conv_window
+
+    def spy(*args, one_split=False):
+        flags.append(one_split)
+        return kernel(*args, one_split=one_split)
+
+    monkeypatch.setattr(minplus, "conv_window", spy)
+    monkeypatch.setattr(solvers, "conv_window", spy)
+    g, order, rng = _chain_dag(seed)
+    n = g.n
+    brute = apah_brute(g, with_exact=False).le
+    s, t = int(order[rng.integers(0, 3)]), int(order[n - 1 - rng.integers(0, 3)])
+    plan = SamplePlan(C=1.0, seed=seed)
+    runs = {
+        "single-pair": lambda: (single_pair_allhops(g, s, t, 2, plan), brute[1:, s, t]),
+        "single-source": lambda: (single_source_allhops(g, s, 2, plan).le[:, 0], brute[:, s]),
+        "all-pairs": lambda: (all_pairs_allhops(g, SamplePlan(C=2.0, seed=seed)).le, brute),
+    }
+    for name, run in runs.items():
+        flags.clear()
+        got, want = run()
+        assert np.array_equal(got, want), name
+        assert False in flags, f"{name}: no split set smaller than V"
