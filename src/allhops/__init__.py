@@ -20,7 +20,7 @@ from .graph import (
     weight_matrix,
 )
 from .matrices import DistMatrix, MatrixSeq, matrix_seq, square_matrix, tropical_identity
-from .minplus import StrategyError, matseq_convolution, minplus_power, minplus_product
+from .minplus import StrategyError, matseq_convolution, minplus_product
 from .oracles import (
     FullTableOracle,
     LevelOracle,

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .values import INF, MAX_FINITE
+from .values import INF, MAX_EXACT, MAX_FINITE
 
 
 class ParseError(ValueError):
@@ -37,6 +37,8 @@ class Graph:
                 raise ValueError(f"edge ({u},{v}) out of range for n={self.n}")
             if abs(w) > MAX_FINITE:
                 raise ValueError(f"edge weight {w} exceeds supported range")
+        if (self.n - 1) * self.max_abs_weight() > MAX_EXACT:
+            raise ValueError("(n-1) * max|w| exceeds 2**53: path sums would not be exact")
         if self.declared_M is not None:
             if self.declared_M < 0:
                 raise ValueError("declared_M must be nonnegative")
@@ -110,7 +112,10 @@ def parse_graph(text: bytes | str) -> Graph:
     if len(edges) != m_expected:
         raise ParseError(f"expected {m_expected} edges, found {len(edges)}")
     declared = max((abs(w) for _, _, w in edges), default=0) if want_M else None
-    return Graph(header[0], tuple(edges), declared)
+    try:
+        return Graph(header[0], tuple(edges), declared)
+    except ValueError as e:  # the per-line checks above leave only the path-sum bound
+        raise ParseError(str(e)) from None
 
 
 def render_graph(g: Graph) -> str:
@@ -166,6 +171,17 @@ def detect_negative_cycle(g: Graph) -> bool:
     return bool((dist[us] + ws < dist[vs]).any())
 
 
+def _check_gen_args(n: int, m: int, M: int) -> None:
+    """Every drawn |w| is at most M, so M inside the envelope keeps every
+    generated graph inside it."""
+    if m > n * (n - 1):
+        raise GenerationError(f"m={m} infeasible for n={n} without self-loops")
+    if M < 0:
+        raise GenerationError("M must be nonnegative")
+    if M > MAX_FINITE or (n - 1) * M > MAX_EXACT:
+        raise GenerationError(f"M={M} leaves the exact-integer envelope for n={n}")
+
+
 def _random_pairs(rng: np.random.Generator, n: int, m: int):
     codes = rng.choice(n * (n - 1), size=m, replace=False) if m else np.zeros(0, int)
     us = codes // (n - 1)
@@ -191,10 +207,7 @@ def gen_random_graph(
     the per-draw success probability e**-10-ish), generation falls back to
     gen_no_neg_cycle_graph, which certifies the property by construction.
     """
-    if m > n * (n - 1):
-        raise GenerationError(f"m={m} infeasible for n={n} without self-loops")
-    if M < 0:
-        raise GenerationError("M must be nonnegative")
+    _check_gen_args(n, m, M)
     rng = np.random.default_rng(seed)
     for _ in range(max_retries):
         us, vs = _random_pairs(rng, n, m)
@@ -212,10 +225,7 @@ def gen_no_neg_cycle_graph(n: int, m: int, M: int, seed: int) -> Graph:
     to a nonnegative value; potentials phi spread weights across [-M, M].
     Used where plain rejection sampling would practically never succeed.
     """
-    if m > n * (n - 1):
-        raise GenerationError(f"m={m} infeasible for n={n}")
-    if M < 0:
-        raise GenerationError("M must be nonnegative")
+    _check_gen_args(n, m, M)
     rng = np.random.default_rng(seed)
     half = M // 2
     phi = rng.integers(0, half + 1, size=n)

@@ -43,10 +43,6 @@ class DistMatrix:
             and np.array_equal(self.data, other.data)
         )
 
-    def cell(self, i: int, j: int):
-        v = self.data[i, j]
-        return INF if np.isinf(v) else int(v)
-
 
 def square_matrix(data, vertices=None) -> DistMatrix:
     a = np.asarray(data, dtype=np.float64)

@@ -1,11 +1,13 @@
-"""Min-plus (tropical) kernels: matrix product, matrix power, and one
-windowed min-plus convolution of hop-indexed matrix sequences.
+"""Min-plus (tropical) kernels: one windowed min-plus convolution of
+hop-indexed matrix sequences, and the matrix product as its one-hop case.
 
 `conv_window` computes out[z] = min over x + y = z of A[x] (x) B[y] for a
 requested window of output hops only.  It serves `matseq_convolution`
 (optionally windowed), the single-pair ladder of the single-pair and
-single-source solvers, and `extend_hops`, the hop extension shared by the
-all-pairs solver and the sampled oracles' level builds.
+single-source solvers, the single-source solver's combining step,
+`extend_hops`, the hop extension shared by the all-pairs solver and the
+sampled oracles' level builds, and `mp_array`, the plain product under the
+exact-hop powers.
 
 Where the split set is all of V (the solvers' unsampled levels and rounds,
 the oracle levels that extend from S_{j-1} = V), the kernel takes one split
@@ -28,7 +30,7 @@ from .values import INF
 
 MATSEQ_STRATEGIES = ("naive", "polynomial")
 
-# Temp-array budget for the product kernels: ~32 MB of float64 per chunk.
+# Temp-array budget for the kernel: ~32 MB of float64 per chunk.
 _CHUNK_CELLS = 1 << 22
 
 
@@ -41,34 +43,9 @@ class StrategyError(ValueError):
 
 
 def mp_array(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Min-plus product of raw (R,K) and (K,C) arrays."""
-    R, K = a.shape
-    K2, C = b.shape
-    assert K == K2
-    out = np.empty((R, C))
-    if K == 0:
-        out.fill(INF)
-        return out
-    step = max(1, _CHUNK_CELLS // max(1, K * C))
-    for r0 in range(0, R, step):
-        blk = a[r0 : r0 + step, :, None] + b[None, :, :]
-        out[r0 : r0 + step] = blk.min(axis=1)
-    return out
-
-
-def mp_power_array(w: np.ndarray, q: int) -> np.ndarray:
-    """q-fold min-plus power by repeated squaring."""
-    if q < 1:
-        raise ValueError("power must be >= 1")
-    result = None
-    base = w
-    while q:
-        if q & 1:
-            result = base.copy() if result is None else mp_array(result, base)
-        q >>= 1
-        if q:
-            base = mp_array(base, base)
-    return result
+    """Min-plus product of raw (R,K) and (K,C) arrays: the one-hop case of
+    `conv_window`."""
+    return conv_window(a[None], b[None], 0, 0)[0]
 
 
 def conv_window(
@@ -102,7 +79,6 @@ def conv_window(
     width = min(lb, out.shape[0]) * C  # widest column block
     if K == 0 or width == 0:
         return out
-    at = np.ascontiguousarray(a3.transpose(0, 2, 1))[..., None]  # (la, K, R, 1)
     bt = np.ascontiguousarray(b3.transpose(1, 0, 2)).reshape(K, lb * C)
     step = max(1, _CHUNK_CELLS // width)
     acc_buf = np.empty(min(R, step) * width)
@@ -113,10 +89,11 @@ def conv_window(
             y1 = min(y1, 0)
         if y0 > y1:
             continue
+        at = np.ascontiguousarray(a3[x].T)[..., None]  # (K, R, 1)
         cols = bt[:, y0 * C : (y1 + 1) * C]
         dst = out[x + y0 - lo : x + y1 - lo + 1]
         for r0 in range(0, R, step):
-            a = at[x, :, r0 : r0 + step]
+            a = at[:, r0 : r0 + step]
             acc = acc_buf[: a.shape[1] * cols.shape[1]].reshape(a.shape[1], -1)
             tmp = tmp_buf[: acc.size].reshape(acc.shape)
             np.add(a[0], cols[0], out=acc)
@@ -151,7 +128,7 @@ def extend_hops(
     """
     K = table.shape[0] - 1
     out[K + 1 :] = conv_window(
-        table[:, rows][:, :, mid_cols],
+        table[:, rows[:, None], mid_cols],
         table[:, mid_rows],
         K + 1,
         out.shape[0] - 1,
@@ -168,12 +145,6 @@ def minplus_product(a: DistMatrix, b: DistMatrix) -> DistMatrix:
     if a.cols != b.rows:
         raise ValueError("inner index sets do not match")
     return DistMatrix(a.rows, b.cols, mp_array(a.data, b.data))
-
-
-def minplus_power(w: DistMatrix, q: int) -> DistMatrix:
-    if w.rows != w.cols:
-        raise ValueError("min-plus power needs a square matrix")
-    return DistMatrix(w.rows, w.cols, mp_power_array(w.data, q))
 
 
 def matseq_convolution(

@@ -8,8 +8,8 @@ deterministic):
 * single_pair_allhops  - shrinking hierarchy, windowed self-convolutions
   of hop-indexed matrix sequences plus doubling prefix extensions.
 * single_source_allhops - growing hierarchy; per level either repeated
-  pinned-target single-pair solves or the stacked exact-hop-power scheme
-  combined through one rectangular min-plus product.
+  pinned-target single-pair solves or the stacked exact-hop-power scheme,
+  combined with the previous level by one min-plus convolution.
 * all_pairs_allhops   - geometric rounds extending every pair's sequence
   by min-plus convolution through the round's sample plus a stagnation
   candidate; the hop extension is `minplus.extend_hops`, the same kernel
@@ -17,12 +17,12 @@ deterministic):
 
 Internally everything runs on raw float64 stacks.  The matrix-sequence
 convolutions of the single-pair ladder (which the single-source solver
-also runs) and of the all-pairs hop extension are the windowed kernel
-`minplus.conv_window`, asked for exactly the output hops the caller
-reads.  When the split set is all of V, the kernel takes one split per
-output hop, which is exact on exact prefix tables.  The ladder's
-`polynomial` strategy goes through `matseq_convolution` instead and
-takes every split.
+also runs), of the single-source combining step and of the all-pairs hop
+extension are the windowed kernel `minplus.conv_window`, asked for
+exactly the output hops the caller reads.  When the split set is all of
+V, the kernel takes one split per output hop, which is exact on exact
+prefix tables.  The ladder's `polynomial` strategy goes through
+`matseq_convolution` instead and takes every split.
 """
 
 from __future__ import annotations
@@ -203,8 +203,8 @@ def single_source_allhops(
     vertex of S_r (one shared hierarchy build per level: with identical
     plans the per-target solves compute identical tables, so the rows are
     read from a single build).  Levels r > split run the stacked
-    exact-hop-power scheme and combine with the previous level through a
-    rectangular min-plus product.
+    exact-hop-power scheme and combine with the previous level through one
+    min-plus convolution of its hop sequence with the exact-hop stack.
     """
     n = g.n
     if not (0 <= s < n):
@@ -250,11 +250,13 @@ def single_source_allhops(
             out[0, spos_cur] = 0.0
             lim = min(H1, HH)
             out[1 : lim + 1] = stack[1 : lim + 1][:, spos_prev, :][:, verts]
-            # combine: d_{<=j}(s, S_{r-1}) * d_{h'}(S_{r-1}, S_r)
-            for hp in range(1, H1 + 1):
-                cand = mp_array(cur, stack[hp][:, verts])  # (HH+1, |S_r|)
-                if hp <= HH:
-                    np.minimum(out[hp:], cand[: HH + 1 - hp], out=out[hp:])
+            # combine: out[j + h'] <- d_{<=j}(s, S_{r-1}) (x) d_{h'}(S_{r-1}, S_r),
+            # one convolution with the short exact-hop stack (h' = 1..H1) on
+            # the left.  Exact-hop tables are not prefix tables, so every
+            # split is taken.
+            exact = stack[1:][:, :, verts].transpose(0, 2, 1)  # (H1, |S_r|, |S_{r-1}|)
+            comb = conv_window(exact, cur[:, :, None], 0, HH - 1)  # hops 1..HH
+            np.minimum(out[1:], comb[:, :, 0], out=out[1:])
             np.minimum.accumulate(out, axis=0, out=out)
             cur = out
     return AllHopsTable((s,), HH, cur[:, None, :], None)

@@ -2,9 +2,10 @@
 
 Distances are integers carried in float64 arrays, with IEEE +inf as the
 "no path" element.  float64 keeps every integer of magnitude <= 2**53
-exact, which covers any value this package can legitimately produce
-(|weight| <= MAX_FINITE and at most n-1 hops per path).  `min` and `+`
-then work natively and branch-free, including inf + x = inf.
+(MAX_EXACT) exact.  A shortest walk needs at most n-1 hops, so `Graph`
+accepts only |weight| <= MAX_FINITE with (n-1) * max|weight| <= MAX_EXACT;
+every distance this package reports is then an exact integer.  `min` and
+`+` work natively and branch-free, including inf + x = inf.
 
 The on-disk snapshot format uses int64 with INT64_INF reserved for +inf.
 """
@@ -19,6 +20,9 @@ INF = float("inf")
 # under 2**48 leaves room for n*|w| path sums and the w - 2Mn reduction
 # shift without ever leaving float64's exact-integer range.
 MAX_FINITE = 2**48
+
+# Every integer of magnitude <= MAX_EXACT is exact in float64.
+MAX_EXACT = 2**53
 
 INT64_INF = np.iinfo(np.int64).max
 

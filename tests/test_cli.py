@@ -48,6 +48,14 @@ def test_usage_and_io_errors(capsys, tmp_path):
     bad.write_text("junk\n")
     code, _, err = run_cli(capsys, "check", "--graph", str(bad))
     assert code == 1 and "line 1" in err
+    # Every weight is in range, but a 34-hop path sum would leave float64's
+    # exact integers.
+    heavy = "".join(f"{i} {i + 1} {1 if i == 0 else 2**48}\n" for i in range(34))
+    bad.write_text("35 34\n" + heavy)
+    code, out, err = run_cli(capsys, "bf", "--graph", str(bad), "--s", "0")
+    assert code == 1 and out == "" and "2**53" in err
+    code, out, _ = run_cli(capsys, "gen", "--n", "40", "--m", "60", "--M", str(2**48))
+    assert code == 1 and out == ""
 
 
 def test_gen_bf_oracle_pipeline(capsys, tmp_path):

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from allhops import (
     GenerationError,
     ParseError,
+    bellman_ford_allhops,
     detect_negative_cycle,
     gen_no_neg_cycle_graph,
     gen_random_graph,
@@ -73,6 +74,24 @@ def test_parse_comments_and_errors():
         parse_graph("2 2\n0 1 1\n")
     with pytest.raises(ParseError):
         parse_graph("")
+
+
+def _heavy_path(n, heavy):
+    """Path 0 -> 1 -> ... -> n-1: first edge weight 1, the others `heavy`."""
+    return [(0, 1, 1)] + [(i, i + 1, heavy) for i in range(1, n - 1)]
+
+
+def test_path_sums_must_stay_exact():
+    # 34 * 2**48 > 2**53: the 34-hop sum 1 + 33 * 2**48 rounds in float64.
+    edges = _heavy_path(35, 2**48)
+    with pytest.raises(ValueError, match=r"2\*\*53"):
+        graph_from_edges(35, edges)
+    text = "35 34\n" + "".join(f"{u} {v} {w}\n" for u, v, w in edges)
+    with pytest.raises(ParseError):
+        parse_graph(text)
+    # On the boundary, 32 * 2**48 == 2**53, and every sum is exact.
+    g = graph_from_edges(33, _heavy_path(33, 2**48))
+    assert bellman_ford_allhops(g, 0, 32).le[32][32] == 1 + 31 * 2**48
 
 
 def test_render_roundtrip(f1):
@@ -165,6 +184,12 @@ def test_gen_deterministic():
 def test_gen_infeasible():
     with pytest.raises(GenerationError):
         gen_random_graph(3, 7, 1, 0)
+    # M past the exact-integer envelope: per weight, or (n-1) * M > 2**53.
+    for gen in (gen_random_graph, gen_no_neg_cycle_graph):
+        for n, M in ((2, 2**48 + 1), (34, 2**48)):
+            with pytest.raises(GenerationError):
+                gen(n, 1, M, 0)
+        assert gen(33, 1, 2**48, 0).m == 1
 
 
 def test_gen_certified_has_negative_edges():

@@ -10,11 +10,9 @@ from allhops import (
     apah_brute,
     gen_random_graph,
     matseq_convolution,
-    minplus_power,
     minplus_product,
     square_matrix,
     tropical_identity,
-    weight_matrix,
 )
 from allhops import minplus
 from allhops.matrices import matrix_seq
@@ -42,7 +40,7 @@ def dist_matrices(draw, rows, cols):
 
 
 # ---------------------------------------------------------------------------
-# product and power
+# product
 
 
 def test_product_identity():
@@ -66,15 +64,23 @@ def test_product_dimension_mismatch():
     b = _mat([[0, 0], [0, 0]])
     with pytest.raises(ValueError):
         minplus_product(a, b)
+    with pytest.raises(ValueError):
+        minplus.mp_array(a.data, b.data)
 
 
+@pytest.mark.parametrize("chunk", [None, 1])
+@pytest.mark.parametrize("R,K,C", [(3, 4, 2), (3, 0, 2), (1, 4, 3), (3, 4, 1), (5, 3, 7)])
 @settings(max_examples=40)
-@given(st.data())
-def test_product_matches_brute(data):
-    a = data.draw(dist_matrices(3, 4))
-    b = data.draw(dist_matrices(4, 2))
-    got = minplus_product(a, b)
-    assert got.data.tolist() == brute_minplus(a.data.tolist(), b.data.tolist())
+@given(data=st.data())
+def test_product_matches_brute(R, K, C, chunk, data):
+    a = data.draw(dist_matrices(R, K))
+    b = data.draw(dist_matrices(K, C))
+    with pytest.MonkeyPatch.context() as mp:
+        if chunk is not None:
+            mp.setattr(minplus, "_CHUNK_CELLS", chunk)
+        got = minplus_product(a, b)
+    want = brute_minplus(a.data.tolist(), b.data.tolist()) if K else [[INF] * C] * R
+    assert got.data.tolist() == want
 
 
 @settings(max_examples=25)
@@ -86,26 +92,6 @@ def test_product_associative(data):
     assert minplus_product(minplus_product(a, b), c) == minplus_product(
         a, minplus_product(b, c)
     )
-
-
-def test_power_examples(f1, f2):
-    w1 = square_matrix(weight_matrix(f1))
-    assert minplus_power(w1, 1) == w1
-    sq = minplus_power(w1, 2).data
-    assert sq[0, 2] == 2
-    assert np.isinf(np.delete(sq.ravel(), 2)).all()
-    w2 = square_matrix(weight_matrix(f2))
-    assert minplus_power(w2, 2).data.tolist() == [[1, INF], [INF, 1]]
-    with pytest.raises(ValueError):
-        minplus_power(w1, 0)
-
-
-def test_power_splits_multiply(f2):
-    w = square_matrix(weight_matrix(f2))
-    for q1, q2 in [(1, 1), (1, 2), (2, 3), (3, 4)]:
-        assert minplus_product(minplus_power(w, q1), minplus_power(w, q2)) == minplus_power(
-            w, q1 + q2
-        )
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ from allhops import (
     single_pair_allhops,
     single_source_allhops,
 )
-from allhops import minplus, solvers
+from allhops import solvers
 from allhops.solvers import _sp_level_tables
 
 PLAN = SamplePlan(C=4.0, seed=1)
@@ -198,16 +198,22 @@ def _chain_dag(seed):
 def test_sampled_split_sets_on_long_hop_chains(monkeypatch, seed):
     """At C = 1 (sp, ss) and C = 2 (all pairs), some ladder level or round
     splits at a sample smaller than V, so the kernel takes every split
-    there; one split per hop would miss the shortest walks."""
+    there; one split per hop would miss the shortest walks.  The spies
+    record, for each ladder convolution and round extension, whether its
+    split set was all of V."""
     flags = []
-    kernel = minplus.conv_window
+    conv, extend = solvers._conv, solvers.extend_hops
 
-    def spy(*args, one_split=False):
-        flags.append(one_split)
-        return kernel(*args, one_split=one_split)
+    def conv_spy(*args):
+        flags.append(args[-1])  # one_split
+        return conv(*args)
 
-    monkeypatch.setattr(minplus, "conv_window", spy)
-    monkeypatch.setattr(solvers, "conv_window", spy)
+    def extend_spy(out, table, rows, mid_rows, mid_cols):
+        flags.append(len(mid_cols) == table.shape[2])
+        return extend(out, table, rows, mid_rows, mid_cols)
+
+    monkeypatch.setattr(solvers, "_conv", conv_spy)
+    monkeypatch.setattr(solvers, "extend_hops", extend_spy)
     g, order, rng = _chain_dag(seed)
     n = g.n
     brute = apah_brute(g, with_exact=False).le
