@@ -7,7 +7,7 @@ requested window of output hops only.  It serves `matseq_convolution`
 single-source solvers, the single-source solver's combining step,
 `extend_hops`, the hop extension shared by the all-pairs solver and the
 sampled oracles' level builds, and `mp_array`, the plain product under the
-exact-hop powers.
+`powers` oracle and `baselines.allhops_from_powers`.
 
 Where the split set is all of V (the solvers' unsampled levels and rounds,
 the oracle levels that extend from S_{j-1} = V), the kernel takes one split

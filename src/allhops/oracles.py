@@ -8,13 +8,15 @@ Five kinds share one query contract (d_{<=h}(u,v) for 1 <= h <= n-1):
 * mn / mpp / bounded - LevelOracle: levels j of sampled vertices S_j, each
   with forward and backward tables d_{<=h}(S_j, V) and d_{<=h}(V, S_j) for
   h up to a hop budget K_j.  A query splits at the sampled vertices of
-  every level with K_{j-1} <= h.  The kinds differ only in the build:
-  - mn: log-many shrinking samples, doubling budgets, Bellman-Ford from
-    every sampled vertex in both directions;
-  - mpp: geometric (3/2) budgets over nested samples; each level extends
-    the previous one with `minplus.extend_hops`, splitting at S_{j-1};
-  - bounded: the same ladder with its own sample sizes, but levels with
-    K_j <= kstar (the crossover) are stacked exact-hop powers instead.
+  every level with K_{j-1} <= h.  One build serves all three: level 0 and
+  every level with K_j up to a direct budget run Bellman-Ford from S_j in
+  both directions, and each other level extends the one below with
+  `minplus.extend_hops`, splitting at S_{j-1}.  The kinds differ only in
+  their schedules:
+  - mn: log-many unnested samples, doubling budgets, every level direct;
+  - mpp: geometric (3/2) budgets over nested samples, only level 0 direct;
+  - bounded: the same ladder with its own sample sizes, levels with
+    K_j <= kstar (the crossover) direct.
 
 Oracles are immutable after build; `query` only touches the work counters.
 A versioned binary snapshot (magic AHDO1) makes build and query separable
@@ -36,7 +38,7 @@ from .graph import Graph, ParseError, reverse, weight_matrix
 from .matrices import identity_rows
 from .minplus import extend_hops, mp_array
 from .sampling import SamplePlan, round_sample
-from .solvers import _exact_hop_stack, _require_no_neg_cycle
+from .solvers import _require_no_neg_cycle
 from .values import INF, from_int64, to_int64
 
 MAGIC = b"AHDO1"
@@ -205,41 +207,31 @@ def build_oracle_mn(g: Graph, plan: SamplePlan) -> LevelOracle:
     _require_no_neg_cycle(g)
     n = g.n
     rng = np.random.default_rng(plan.seed)
-    rev = reverse(g)
-    ks, samples, fwd, bwd = [], [], [], []
-    relaxations = 0
+    ks, samples = [], []
     top = max(0, n.bit_length() - 1)  # floor(log2 n)
     for i in range(top + 1):
         size = min(n, math.ceil(plan.C * n * math.log(n) / 2**i)) if n > 1 else 0
-        sample = round_sample(rng, n, size, plan.pinned)
-        budget = min(2 ** (i + 1), max(1, n - 1))
-        ks.append(budget)
-        samples.append(sample)
-        fwd.append(_bf_multi(g, sample, budget, with_exact=False).le)
-        bwd.append(_bf_multi(rev, sample, budget, with_exact=False).le)
-        relaxations += 2 * g.m * budget * sample.size
-    oracle = LevelOracle("mn", n, plan.seed, plan.C, ks, samples, fwd, bwd)
-    oracle.counters.add_relaxations(relaxations)
-    return oracle
+        samples.append(round_sample(rng, n, size, plan.pinned))
+        ks.append(min(2 ** (i + 1), max(1, n - 1)))
+    return _build_levels("mn", g, plan, ks, samples, ks[-1])
 
 
 def _geometric_ladder(n: int) -> list[int]:
     """K_0 = 1, then ceil((3/2)^j) capped at n-1, strictly increasing."""
     hh = max(1, n - 1)
     ks = [1]
-    j = 1
     while ks[-1] < hh:
-        ks.append(min(math.ceil(1.5**j), hh))
-        j += 1
+        ks.append(min(math.ceil(1.5 ** len(ks)), hh))
     return ks
 
 
-def _nested_samples(n: int, plan: SamplePlan, ks: list[int], denom) -> list[np.ndarray]:
-    """S_0 = V, then nested draws S_j <= S_{j-1} of scheduled sizes."""
+def _nested_samples(n: int, plan: SamplePlan, denoms) -> list[np.ndarray]:
+    """S_0 = V, then nested draws S_j <= S_{j-1} of C*n*ln(n)/denoms[j]
+    vertices (clamped to n)."""
     rng = np.random.default_rng(plan.seed)
     samples = [np.arange(n, dtype=np.int64)]
-    for j in range(1, len(ks)):
-        size = min(n, math.ceil(plan.C * n * math.log(n) / denom(j))) if n > 1 else 0
+    for j in range(1, len(denoms)):
+        size = min(n, math.ceil(plan.C * n * math.log(n) / denoms[j])) if n > 1 else 0
         samples.append(round_sample(rng, n, size, plan.pinned, within=samples[-1]))
     return samples
 
@@ -258,31 +250,41 @@ def _extend_level(
     return out
 
 
-def _level_tables(
-    g: Graph, samples: list[np.ndarray], ks: list[int], kstar: int
-) -> list[np.ndarray]:
-    """tables[j][h] = d_{<=h}(S_j, V) for h = 0..ks[j]: stacked exact-hop
-    powers at level 0 and for budgets up to kstar, `_extend_level` above."""
-    tables = []
-    for j, k in enumerate(ks):
-        if j == 0 or k <= kstar:
-            stack = _exact_hop_stack(g, samples[j], k)
-            stack[0] = identity_rows(samples[j], g.n)
-            np.minimum.accumulate(stack, axis=0, out=stack)
-        else:
-            stack = _extend_level(tables[-1], samples[j - 1], samples[j], k)
-        tables.append(stack)
-    return tables
+def _build_levels(
+    kind: str, g: Graph, plan: SamplePlan, ks: list[int], samples: list[np.ndarray],
+    direct_upto: int,
+) -> LevelOracle:
+    """The LevelOracle over levels (ks[j], samples[j]).  Level 0 and every
+    level with K_j <= direct_upto run Bellman-Ford from S_j, forward and on
+    the reversed graph (2·m·K_j·|S_j| relaxations, tallied in the
+    counters); every other level is `_extend_level` of the one below.
+    Only `bounded` records direct_upto, as its crossover kstar."""
+    direct = [j == 0 or k <= direct_upto for j, k in enumerate(ks)]
+
+    def tables(graph: Graph) -> list[np.ndarray]:
+        out = []
+        for j, k in enumerate(ks):
+            if direct[j]:
+                out.append(_bf_multi(graph, samples[j], k, with_exact=False).le)
+            else:
+                out.append(_extend_level(out[-1], samples[j - 1], samples[j], k))
+        return out
+
+    kstar = direct_upto if kind == "bounded" else 0
+    oracle = LevelOracle(
+        kind, g.n, plan.seed, plan.C, ks, samples, tables(g), tables(reverse(g)), kstar
+    )
+    oracle.counters.add_relaxations(
+        sum(2 * g.m * k * s.size for k, s, d in zip(ks, samples, direct) if d)
+    )
+    return oracle
 
 
 def build_oracle_mpp(g: Graph, plan: SamplePlan) -> LevelOracle:
     _require_no_neg_cycle(g)
-    n = g.n
-    ks = _geometric_ladder(n)
-    samples = _nested_samples(n, plan, ks, lambda j: 1.5**j)
-    fwd = _level_tables(g, samples, ks, 0)
-    bwd = _level_tables(reverse(g), samples, ks, 0)
-    return LevelOracle("mpp", n, plan.seed, plan.C, ks, samples, fwd, bwd)
+    ks = _geometric_ladder(g.n)
+    samples = _nested_samples(g.n, plan, [1.5**j for j in range(len(ks))])
+    return _build_levels("mpp", g, plan, ks, samples, 0)
 
 
 def default_crossover(n: int, M: int) -> int:
@@ -297,12 +299,10 @@ def build_oracle_bounded(
     _require_no_neg_cycle(g)
     n = g.n
     ks = _geometric_ladder(n)
-    samples = _nested_samples(n, plan, ks, lambda j: min(math.ceil(1.5**j), max(1, n - 1)))
+    samples = _nested_samples(n, plan, ks)
     if kstar is None:
         kstar = default_crossover(n, g.declared_M)
-    fwd = _level_tables(g, samples, ks, kstar)
-    bwd = _level_tables(reverse(g), samples, ks, kstar)
-    return LevelOracle("bounded", n, plan.seed, plan.C, ks, samples, fwd, bwd, kstar)
+    return _build_levels("bounded", g, plan, ks, samples, kstar)
 
 
 # ---------------------------------------------------------------------------

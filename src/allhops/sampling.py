@@ -15,6 +15,29 @@ import numpy as np
 
 @dataclass(frozen=True)
 class SamplePlan:
+    """Oversampling constant C, seed and vertices pinned into every level.
+
+    A solver is exact when every sampled split set hits each stretch of q
+    consecutive vertices on the shortest paths its level relies on.  A
+    uniform s-sample of n vertices misses q fixed ones with probability at
+    most exp(-q*s/n), and a level has at most n^2 stretches (one per pair
+    of end vertices), so the chance of a wrong table is at most:
+
+    * single_pair_allhops: (k-1) * n^(2-C/2).  S_r (r = 1..k-1) holds
+      C*n^(1-r/k)*ln n vertices and must hit every n^(r/k)/2 in a row.
+    * single_source_allhops: that bound for the ladder run at level split,
+      plus (k-split) * n^(2-C), because S_r (r = split..k-1) holds
+      C*n^(r/k)*ln n vertices and must hit every n^(1-r/k) in a row.
+    * all_pairs_allhops: log_1.5(n) * n^(2-C/2).  A round that extends
+      past K hops samples C*n*ln(n)/K vertices, which must hit every K/2
+      in a row.
+
+    These union bounds treat each draw as uniform and independent of the
+    graph, and ignore the pins.  They fall below 1 only for C > 4 (C > 2
+    for the single-source levels past split), so at the default C = 4
+    exactness is observed, not guaranteed; at C = 1 wrong tables do occur.
+    """
+
     C: float = 4.0
     seed: int = 0
     pinned: frozenset[int] = field(default_factory=frozenset)
@@ -42,13 +65,6 @@ def _check_pins(n: int, plan: SamplePlan) -> np.ndarray:
     return pins
 
 
-def _draw(rng: np.random.Generator, pool: np.ndarray, count: int) -> np.ndarray:
-    if count <= 0 or pool.size == 0:
-        return np.zeros(0, dtype=np.int64)
-    count = min(count, pool.size)
-    return pool[rng.choice(pool.size, size=count, replace=False)]
-
-
 def shrinking_schedule(n: int, k: int, r: int, C: float) -> int:
     """|S_r| = min(n, ceil(C * n^(1-r/k) * ln n)); S_0 is all of V."""
     if r == 0:
@@ -70,26 +86,20 @@ def shrinking_hierarchy(n: int, k: int, plan: SamplePlan) -> SampleHierarchy:
     rng = np.random.default_rng(plan.seed)
     levels = [np.arange(n, dtype=np.int64)]
     for r in range(1, k + 1):
-        size = max(shrinking_schedule(n, k, r, plan.C), pins.size)
-        parent = levels[-1]
-        pool = np.setdiff1d(parent, pins)
-        drawn = _draw(rng, pool, size - pins.size)
-        levels.append(np.sort(np.concatenate([pins, drawn])))
+        size = shrinking_schedule(n, k, r, plan.C)
+        levels.append(round_sample(rng, n, size, pins, within=levels[-1]))
     return SampleHierarchy("shrinking", tuple(levels), plan)
 
 
 def growing_hierarchy(n: int, k: int, plan: SamplePlan) -> SampleHierarchy:
     """S_0 <= S_1 <= ... <= S_k = V, pinned vertices in every level,
     each level extending the previous with fresh draws."""
-    pins = _check_pins(n, plan)
     rng = np.random.default_rng(plan.seed)
-    cur = pins.copy()
+    cur = _check_pins(n, plan)
     levels = []
     for r in range(k + 1):
-        size = max(growing_schedule(n, k, r, plan.C), cur.size)
-        pool = np.setdiff1d(np.arange(n, dtype=np.int64), cur)
-        cur = np.sort(np.concatenate([cur, _draw(rng, pool, size - cur.size)]))
-        levels.append(cur.copy())
+        cur = round_sample(rng, n, growing_schedule(n, k, r, plan.C), cur)
+        levels.append(cur)
     return SampleHierarchy("growing", tuple(levels), plan)
 
 
@@ -101,5 +111,8 @@ def round_sample(
     pins = np.array(sorted(set(int(v) for v in pinned)), dtype=np.int64)
     pool = np.arange(n, dtype=np.int64) if within is None else np.asarray(within)
     pool = np.setdiff1d(pool, pins)
-    drawn = _draw(rng, pool, max(size, pins.size) - pins.size)
+    count = min(size - pins.size, pool.size)
+    if count <= 0:  # the pins fill the sample: no draw, so no RNG step
+        return pins
+    drawn = pool[rng.choice(pool.size, size=count, replace=False)]
     return np.sort(np.concatenate([pins, drawn]))

@@ -8,8 +8,9 @@ deterministic):
 * single_pair_allhops  - shrinking hierarchy, windowed self-convolutions
   of hop-indexed matrix sequences plus doubling prefix extensions.
 * single_source_allhops - growing hierarchy; per level either repeated
-  pinned-target single-pair solves or the stacked exact-hop-power scheme,
-  combined with the previous level by one min-plus convolution.
+  pinned-target single-pair solves or exact-hop tables by Bellman-Ford
+  from the previous level's sample, combined with the previous level by
+  one min-plus convolution.
 * all_pairs_allhops   - geometric rounds extending every pair's sequence
   by min-plus convolution through the round's sample plus a stagnation
   candidate; the hop extension is `minplus.extend_hops`, the same kernel
@@ -31,10 +32,10 @@ import math
 
 import numpy as np
 
-from .baselines import AllHopsTable
-from .graph import Graph, detect_negative_cycle, hop1_matrix, weight_matrix
+from .baselines import AllHopsTable, _bf_multi
+from .graph import Graph, detect_negative_cycle, hop1_matrix
 from .matrices import MatrixSeq, identity_rows
-from .minplus import conv_window, extend_hops, matseq_convolution, mp_array
+from .minplus import conv_window, extend_hops, matseq_convolution
 from .sampling import SamplePlan, growing_hierarchy, round_sample, shrinking_hierarchy
 from .values import INF
 
@@ -175,25 +176,6 @@ def single_pair_allhops(
 # single source
 
 
-def _exact_hop_stack(g: Graph, rows: np.ndarray, H1: int) -> np.ndarray:
-    """A[h] = d_h(rows, V) for h = 1..H1 via repeated-squaring powers of W
-    and doubling products against the stacked block."""
-    n = g.n
-    w = weight_matrix(g)
-    stack = np.full((H1 + 1, len(rows), n), INF)
-    stack[1] = w[rows, :]
-    cur = 1
-    pow_w = w
-    while cur < H1:
-        take = min(cur, H1 - cur)
-        block = mp_array(stack[1 : take + 1].reshape(take * len(rows), n), pow_w)
-        stack[cur + 1 : cur + take + 1] = block.reshape(take, len(rows), n)
-        cur += take
-        if cur < H1:
-            pow_w = mp_array(pow_w, pow_w)
-    return stack
-
-
 def single_source_allhops(
     g: Graph, s: int, k: int, plan: SamplePlan, split: int | None = None
 ) -> AllHopsTable:
@@ -202,9 +184,10 @@ def single_source_allhops(
     Levels r <= split run the pinned-target single-pair solver for every
     vertex of S_r (one shared hierarchy build per level: with identical
     plans the per-target solves compute identical tables, so the rows are
-    read from a single build).  Levels r > split run the stacked
-    exact-hop-power scheme and combine with the previous level through one
-    min-plus convolution of its hop sequence with the exact-hop stack.
+    read from a single build).  Levels r > split run Bellman-Ford from
+    S_{r-1} for the exact-hop tables d_h(S_{r-1}, V), h <= n^(1-(r-1)/k),
+    and combine them with the previous level through one min-plus
+    convolution of its hop sequence with that exact-hop stack.
     """
     n = g.n
     if not (0 <= s < n):
@@ -242,19 +225,16 @@ def single_source_allhops(
         else:
             prev_verts = levels[r - 1]
             H1 = min(math.ceil(n ** (1 - (r - 1) / k)), n)
-            stack = _exact_hop_stack(g, prev_verts, H1)
+            ex = _bf_multi(g, prev_verts, H1, with_exact=True).ex  # d_h(S_{r-1}, V)
             out = np.full((HH + 1, len(verts)), INF)
-            # base: exact-hop row of s (s is in every level) plus hop 0
-            spos_prev = int(np.searchsorted(prev_verts, s))
-            spos_cur = np.searchsorted(verts, s)
-            out[0, spos_cur] = 0.0
+            # base: the exact-hop row of s (s is in every level), hop 0 included
             lim = min(H1, HH)
-            out[1 : lim + 1] = stack[1 : lim + 1][:, spos_prev, :][:, verts]
+            out[: lim + 1] = ex[: lim + 1, np.searchsorted(prev_verts, s)][:, verts]
             # combine: out[j + h'] <- d_{<=j}(s, S_{r-1}) (x) d_{h'}(S_{r-1}, S_r),
             # one convolution with the short exact-hop stack (h' = 1..H1) on
             # the left.  Exact-hop tables are not prefix tables, so every
             # split is taken.
-            exact = stack[1:][:, :, verts].transpose(0, 2, 1)  # (H1, |S_r|, |S_{r-1}|)
+            exact = ex[1:][:, :, verts].transpose(0, 2, 1)  # (H1, |S_r|, |S_{r-1}|)
             comb = conv_window(exact, cur[:, :, None], 0, HH - 1)  # hops 1..HH
             np.minimum(out[1:], comb[:, :, 0], out=out[1:])
             np.minimum.accumulate(out, axis=0, out=out)

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from allhops import graph_from_edges, parse_graph
@@ -25,3 +26,18 @@ def f3():
 @pytest.fixture
 def f4():
     return graph_from_edges(4, [(0, 1, 1), (1, 3, 1), (0, 2, 5), (2, 3, -4)])
+
+
+@pytest.fixture
+def multigraph():
+    """m ~ n^2/2 with parallel edges, self-loops and negative weights.
+    Weights are b + phi(v) - phi(u) with b >= 0, so no cycle is negative;
+    self-loops weigh b >= 0, since a negative one would be a negative cycle."""
+    rng = np.random.default_rng(17)
+    n = 20
+    phi = rng.integers(0, 8, size=n)
+    us, vs = rng.integers(0, n, size=(2, n * n // 2))
+    pairs = list(zip(us.tolist(), vs.tolist())) + [(u, u) for u in range(0, n, 3)]
+    pairs += pairs[:20]
+    edges = [(u, v, int(rng.integers(0, 4) + phi[v] - phi[u])) for u, v in pairs]
+    return graph_from_edges(n, edges, declared_M=max(abs(w) for _, _, w in edges))

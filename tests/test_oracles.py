@@ -153,6 +153,21 @@ def test_bounded_tables_are_bf_rows():
         assert np.array_equal(o.fwd[j], brute.le[: k + 1][:, verts, :])
 
 
+def test_bounded_direct_levels_on_dense_multigraph(multigraph):
+    """kstar = n builds every level by Bellman-Ford from its sample, here on
+    parallel edges, self-loops and m ~ n^2/2."""
+    g = multigraph
+    brute = apah_brute(g, with_exact=False).le
+    o = build_oracle_bounded(g, PLAN, kstar=g.n)
+    for k, s, f, b in zip(o.ks, o.samples, o.fwd, o.bwd):
+        assert np.array_equal(f, brute[: k + 1, s, :])
+        assert np.array_equal(b, brute[: k + 1][:, :, s].transpose(0, 2, 1))
+    for u in range(g.n):
+        for v in range(g.n):
+            for h in range(1, g.n):
+                assert o.query(u, v, h) == brute[h, u, v], (u, v, h)
+
+
 def test_bounded_needs_declared_M():
     g = graph_from_edges(3, [(0, 1, 1)])
     with pytest.raises(ValueError):
@@ -284,6 +299,24 @@ def test_sampled_level_oracles_exact():
         assert any(s.size < g.n for s in o.samples)
         for u, v, h in triples:
             assert o.query(u, v, h) == brute.le[h, u, v], (o.kind, u, v, h)
+
+
+def test_build_relaxations_count_every_bellman_ford_level():
+    """2·m·K_j·|S_j| for each level built by Bellman-Ford from its sample:
+    every mn level, level 0 of mpp, and bounded's levels up to kstar."""
+    g = gen_random_graph(40, 160, 8, 2, require_no_neg_cycle=True)
+    plan = SamplePlan(C=1.0, seed=3)
+
+    def bf_cost(o, levels):
+        return sum(2 * g.m * o.ks[j] * o.samples[j].size for j in levels)
+
+    mn = build_oracle_mn(g, plan)
+    assert mn.counters.relaxations == bf_cost(mn, range(len(mn.ks)))
+    mpp = build_oracle_mpp(g, plan)
+    assert mpp.counters.relaxations == 2 * g.m * 1 * g.n
+    bounded = build_oracle_bounded(g, plan, kstar=6)
+    assert bounded.ks[:5] == [1, 2, 3, 4, 6] and bounded.ks[5] > 6
+    assert bounded.counters.relaxations == bf_cost(bounded, range(5))
 
 
 def test_counters_track_and_reset():

@@ -45,6 +45,28 @@ def test_hierarchies_deterministic():
         assert np.array_equal(x, y)
 
 
+ALL = "all"
+
+
+@pytest.mark.parametrize("build, n, k, C, seed, pins, want", [
+    (shrinking_hierarchy, 24, 2, 1.0, 5, (), [
+        ALL, [0, 1, 3, 4, 5, 6, 7, 8, 9, 11, 12, 14, 16, 17, 19, 21], [1, 6, 12, 21]]),
+    (shrinking_hierarchy, 40, 3, 1.0, 2, (1, 3), [
+        ALL, ALL, [1, 3, 4, 8, 16, 17, 18, 19, 23, 24, 28, 33, 34], [1, 3, 16, 34]]),
+    (growing_hierarchy, 24, 2, 1.0, 5, (), [
+        [0, 14, 17, 19], [0, 1, 3, 4, 5, 7, 8, 10, 14, 17, 18, 19, 20, 21, 22, 23], ALL]),
+    (growing_hierarchy, 40, 3, 1.0, 1, (0,), [
+        [0, 18, 20, 30], [0, 5, 8, 10, 15, 18, 20, 26, 30, 32, 33, 36, 38], ALL, ALL]),
+    (growing_hierarchy, 24, 1, 2.0, 3, (4, 9), [[1, 3, 4, 5, 9, 16, 23], ALL]),
+])
+def test_hierarchy_draws_pinned(build, n, k, C, seed, pins, want):
+    """The exact levels a plan draws: solver outputs at small C depend on
+    them, so a change to the draw order shows here first."""
+    h = build(n, k, SamplePlan(C=C, seed=seed, pinned=set(pins)))
+    got = [lv.tolist() for lv in h.levels]
+    assert got == [list(range(n)) if w == ALL else w for w in want]
+
+
 def test_pin_out_of_range():
     with pytest.raises(ValueError):
         shrinking_hierarchy(5, 2, SamplePlan(pinned={9}))

@@ -118,6 +118,16 @@ def test_single_source_split_settings_match_oracle():
                 assert np.array_equal(got.le[:, 0, :], brute.le[:, s, :]), (seed, k, split)
 
 
+def test_single_source_on_dense_multigraph(multigraph):
+    """Exact-hop stacks by Bellman-Ford over parallel edges, self-loops and
+    m ~ n^2/2, which no generator makes."""
+    brute = apah_brute(multigraph, with_exact=False)
+    for k in (2, 3):
+        for s in (0, 7, multigraph.n - 1):
+            got = single_source_allhops(multigraph, s, k, PLAN, split=0)
+            assert np.array_equal(got.le[:, 0, :], brute.le[:, s, :]), (k, s)
+
+
 def test_single_source_k1_and_validation(f1, f3):
     t = single_source_allhops(f1, 0, 1, PLAN)
     brute = apah_brute(f1, with_exact=False)
