@@ -12,7 +12,6 @@ infinity renders as `inf` in tsv and as the string "inf" in json-lines.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 import numpy as np
@@ -28,7 +27,8 @@ from .graph import (
     parse_graph,
     render_graph,
 )
-from .minplus import StrategyError
+from .matrices import MatrixSeq
+from .minplus import matseq_convolution
 from .oracles import (
     MemoryBudgetError,
     build_oracle_bf,
@@ -425,8 +425,6 @@ def _verify_tree(gadget, depth: int, reversed_edges: bool) -> None:
 
 
 def _cmd_selftest(args) -> int:
-    from .oracles import build_oracle_bf as _bf_oracle
-
     seed = args.seed
     failures = 0
 
@@ -452,7 +450,7 @@ def _cmd_selftest(args) -> int:
         oracle_mn = build_oracle_mn(g, plan)
         oracle_mpp = build_oracle_mpp(g, plan)
         oracle_bounded = build_oracle_bounded(g, plan)
-        oracle_full = _bf_oracle(g)
+        oracle_full = build_oracle_bf(g)
         ok = True
         for u in range(n):
             for v in range(n):
@@ -462,9 +460,6 @@ def _cmd_selftest(args) -> int:
                         if oracle.query(u, v, h) != want:
                             ok = False
         report(f"oracles n={n}", ok)
-
-    from .matrices import MatrixSeq
-    from .minplus import matseq_convolution
 
     rng = np.random.default_rng(seed)
     ok = True
@@ -510,24 +505,21 @@ def main(argv=None) -> int:
         if args.cmd == "selftest":
             return _cmd_selftest(args)
         raise UsageError(f"unknown command {args.cmd!r}")
-    except (UsageError, ParseError, GenerationError, OSError, json.JSONDecodeError) as e:
-        sys.stderr.write(f"allhops: {e}\n")
-        return 1
-    except (NegativeCycleError, MemoryBudgetError, StrategyError, OverflowError) as e:
-        sys.stderr.write(f"allhops: {e}\n")
-        return 2
-    except ValueError as e:
-        sys.stderr.write(f"allhops: {e}\n")
-        return 2
-    except VerificationError as e:
-        sys.stderr.write(f"allhops: {e}\n")
-        return 3
-    except BrokenPipeError:
+    except BrokenPipeError:  # the reader went away, as under `| head`
         try:
             sys.stdout.close()
         except OSError:
             pass
         return 0
+    except (UsageError, ParseError, GenerationError, OSError) as e:
+        sys.stderr.write(f"allhops: {e}\n")
+        return 1
+    except (ValueError, MemoryBudgetError, OverflowError) as e:
+        sys.stderr.write(f"allhops: {e}\n")
+        return 2
+    except VerificationError as e:
+        sys.stderr.write(f"allhops: {e}\n")
+        return 3
 
 
 if __name__ == "__main__":

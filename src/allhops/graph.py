@@ -190,13 +190,15 @@ def _random_pairs(rng: np.random.Generator, n: int, m: int):
     return us, vs
 
 
+_GEN_RETRIES = 50  # uniform draws tried before the certified fallback
+
+
 def gen_random_graph(
     n: int,
     m: int,
     M: int,
     seed: int,
     require_no_neg_cycle: bool = False,
-    max_retries: int = 50,
 ) -> Graph:
     """m distinct ordered pairs without replacement, weights uniform in
     {-M,...,M}.  Deterministic for fixed arguments.
@@ -209,7 +211,7 @@ def gen_random_graph(
     """
     _check_gen_args(n, m, M)
     rng = np.random.default_rng(seed)
-    for _ in range(max_retries):
+    for _ in range(_GEN_RETRIES):
         us, vs = _random_pairs(rng, n, m)
         ws = rng.integers(-M, M + 1, size=m)
         g = Graph(n, tuple(zip(us.tolist(), vs.tolist(), ws.tolist())), M)

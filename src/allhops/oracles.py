@@ -17,6 +17,10 @@ Five kinds share one query contract (d_{<=h}(u,v) for 1 <= h <= n-1):
   - mpp: geometric (3/2) budgets over nested samples, only level 0 direct;
   - bounded: the same ladder with its own sample sizes, levels with
     K_j <= kstar (the crossover) direct.
+  The schedules come from `sampling`: level j of mn holds
+  `level_size(n, C, 2^j)` vertices, mpp's nested levels are drawn for
+  stretches 1.5^j and bounded's for K_j (`nested_samples`), and both
+  follow the (3/2) ladder `geometric_ladder`.
 
 Oracles are immutable after build; `query` only touches the work counters.
 A versioned binary snapshot (magic AHDO1) makes build and query separable
@@ -37,7 +41,7 @@ from .baselines import _bf_multi
 from .graph import Graph, ParseError, reverse, weight_matrix
 from .matrices import identity_rows
 from .minplus import extend_hops, mp_array
-from .sampling import SamplePlan, round_sample
+from .sampling import SamplePlan, geometric_ladder, level_size, nested_samples, round_sample
 from .solvers import _require_no_neg_cycle
 from .values import INF, from_int64, to_int64
 
@@ -210,30 +214,9 @@ def build_oracle_mn(g: Graph, plan: SamplePlan) -> LevelOracle:
     ks, samples = [], []
     top = max(0, n.bit_length() - 1)  # floor(log2 n)
     for i in range(top + 1):
-        size = min(n, math.ceil(plan.C * n * math.log(n) / 2**i)) if n > 1 else 0
-        samples.append(round_sample(rng, n, size, plan.pinned))
+        samples.append(round_sample(rng, n, level_size(n, plan.C, 2**i), plan.pinned))
         ks.append(min(2 ** (i + 1), max(1, n - 1)))
     return _build_levels("mn", g, plan, ks, samples, ks[-1])
-
-
-def _geometric_ladder(n: int) -> list[int]:
-    """K_0 = 1, then ceil((3/2)^j) capped at n-1, strictly increasing."""
-    hh = max(1, n - 1)
-    ks = [1]
-    while ks[-1] < hh:
-        ks.append(min(math.ceil(1.5 ** len(ks)), hh))
-    return ks
-
-
-def _nested_samples(n: int, plan: SamplePlan, denoms) -> list[np.ndarray]:
-    """S_0 = V, then nested draws S_j <= S_{j-1} of C*n*ln(n)/denoms[j]
-    vertices (clamped to n)."""
-    rng = np.random.default_rng(plan.seed)
-    samples = [np.arange(n, dtype=np.int64)]
-    for j in range(1, len(denoms)):
-        size = min(n, math.ceil(plan.C * n * math.log(n) / denoms[j])) if n > 1 else 0
-        samples.append(round_sample(rng, n, size, plan.pinned, within=samples[-1]))
-    return samples
 
 
 def _extend_level(
@@ -282,8 +265,8 @@ def _build_levels(
 
 def build_oracle_mpp(g: Graph, plan: SamplePlan) -> LevelOracle:
     _require_no_neg_cycle(g)
-    ks = _geometric_ladder(g.n)
-    samples = _nested_samples(g.n, plan, [1.5**j for j in range(len(ks))])
+    ks = geometric_ladder(g.n)
+    samples = nested_samples(g.n, plan, [1.5**j for j in range(len(ks))])
     return _build_levels("mpp", g, plan, ks, samples, 0)
 
 
@@ -298,8 +281,8 @@ def build_oracle_bounded(
         raise ValueError("bounded oracle needs declared_M on the graph")
     _require_no_neg_cycle(g)
     n = g.n
-    ks = _geometric_ladder(n)
-    samples = _nested_samples(n, plan, ks)
+    ks = geometric_ladder(n)
+    samples = nested_samples(n, plan, ks)
     if kstar is None:
         kstar = default_crossover(n, g.declared_M)
     return _build_levels("bounded", g, plan, ks, samples, kstar)

@@ -1,5 +1,11 @@
-"""Seeded vertex sampling: plans, nested hierarchies, and level-size
-schedules for the hierarchical solvers and the distance oracles.
+"""Seeded vertex sampling: the one hitting-set schedule behind every
+solver and oracle.
+
+A level drawn for a stretch q holds `level_size(n, C, q)` vertices.
+Hierarchies and the mpp/bounded oracles draw nested levels
+(`nested_samples`); the all-pairs rounds and the mpp/bounded levels
+follow the (3/2) hop ladder (`geometric_ladder`); a hierarchy level's
+hop budget is `min(n, ceil(q))` (`SampleHierarchy.budgets`).
 
 All draws come from a PCG64 generator seeded by the plan, so every
 structure built from the same (n, plan) is identical across runs.
@@ -19,18 +25,19 @@ class SamplePlan:
 
     A solver is exact when every sampled split set hits each stretch of q
     consecutive vertices on the shortest paths its level relies on.  A
-    uniform s-sample of n vertices misses q fixed ones with probability at
-    most exp(-q*s/n), and a level has at most n^2 stretches (one per pair
-    of end vertices), so the chance of a wrong table is at most:
+    level drawn for stretch q holds s = level_size(n, C, q) =
+    min(n, ceil(C*n*ln n / q)) vertices.  A uniform s-sample of n vertices
+    misses q*f fixed ones with probability at most exp(-q*f*s/n) <= n^(-C*f),
+    and a level has at most n^2 stretches (one per pair of end vertices),
+    so the chance of a wrong table is at most:
 
-    * single_pair_allhops: (k-1) * n^(2-C/2).  S_r (r = 1..k-1) holds
-      C*n^(1-r/k)*ln n vertices and must hit every n^(r/k)/2 in a row.
+    * single_pair_allhops: (k-1) * n^(2-C/2).  S_r (r = 1..k-1) is drawn
+      for q = n^(r/k) and must hit every q/2 in a row.
     * single_source_allhops: that bound for the ladder run at level split,
-      plus (k-split) * n^(2-C), because S_r (r = split..k-1) holds
-      C*n^(r/k)*ln n vertices and must hit every n^(1-r/k) in a row.
+      plus (k-split) * n^(2-C), because S_r (r = split..k-1) is drawn for
+      q = n^(1-r/k) and must hit every q in a row.
     * all_pairs_allhops: log_1.5(n) * n^(2-C/2).  A round that extends
-      past K hops samples C*n*ln(n)/K vertices, which must hit every K/2
-      in a row.
+      past K hops is drawn for q = K and must hit every K/2 in a row.
 
     These union bounds treat each draw as uniform and independent of the
     graph, and ignore the pins.  They fall below 1 only for C > 4 (C > 2
@@ -53,54 +60,63 @@ class SamplePlan:
 
 @dataclass(frozen=True)
 class SampleHierarchy:
+    """Sorted vertex arrays S_0..S_k; level r is drawn for a stretch q_r and
+    carries the hop budget budgets[r] = min(n, ceil(q_r))."""
+
     direction: str  # "shrinking" | "growing"
-    levels: tuple[np.ndarray, ...]  # sorted vertex-index arrays
-    plan: SamplePlan
+    levels: tuple[np.ndarray, ...]
+    budgets: tuple[int, ...]
 
 
-def _check_pins(n: int, plan: SamplePlan) -> np.ndarray:
-    pins = np.array(sorted(plan.pinned), dtype=np.int64)
-    if pins.size and (pins[0] < 0 or pins[-1] >= n):
-        raise ValueError("pinned vertex out of range")
-    return pins
+def level_size(n: int, C: float, q: float) -> int:
+    """min(n, ceil(C * n * ln n / q)): a uniform draw of this many vertices
+    misses a fixed stretch of q of them with probability at most n^-C."""
+    return min(n, math.ceil(C * n * math.log(n) / q))
 
 
-def shrinking_schedule(n: int, k: int, r: int, C: float) -> int:
-    """|S_r| = min(n, ceil(C * n^(1-r/k) * ln n)); S_0 is all of V."""
-    if r == 0:
-        return n
-    return min(n, math.ceil(C * n ** (1 - r / k) * math.log(n)) if n > 1 else 1)
+def geometric_ladder(n: int) -> list[int]:
+    """K_0 = 1, then ceil((3/2)^j) capped at n-1, strictly increasing."""
+    hh = max(1, n - 1)
+    ks = [1]
+    while ks[-1] < hh:
+        ks.append(min(math.ceil(1.5 ** len(ks)), hh))
+    return ks
 
 
-def growing_schedule(n: int, k: int, r: int, C: float) -> int:
-    """|S_r| = min(n, ceil(C * n^(r/k) * ln n)); S_k is all of V."""
-    if r == k:
-        return n
-    return min(n, math.ceil(C * n ** (r / k) * math.log(n)) if n > 1 else 1)
+def nested_samples(n: int, plan: SamplePlan, stretches) -> list[np.ndarray]:
+    """S_0 = V, then S_j <= S_{j-1} drawn for stretch stretches[j]; a level
+    holds at least one vertex (at n = 1, ln n = 0)."""
+    rng = np.random.default_rng(plan.seed)
+    samples = [np.arange(n, dtype=np.int64)]
+    for q in stretches[1:]:
+        size = max(1, level_size(n, plan.C, q))
+        samples.append(round_sample(rng, n, size, plan.pinned, within=samples[-1]))
+    return samples
+
+
+def _budgets(n: int, stretches) -> tuple[int, ...]:
+    return tuple(min(n, math.ceil(q)) for q in stretches)
 
 
 def shrinking_hierarchy(n: int, k: int, plan: SamplePlan) -> SampleHierarchy:
-    """V = S_0 >= S_1 >= ... >= S_k, pinned vertices in every level,
-    remainder drawn without replacement from the parent level."""
-    pins = _check_pins(n, plan)
-    rng = np.random.default_rng(plan.seed)
-    levels = [np.arange(n, dtype=np.int64)]
-    for r in range(1, k + 1):
-        size = shrinking_schedule(n, k, r, plan.C)
-        levels.append(round_sample(rng, n, size, pins, within=levels[-1]))
-    return SampleHierarchy("shrinking", tuple(levels), plan)
+    """V = S_0 >= S_1 >= ... >= S_k for stretches q_r = n^(r/k), pinned
+    vertices in every level, each level drawn from its parent."""
+    stretches = [n ** (r / k) for r in range(k + 1)]
+    levels = nested_samples(n, plan, stretches)
+    return SampleHierarchy("shrinking", tuple(levels), _budgets(n, stretches))
 
 
 def growing_hierarchy(n: int, k: int, plan: SamplePlan) -> SampleHierarchy:
-    """S_0 <= S_1 <= ... <= S_k = V, pinned vertices in every level,
-    each level extending the previous with fresh draws."""
+    """S_0 <= S_1 <= ... <= S_k = V for stretches q_r = n^(1-r/k), pinned
+    vertices in every level, each level extending the previous with fresh
+    draws."""
+    stretches = [n ** (1 - r / k) for r in range(k + 1)]
     rng = np.random.default_rng(plan.seed)
-    cur = _check_pins(n, plan)
-    levels = []
-    for r in range(k + 1):
-        cur = round_sample(rng, n, growing_schedule(n, k, r, plan.C), cur)
+    cur, levels = plan.pinned, []
+    for q in stretches:
+        cur = round_sample(rng, n, max(1, level_size(n, plan.C, q)), cur)
         levels.append(cur)
-    return SampleHierarchy("growing", tuple(levels), plan)
+    return SampleHierarchy("growing", tuple(levels), _budgets(n, stretches))
 
 
 def round_sample(
@@ -109,6 +125,8 @@ def round_sample(
     """One sorted sample of `size` vertices (clamped), pinned first;
     `within` restricts the pool (used for nested level draws)."""
     pins = np.array(sorted(set(int(v) for v in pinned)), dtype=np.int64)
+    if pins.size and (pins[0] < 0 or pins[-1] >= n):
+        raise ValueError("pinned vertex out of range")
     pool = np.arange(n, dtype=np.int64) if within is None else np.asarray(within)
     pool = np.setdiff1d(pool, pins)
     count = min(size - pins.size, pool.size)

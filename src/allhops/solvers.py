@@ -16,6 +16,11 @@ deterministic):
   candidate; the hop extension is `minplus.extend_hops`, the same kernel
   the sampled oracles build their levels with.
 
+The schedule lives in `sampling`: every sample holds
+`level_size(n, C, q)` vertices for its stretch q, each hierarchy level
+carries its hop budget (`SampleHierarchy.budgets`), and the all-pairs
+rounds follow `geometric_ladder`.
+
 Internally everything runs on raw float64 stacks.  The matrix-sequence
 convolutions of the single-pair ladder (which the single-source solver
 also runs), of the single-source combining step and of the all-pairs hop
@@ -36,7 +41,14 @@ from .baselines import AllHopsTable, _bf_multi
 from .graph import Graph, detect_negative_cycle, hop1_matrix
 from .matrices import MatrixSeq, identity_rows
 from .minplus import conv_window, extend_hops, matseq_convolution
-from .sampling import SamplePlan, growing_hierarchy, round_sample, shrinking_hierarchy
+from .sampling import (
+    SamplePlan,
+    geometric_ladder,
+    growing_hierarchy,
+    level_size,
+    round_sample,
+    shrinking_hierarchy,
+)
 from .values import INF
 
 
@@ -69,7 +81,8 @@ def _conv(a3, aoff, b3, boff, lo, hi, strategy, one_split):
 
 def _sp_level_tables(g: Graph, k: int, plan: SamplePlan, strategy: str = "naive"):
     """Shrinking-hierarchy ladder: returns (levels, tables) where
-    tables[r][j] = d_{<=j}(S_r, S_r) for j = 0..ceil(n^(r/k)).
+    tables[r][j] = d_{<=j}(S_r, S_r) for j up to the level's hop budget
+    min(n, ceil(n^(r/k))).
 
     Level 0 holds hops 0..1 (identity and adjacency-with-zero-diagonal).
     Each later level doubles windowed sequences of the previous level's
@@ -79,7 +92,6 @@ def _sp_level_tables(g: Graph, k: int, plan: SamplePlan, strategy: str = "naive"
     n = g.n
     hier = shrinking_hierarchy(n, k, plan)
     levels = hier.levels
-    hops_cap = [min(math.ceil(n ** (r / k)), n) if n > 1 else 1 for r in range(k + 1)]
 
     table = np.stack([identity_rows(range(n), n), hop1_matrix(g)])
     tables = [table]
@@ -89,7 +101,7 @@ def _sp_level_tables(g: Graph, k: int, plan: SamplePlan, strategy: str = "naive"
         cur_verts = levels[r]
         prev = tables[r - 1]  # (H+1, nP, nP)
         H = prev.shape[0] - 1
-        Nr = hops_cap[r]
+        Nr = hier.budgets[r]
         half_lo, half_hi = H // 2, (H + 1) // 2
         L = max(0, Nr.bit_length() - 1)  # floor(log2(Nr))
         # Split sets only shrink: the ladder's levels, the all-pairs rounds'
@@ -224,7 +236,7 @@ def single_source_allhops(
                 cur[hi + 1 :] = seq[hi]
         else:
             prev_verts = levels[r - 1]
-            H1 = min(math.ceil(n ** (1 - (r - 1) / k)), n)
+            H1 = hier.budgets[r - 1]
             ex = _bf_multi(g, prev_verts, H1, with_exact=True).ex  # d_h(S_{r-1}, V)
             out = np.full((HH + 1, len(verts)), INF)
             # base: the exact-hop row of s (s is in every level), hop 0 included
@@ -250,8 +262,9 @@ def all_pairs_allhops(g: Graph, plan: SamplePlan) -> AllHopsTable:
     """d_{<=h}(u, v) for all pairs and h = 1..n-1.
 
     Round k extends every pair's sequence from length K_{k-1} to
-    K_k = ceil((3/2)^k): splits d_{<=h-g}(u, x) + d_{<=g}(x, v) through the
-    round's sampled x contribute candidates, and the stagnation value
+    K_k = ceil((3/2)^k) (`sampling.geometric_ladder`): splits
+    d_{<=h-g}(u, x) + d_{<=g}(x, v) through the round's x, sampled for
+    stretch K_{k-1}, contribute candidates, and the stagnation value
     d_{<=h-1}(u, v) closes the short-path case.  Once two consecutive hop
     slices are identical the table has stabilized and the remaining hops
     are copies (the one-step recurrence is a function of the previous slice
@@ -264,18 +277,11 @@ def all_pairs_allhops(g: Graph, plan: SamplePlan) -> AllHopsTable:
     le[0] = identity_rows(range(n), n)
     le[1] = hop1_matrix(g)
     rng = np.random.default_rng(plan.seed)
-    k_round = 1
-    K_prev = 1
-    while K_prev < n - 1:
-        K_new = min(math.ceil(1.5**k_round), n - 1)
-        k_round += 1
-        if K_new <= K_prev:
-            continue
+    ks = geometric_ladder(n)
+    for K_prev, K_new in zip(ks, ks[1:]):
         if np.array_equal(le[K_prev], le[K_prev - 1]):
             le[K_prev + 1 :] = le[K_prev]
             break
-        size = min(n, math.ceil(plan.C * n * math.log(n) / K_prev))
-        sample = round_sample(rng, n, size, plan.pinned)
+        sample = round_sample(rng, n, level_size(n, plan.C, K_prev), plan.pinned)
         extend_hops(le[: K_new + 1], le[: K_prev + 1], np.arange(n), sample, sample)
-        K_prev = K_new
     return AllHopsTable(tuple(range(n)), HH, le, None)

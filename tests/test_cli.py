@@ -1,4 +1,5 @@
 import hashlib
+import io
 import json
 import subprocess
 import sys
@@ -383,3 +384,18 @@ def test_record_output_literal_lines(small_outputs, large_outputs):
     assert lines[0] == '{"u": 0, "v": 0, "h": 1, "d": 0}'
     assert lines[-1] == '{"u": 19, "v": 19, "h": 19, "d": 0}'
     assert lines[19 * 19 + 18] == '{"u": 0, "v": 19, "h": 19, "d": "inf"}'
+
+
+class _ClosedPipe(io.StringIO):
+    """A stdout whose reader has gone away, as under `allhops ... | head`."""
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+def test_broken_pipe_exits_zero_silently(monkeypatch, tmp_path, f1_path):
+    err = io.StringIO()
+    monkeypatch.setattr(sys, "stdout", _ClosedPipe())
+    monkeypatch.setattr(sys, "stderr", err)
+    assert main(["all-pairs", "--graph", f1_path]) == 0
+    assert err.getvalue() == ""

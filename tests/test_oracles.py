@@ -107,6 +107,8 @@ def test_mn_tables_are_bf_rows():
 def test_mn_single_vertex_graph():
     o = build_oracle_mn(graph_from_edges(1, []), PLAN)
     assert len(o.ks) == 1
+    # ln 1 = 0: the one level draws no vertex, unlike the hierarchies.
+    assert [s.tolist() for s in o.samples] == [[]]
     with pytest.raises(ValueError):
         o.query(0, 0, 1)
 

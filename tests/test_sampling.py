@@ -3,7 +3,18 @@ import math
 import numpy as np
 import pytest
 
-from allhops import SamplePlan, growing_hierarchy, shrinking_hierarchy
+from allhops import (
+    SamplePlan,
+    all_pairs_allhops,
+    build_oracle_bounded,
+    build_oracle_mn,
+    build_oracle_mpp,
+    gen_random_graph,
+    growing_hierarchy,
+    shrinking_hierarchy,
+    single_pair_allhops,
+    single_source_allhops,
+)
 
 
 def test_plan_validation():
@@ -58,6 +69,15 @@ ALL = "all"
     (growing_hierarchy, 40, 3, 1.0, 1, (0,), [
         [0, 18, 20, 30], [0, 5, 8, 10, 15, 18, 20, 26, 30, 32, 33, 36, 38], ALL, ALL]),
     (growing_hierarchy, 24, 1, 2.0, 3, (4, 9), [[1, 3, 4, 5, 9, 16, 23], ALL]),
+    # n = 1: ln n = 0, yet every level holds the vertex.
+    (shrinking_hierarchy, 1, 2, 1.0, 0, (), [ALL, ALL, ALL]),
+    (shrinking_hierarchy, 1, 1, 1.0, 0, (0,), [ALL, ALL]),
+    (growing_hierarchy, 1, 2, 1.0, 0, (), [ALL, ALL, ALL]),
+    (growing_hierarchy, 1, 1, 1.0, 0, (0,), [ALL, ALL]),
+    (shrinking_hierarchy, 2, 2, 1.0, 0, (), [ALL, [1], [1]]),
+    (shrinking_hierarchy, 2, 1, 1.0, 0, (0,), [ALL, [0]]),
+    (growing_hierarchy, 2, 2, 1.0, 0, (), [[1], [1], ALL]),
+    (growing_hierarchy, 2, 1, 1.0, 0, (0,), [[0], ALL]),
 ])
 def test_hierarchy_draws_pinned(build, n, k, C, seed, pins, want):
     """The exact levels a plan draws: solver outputs at small C depend on
@@ -70,3 +90,20 @@ def test_hierarchy_draws_pinned(build, n, k, C, seed, pins, want):
 def test_pin_out_of_range():
     with pytest.raises(ValueError):
         shrinking_hierarchy(5, 2, SamplePlan(pinned={9}))
+
+
+_PIN_ENTRY_POINTS = {
+    "single-pair": lambda g, plan: single_pair_allhops(g, 0, 5, 2, plan),
+    "single-source": lambda g, plan: single_source_allhops(g, 0, 2, plan),
+    "all-pairs": all_pairs_allhops,
+    "mn": build_oracle_mn,
+    "mpp": build_oracle_mpp,
+    "bounded": build_oracle_bounded,
+}
+
+
+@pytest.mark.parametrize("entry", sorted(_PIN_ENTRY_POINTS))
+def test_pin_out_of_range_at_every_entry_point(entry):
+    g = gen_random_graph(12, 30, 4, 0, require_no_neg_cycle=True)
+    with pytest.raises(ValueError, match="pinned vertex out of range"):
+        _PIN_ENTRY_POINTS[entry](g, SamplePlan(pinned={99}))

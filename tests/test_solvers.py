@@ -239,3 +239,32 @@ def test_sampled_split_sets_on_long_hop_chains(monkeypatch, seed):
         got, want = run()
         assert np.array_equal(got, want), name
         assert False in flags, f"{name}: no split set smaller than V"
+
+
+def test_all_pairs_rounds_pinned(monkeypatch):
+    """The exact rounds (K_prev, K_new, sample) of all pairs at C = 1.  The
+    table of a chain does not show its samples, so a drifted round shows
+    only here."""
+    rounds = []
+    extend = solvers.extend_hops
+
+    def extend_spy(out, table, rows, mid_rows, mid_cols):
+        rounds.append((table.shape[0] - 1, out.shape[0] - 1, mid_cols.tolist()))
+        return extend(out, table, rows, mid_rows, mid_cols)
+
+    monkeypatch.setattr(solvers, "extend_hops", extend_spy)
+    g = graph_from_edges(40, [(i, i + 1, 1) for i in range(39)])
+    all_pairs_allhops(g, SamplePlan(C=1.0, seed=0))
+    every = list(range(40))
+    assert rounds == [
+        (1, 2, every),
+        (2, 3, every),
+        (3, 4, every),
+        (4, 6, [v for v in every if v not in (7, 10, 16)]),
+        (6, 8, [0, 1, 3, 4, 8, 10, 11, 12, 13, 14, 16, 17, 18, 20, 22, 25, 28, 29, 30, 31,
+                32, 35, 36, 37, 38]),
+        (8, 12, [1, 3, 4, 6, 7, 12, 15, 16, 18, 21, 22, 23, 25, 26, 27, 29, 35, 37, 39]),
+        (12, 18, [0, 7, 11, 14, 15, 17, 20, 22, 23, 26, 29, 31, 33]),
+        (18, 26, [2, 6, 10, 14, 17, 24, 28, 35, 37]),
+        (26, 39, [5, 16, 21, 29, 33, 37]),
+    ]
