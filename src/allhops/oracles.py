@@ -21,6 +21,11 @@ Five kinds share one query contract (d_{<=h}(u,v) for 1 <= h <= n-1):
   `level_size(n, C, 2^j)` vertices, mpp's nested levels are drawn for
   stretches 1.5^j and bounded's for K_j (`nested_samples`), and both
   follow the (3/2) ladder `geometric_ladder`.
+  Settled rows end the work: an extended level copies forward every row
+  that no edge relaxes (`_settled`), and a query scans on each level only
+  the splits up to the last hop at which its tables change, skipping
+  levels that repeat the one below (`LevelOracle.query`).  Neither
+  changes a stored byte or an answer.
 
 Oracles are immutable after build; `query` only touches the work counters.
 A versioned binary snapshot (magic AHDO1) makes build and query separable
@@ -37,7 +42,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .baselines import _bf_multi
+from .baselines import _bf_multi, _edge_groups
 from .graph import Graph, ParseError, reverse, weight_matrix
 from .matrices import identity_rows
 from .minplus import extend_hops, mp_array
@@ -173,6 +178,37 @@ class LevelOracle:
     bwd: list[np.ndarray]
     kstar: int = 0  # bounded's crossover budget; 0 for mn and mpp
     counters: WorkCounters = field(default_factory=WorkCounters)
+    # Per-level query windows, read off the tables (see __post_init__).
+    tf: list[int | None] = field(init=False, repr=False)
+    tb: list[int | None] = field(init=False, repr=False)
+    copies: list[bool] = field(init=False, repr=False)
+
+    def __post_init__(self):
+        """tf[j] / tb[j]: the last hop at which level j's fwd / bwd table
+        changes, so every later slice repeats it.  copies[j]: S_j <= S_{j-1}
+        and level j is level j-1 with its last slice repeated.  Both rest on
+        tables that are non-increasing along the hop axis, as every build
+        makes them.  A level that is not (a hand-edited snapshot) gets
+        tf = tb = None and keeps the full scan, and neither it nor the level
+        above it is a copy."""
+        self.tf, self.tb, self.copies = [], [], []
+        for j, (f, b) in enumerate(zip(self.fwd, self.bwd)):
+            monotone = _non_increasing(f) and _non_increasing(b)
+            self.tf.append(_last_change(f) if monotone else None)
+            self.tb.append(_last_change(b) if monotone else None)
+            self.copies.append(j > 0 and monotone and self._repeats(j))
+
+    def _repeats(self, j: int) -> bool:
+        """Level j is level j-1 restricted to S_j, last slice repeated."""
+        kp, sample, below = self.ks[j - 1], self.samples[j], self.samples[j - 1]
+        if self.tf[j - 1] is None or max(self.tf[j], self.tb[j]) > kp:
+            return False
+        if not np.isin(sample, below).all():
+            return False
+        sel = np.searchsorted(below, sample)
+        return all(
+            np.array_equal(t[j][: kp + 1], t[j - 1][:, sel]) for t in (self.fwd, self.bwd)
+        )
 
     def storage_cells(self) -> int:
         return sum(a.size for a in self.fwd) + sum(a.size for a in self.bwd)
@@ -184,6 +220,15 @@ class LevelOracle:
         answer undercuts d_{<=h}(u, v); a sampled vertex on a shortest walk
         makes it exact.  Level j serves walks longer than K_{j-1} hops, so
         the scan stops at the first level with K_{j-1} > h.
+
+        A level scans only a in [lo, hi], hi = min(h, K_j, tb_j) and
+        lo = max(0, min(h - tf_j, hi)), and copy levels are skipped.  On
+        tables that are non-increasing in the hop, every skipped candidate
+        is at least one still scanned: past tb_j the bwd term is constant
+        and the fwd term only grows; below h - tf_j the fwd term is
+        constant and the bwd term only grows; a copy level's candidates are
+        the level below's with the fwd hop cut at K_{j-1}.  So the answer
+        equals the full scan's.
         """
         _check_query(self.n, u, v, h)
         if u == v:
@@ -192,11 +237,18 @@ class LevelOracle:
         for j, k in enumerate(self.ks):
             if j and self.ks[j - 1] > h:
                 break
-            if self.samples[j].size == 0:
+            if self.copies[j] or self.samples[j].size == 0:
                 continue
-            a = np.arange(min(h, k) + 1)
-            to_s = self.bwd[j][a, :, u]
-            from_s = self.fwd[j][np.minimum(h - a, k), :, v]
+            tf, tb = self.tf[j], self.tb[j]
+            if tf is None:  # full scan
+                a = np.arange(min(h, k) + 1)
+                to_s = self.bwd[j][a, :, u]
+                from_s = self.fwd[j][np.minimum(h - a, k), :, v]
+            else:  # fwd hops h-lo..h-hi; past tf (only when lo == hi) read tf
+                hi = min(h, k, tb)
+                lo = max(0, min(h - tf, hi))
+                to_s = self.bwd[j][lo : hi + 1, :, u]
+                from_s = self.fwd[j][min(h - hi, tf) : min(h - lo, tf) + 1, :, v][::-1]
             self.counters.add_adds(to_s.size)
             best = min(best, (to_s + from_s).min())
         return best
@@ -204,6 +256,16 @@ class LevelOracle:
     def _snapshot(self):
         levels = zip(self.ks, self.samples, self.fwd, self.bwd)
         return self.seed, self.C, self.kstar, [(k, s, [f, b]) for k, s, f, b in levels]
+
+
+def _non_increasing(t: np.ndarray) -> bool:
+    return bool((t[1:] <= t[:-1]).all())
+
+
+def _last_change(t: np.ndarray) -> int:
+    """The last hop whose slice differs from the one before it; 0 if none."""
+    changed = np.flatnonzero((t[1:] != t[:-1]).any(axis=(1, 2)))
+    return int(changed[-1]) + 1 if changed.size else 0
 
 
 def build_oracle_mn(g: Graph, plan: SamplePlan) -> LevelOracle:
@@ -220,17 +282,42 @@ def build_oracle_mn(g: Graph, plan: SamplePlan) -> LevelOracle:
 
 
 def _extend_level(
-    prev: np.ndarray, prev_verts: np.ndarray, verts: np.ndarray, k_new: int
+    prev: np.ndarray, prev_verts: np.ndarray, verts: np.ndarray, k_new: int, edges
 ) -> np.ndarray:
     """d_{<=h}(S_j, V) for h = 0..k_new from the previous level's table
     d_{<=h}(S_{j-1}, V), h = 0..K_{j-1}, splitting at every vertex of
-    S_{j-1} (which contains S_j)."""
+    S_{j-1} (which contains S_j).  Rows that `_settled` finds stable keep
+    their last slice; only the other rows are extended."""
     k_prev = prev.shape[0] - 1
     sel = np.searchsorted(prev_verts, verts)
     out = np.empty((k_new + 1, len(verts), prev.shape[2]))
     out[: k_prev + 1] = prev[:, sel]
-    extend_hops(out, prev, sel, np.arange(len(prev_verts)), prev_verts)
+    live = ~_settled(out[k_prev], edges)
+    out[k_prev + 1 :, ~live] = out[k_prev, ~live]
+    mids = np.arange(len(prev_verts))
+    if live.all():
+        extend_hops(out, prev, sel, mids, prev_verts)
+    elif live.any():
+        part = out[:, live]
+        extend_hops(part, prev, sel[live], mids, prev_verts)
+        out[k_prev + 1 :, live] = part[k_prev + 1 :]
     return out
+
+
+def _settled(rows: np.ndarray, edges) -> np.ndarray:
+    """Rows r = d_{<=K}(s, .) that no edge relaxes: r[v] <= r[x] + w(x, v).
+
+    Since r[s] <= 0, such a row is at most the weight of every walk from s,
+    and each of its entries is the weight of a real walk, so it already is
+    d_{<=h}(s, .) for every h >= K.  Extending it could only return it
+    again, because every extension candidate is a real walk too.  This
+    holds even where a sampled level below missed a walk; on exact tables
+    it covers every row whose slices K-1 and K are equal."""
+    us, ws, heads, starts = edges
+    if not us.size:
+        return np.ones(len(rows), dtype=bool)
+    best = np.minimum.reduceat(rows[:, us] + ws, starts, axis=1)
+    return (rows[:, heads] <= best).all(axis=1)
 
 
 def _build_levels(
@@ -245,12 +332,12 @@ def _build_levels(
     direct = [j == 0 or k <= direct_upto for j, k in enumerate(ks)]
 
     def tables(graph: Graph) -> list[np.ndarray]:
-        out = []
+        out, edges = [], _edge_groups(graph)
         for j, k in enumerate(ks):
             if direct[j]:
                 out.append(_bf_multi(graph, samples[j], k, with_exact=False).le)
             else:
-                out.append(_extend_level(out[-1], samples[j - 1], samples[j], k))
+                out.append(_extend_level(out[-1], samples[j - 1], samples[j], k, edges))
         return out
 
     kstar = direct_upto if kind == "bounded" else 0

@@ -86,6 +86,7 @@ def geometric_ladder(n: int) -> list[int]:
 def nested_samples(n: int, plan: SamplePlan, stretches) -> list[np.ndarray]:
     """S_0 = V, then S_j <= S_{j-1} drawn for stretch stretches[j]; a level
     holds at least one vertex (at n = 1, ln n = 0)."""
+    checked_pins(n, plan.pinned)
     rng = np.random.default_rng(plan.seed)
     samples = [np.arange(n, dtype=np.int64)]
     for q in stretches[1:]:
@@ -119,14 +120,22 @@ def growing_hierarchy(n: int, k: int, plan: SamplePlan) -> SampleHierarchy:
     return SampleHierarchy("growing", tuple(levels), _budgets(n, stretches))
 
 
+def checked_pins(n: int, pinned) -> np.ndarray:
+    """The pinned vertices, sorted; ValueError unless each is in [0, n).
+    Every build that takes a plan checks its pins here, including builds
+    that end up drawing nothing."""
+    pins = np.array(sorted(set(int(v) for v in pinned)), dtype=np.int64)
+    if pins.size and (pins[0] < 0 or pins[-1] >= n):
+        raise ValueError("pinned vertex out of range")
+    return pins
+
+
 def round_sample(
     rng: np.random.Generator, n: int, size: int, pinned=(), within: np.ndarray | None = None
 ) -> np.ndarray:
     """One sorted sample of `size` vertices (clamped), pinned first;
     `within` restricts the pool (used for nested level draws)."""
-    pins = np.array(sorted(set(int(v) for v in pinned)), dtype=np.int64)
-    if pins.size and (pins[0] < 0 or pins[-1] >= n):
-        raise ValueError("pinned vertex out of range")
+    pins = checked_pins(n, pinned)
     pool = np.arange(n, dtype=np.int64) if within is None else np.asarray(within)
     pool = np.setdiff1d(pool, pins)
     count = min(size - pins.size, pool.size)

@@ -43,6 +43,7 @@ from .matrices import MatrixSeq, identity_rows
 from .minplus import conv_window, extend_hops, matseq_convolution
 from .sampling import (
     SamplePlan,
+    checked_pins,
     geometric_ladder,
     growing_hierarchy,
     level_size,
@@ -272,6 +273,7 @@ def all_pairs_allhops(g: Graph, plan: SamplePlan) -> AllHopsTable:
     """
     n = g.n
     _require_no_neg_cycle(g)
+    checked_pins(n, plan.pinned)
     HH = max(1, n - 1)
     le = np.full((HH + 1, n, n), INF)
     le[0] = identity_rows(range(n), n)

@@ -4,7 +4,10 @@ import struct
 import numpy as np
 import pytest
 
+from allhops import oracles
+
 from allhops import (
+    LevelOracle,
     MemoryBudgetError,
     ParseError,
     SamplePlan,
@@ -15,6 +18,7 @@ from allhops import (
     build_oracle_mn,
     build_oracle_mpp,
     build_oracle_powers,
+    build_tree_gadget,
     gen_random_graph,
     graph_from_edges,
     load_oracle,
@@ -332,3 +336,205 @@ def test_counters_track_and_reset():
     o.query(0, 1, 15)
     assert o.counters.adds == 2 * per_query
     assert o.storage_cells() == sum(f.size + b.size for f, b in zip(o.fwd, o.bwd))
+
+
+# ---------------------------------------------------------------------------
+# settled rows and per-level query windows
+
+
+def _full_scan(o, h):
+    """d_{<=h} for every (u, v) by the unwindowed query: every level with
+    K_{j-1} <= h, every split a in [0, min(h, K_j)], no level skipped."""
+    best = np.full((o.n, o.n), np.inf)
+    for j, k in enumerate(o.ks):
+        if j and o.ks[j - 1] > h:
+            break
+        f, b = o.fwd[j], o.bwd[j]
+        for a in range(min(h, k) + 1):
+            cand = (b[a].T[:, :, None] + f[min(h - a, k)][None]).min(axis=1, initial=np.inf)
+            np.minimum(best, cand, out=best)
+    np.fill_diagonal(best, 0)
+    return best
+
+
+def _assert_answers(o, want):
+    """o.query(u, v, h) == want[h][u, v] for every u, v and h = 1..n-1."""
+    for h in range(1, o.n):
+        for u in range(o.n):
+            for v in range(o.n):
+                assert o.query(u, v, h) == want[h][u, v], (o.kind, u, v, h)
+
+
+def _small_chain_dag(n, seed):
+    """A Hamiltonian path of weight -1 per edge plus n heavier forward
+    chords: d_<=h keeps improving up to h = n - 1."""
+    rng = np.random.default_rng(seed)
+    order = rng.permutation(n)
+    edges = [(int(order[i]), int(order[i + 1]), -1) for i in range(n - 1)]
+    chords = set()
+    while len(chords) < n:
+        i, j = sorted(rng.integers(0, n, size=2).tolist())
+        if j > i + 1:
+            chords.add((i, j))
+    edges += [(int(order[i]), int(order[j]), int(rng.integers(0, 2 * n))) for i, j in sorted(chords)]
+    return graph_from_edges(n, edges, declared_M=2 * n)
+
+
+_WINDOW_GRAPHS = {
+    "sparse": lambda: gen_random_graph(20, 60, 6, 1, require_no_neg_cycle=True),
+    "chain": lambda: _small_chain_dag(20, 0),
+    "tree": lambda: build_tree_gadget(3).graph,
+}
+
+
+@pytest.mark.parametrize("C", [1.0, 4.0])
+@pytest.mark.parametrize("family", sorted(_WINDOW_GRAPHS))
+def test_query_window_equals_full_scan(family, C):
+    """The windowed query (cut splits, skipped copy levels) answers every
+    (u, v, h) as the full scan does, and both equal apah_brute."""
+    g = _WINDOW_GRAPHS[family]()
+    brute = apah_brute(g, with_exact=False).le
+    for build in (build_oracle_mn, build_oracle_mpp, build_oracle_bounded):
+        o = build(g, SamplePlan(C=C, seed=2))
+        full = [None] + [_full_scan(o, h) for h in range(1, g.n)]
+        for h in range(1, g.n):
+            assert np.array_equal(full[h], brute[h]), (o.kind, h)
+        _assert_answers(o, full)
+
+
+def _random_level_oracle(rng, n):
+    """A LevelOracle over random tables that are non-increasing in the hop
+    and freeze at a random hop per level, with random (sometimes nested,
+    sometimes repeated, sometimes empty) levels and budgets from 0, as a
+    snapshot may hold: not the tables of any graph, so splits rarely tie."""
+    ks, samples, fwd, bwd = [], [], [], []
+    for j in range(int(rng.integers(1, 6))):
+        k = int(rng.integers(0, n)) if not ks else int(rng.integers(ks[-1], n + 2))
+        if ks and rng.random() < 0.3:  # the level below, last slice repeated
+            sel = np.sort(rng.choice(len(samples[-1]), size=rng.integers(0, len(samples[-1]) + 1),
+                                     replace=False))
+            kp, s = ks[-1], samples[-1][sel]
+            tabs = [np.concatenate([t[:, sel], np.repeat(t[kp:, sel], k - kp, axis=0)])
+                    for t in (fwd[-1], bwd[-1])]
+        else:
+            s = np.sort(rng.choice(n, size=int(rng.integers(0, n + 1)), replace=False))
+            tabs = []
+            for _ in range(2):
+                t = rng.integers(-20, 40, size=(k + 1, s.size, n)).astype(float)
+                t[rng.random(t.shape) < 0.2] = np.inf
+                t = np.minimum.accumulate(t, axis=0)
+                freeze = int(rng.integers(0, k + 1))
+                t[freeze:] = t[freeze]
+                tabs.append(t)
+        ks.append(k)
+        samples.append(s)
+        fwd.append(tabs[0])
+        bwd.append(tabs[1])
+    return LevelOracle("mpp", n, 0, 1.0, ks, samples, fwd, bwd)
+
+
+def test_query_window_on_random_monotone_tables():
+    """The window and the copy skip rest only on monotone tables; on random
+    ones, where a single split is often the only optimum, every answer
+    still equals the full scan's."""
+    rng = np.random.default_rng(4)
+    copies = 0
+    for _ in range(60):
+        o = _random_level_oracle(rng, int(rng.integers(2, 9)))
+        copies += sum(o.copies)
+        _assert_answers(o, [None] + [_full_scan(o, h) for h in range(1, o.n)])
+    assert copies > 0
+
+
+def test_settled_rows_never_change_a_table():
+    """Copying settled rows forward gives the tables that extending every
+    row gives, also above a level whose sample missed a shortest walk
+    (depth-4 tree gadget, C = 1: level 6 of mpp is not exact)."""
+    g = build_tree_gadget(4).graph
+    plan = SamplePlan(C=1.0, seed=0)
+    copied = build_oracle_mpp(g, plan)
+    brute = apah_brute(g, with_exact=False).le
+    assert not np.array_equal(copied.fwd[6], brute[: copied.ks[6] + 1, copied.samples[6]])
+    settled = []
+    real = oracles._settled
+
+    def never(rows, edges):
+        settled.append(int(real(rows, edges).sum()))
+        return np.zeros(len(rows), dtype=bool)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(oracles, "_settled", never)
+        extended = build_oracle_mpp(g, plan)
+    assert sum(settled) > 0
+    for a, b in zip(copied.fwd + copied.bwd, extended.fwd + extended.bwd):
+        assert np.array_equal(a, b)
+
+
+def _cell_offset(blob, level, array, hop, row, col):
+    """Byte offset of one int64 cell of a LevelOracle snapshot (AHDO1)."""
+    n = struct.unpack_from("<I", blob, 6)[0]
+    pos = 38  # magic(5) + "<BIQdqI"(33)
+    for j in range(level + 1):
+        budget, size = struct.unpack_from("<II", blob, pos)
+        pos += 8 + 8 * size + 4
+        for i in range(2):
+            pos += 4 + 8 * 3
+            if (j, i) == (level, array):
+                return pos + 8 * ((hop * size + row) * n + col)
+            pos += 8 * (budget + 1) * size * n
+    raise AssertionError("no such level")
+
+
+def test_non_monotone_snapshot_keeps_the_full_scan():
+    """A hand-edited snapshot whose tables grow along the hop axis loads,
+    and every answer equals the full scan over its (edited) tables."""
+    g = gen_random_graph(24, 72, 6, 1, require_no_neg_cycle=True)
+    o = build_oracle_mpp(g, SamplePlan(C=4.0, seed=2))
+    j = 5  # K_5 = 8 < n - 1, every row settled by hop 9
+    blob = save_oracle(o)
+    at = _cell_offset(blob, j, 1, 0, 3, 7)  # bwd hop 0: d_<=0(7, s_3)
+    edited = load_oracle(_patch(blob, at, "<q", -100))
+    assert edited.bwd[j][0, 3, 7] == -100
+    assert edited.tf[j] is None and edited.tb[j] is None
+    assert not edited.copies[j + 1]
+    full = [None] + [_full_scan(edited, h) for h in range(1, g.n)]
+    assert any(full[h][7, v] != o.query(7, v, h) for h in range(9, g.n) for v in range(g.n) if v != 7)
+    _assert_answers(edited, full)
+
+
+# sha256 of save_oracle at the default C = 4 on a sparse graph whose
+# tables settle at H* = 9: the levels with K_j = 12, 18, 26 and 39 hold
+# only settled rows.  Computed before settled rows were copied forward.
+GOLDEN_SETTLED = {
+    "mpp": "55bfc12ebdc709ac2459f78644db108c4e19dfb6a555cb7ee036fcc8395bdc5c",
+    "bounded": "389a94fb9aa8e53ea3f8d39063b57d8e06cfa72dfd3a0a9506dd6d011cfa0764",
+}
+
+
+def test_settled_levels_golden_sha256():
+    g = gen_random_graph(40, 160, 8, 3, require_no_neg_cycle=True)
+    brute = apah_brute(g, with_exact=False).le
+    for build in (build_oracle_mpp, build_oracle_bounded):
+        o = build(g, SamplePlan())
+        assert hashlib.sha256(save_oracle(o)).hexdigest() == GOLDEN_SETTLED[o.kind], o.kind
+        for k, s, f, b in zip(o.ks, o.samples, o.fwd, o.bwd):
+            assert np.array_equal(f, brute[: k + 1, s, :]), (o.kind, k)
+            assert np.array_equal(b, brute[: k + 1][:, :, s].transpose(0, 2, 1)), (o.kind, k)
+        assert sum(o.copies) >= 3, o.kind
+
+
+def test_query_work_guard():
+    """Additions per query on a fixed n = 64 sparse graph, counted, not
+    timed: the full scan took ~4-5k; the windows take under 1k."""
+    g = gen_random_graph(64, 256, 8, 4, require_no_neg_cycle=True)
+    rng = np.random.default_rng(0)
+    triples = np.column_stack([rng.integers(0, 64, 600), rng.integers(0, 64, 600),
+                               rng.integers(1, 64, 600)]).tolist()
+    for build in (build_oracle_mn, build_oracle_mpp):
+        o = build(g, SamplePlan())
+        o.counters.reset()
+        for u, v, h in triples:
+            o.query(u, v, h)
+        assert o.counters.adds / len(triples) < 1500, o.kind
+        if o.kind == "mpp":
+            assert any(o.copies)

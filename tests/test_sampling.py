@@ -10,6 +10,7 @@ from allhops import (
     build_oracle_mn,
     build_oracle_mpp,
     gen_random_graph,
+    graph_from_edges,
     growing_hierarchy,
     shrinking_hierarchy,
     single_pair_allhops,
@@ -107,3 +108,22 @@ def test_pin_out_of_range_at_every_entry_point(entry):
     g = gen_random_graph(12, 30, 4, 0, require_no_neg_cycle=True)
     with pytest.raises(ValueError, match="pinned vertex out of range"):
         _PIN_ENTRY_POINTS[entry](g, SamplePlan(pinned={99}))
+
+
+# Builds that draw no sample: mpp and bounded at n <= 2 (the ladder is
+# [1]), all pairs on a graph whose hop-1 table is already stable.
+_NO_DRAW_CASES = {
+    "mpp-n1": lambda: build_oracle_mpp(graph_from_edges(1, []), SamplePlan(pinned={99})),
+    "mpp-n2": lambda: build_oracle_mpp(graph_from_edges(2, [(0, 1, 3)]), SamplePlan(pinned={2})),
+    "bounded-n2": lambda: build_oracle_bounded(
+        graph_from_edges(2, [(0, 1, 3)], declared_M=3), SamplePlan(pinned={99})
+    ),
+    "all-pairs-no-edges": lambda: all_pairs_allhops(graph_from_edges(4, []), SamplePlan(pinned={99})),
+    "all-pairs-n2": lambda: all_pairs_allhops(graph_from_edges(2, [(0, 1, 3)]), SamplePlan(pinned={-1})),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_NO_DRAW_CASES))
+def test_pin_out_of_range_when_nothing_is_drawn(case):
+    with pytest.raises(ValueError, match="pinned vertex out of range"):
+        _NO_DRAW_CASES[case]()
