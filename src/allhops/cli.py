@@ -28,7 +28,7 @@ from .graph import (
     render_graph,
 )
 from .matrices import MatrixSeq
-from .minplus import matseq_convolution
+from .minplus import conv_window, conv_window_numpy, matseq_convolution
 from .oracles import (
     MemoryBudgetError,
     build_oracle_bf,
@@ -475,7 +475,14 @@ def _cmd_selftest(args) -> int:
         A, B = rand_seq(), rand_seq()
         if matseq_convolution(A, B, "polynomial", M) != matseq_convolution(A, B, "naive"):
             ok = False
-    report("kernel equivalence", ok)
+        # the active conv_window backend against the numpy reference, on
+        # windows past both ends of the output and with one split per hop
+        for lo, hi in ((-1, 2 * length), (length - 1, length)):
+            for one_split in (False, True):
+                got = conv_window(A.data, B.data, lo, hi, one_split=one_split)
+                want = conv_window_numpy(A.data, B.data, lo, hi, one_split=one_split)
+                ok &= np.array_equal(got, want)
+    report("kernel equivalence", bool(ok))
 
     if failures:
         raise VerificationError(f"{failures} selftest suite(s) failed")

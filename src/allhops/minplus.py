@@ -14,6 +14,17 @@ the oracle levels that extend from S_{j-1} = V), the kernel takes one split
 per output hop (`one_split`), which on exact prefix tables equals taking
 every split.
 
+`conv_window` has two backends with the same bits, because every sum is an
+exact integer in float64.  The compiled one is a fused C loop per output
+row (`s = a + b; o = s < o ? s : o` straight into the output, skipping
++inf left entries), built with the system C compiler on the first kernel
+call, never at import, and loaded with ctypes.  The library is cached per
+user under $XDG_CACHE_HOME/allhops (default ~/.cache/allhops, else a
+private directory in the temp dir), keyed by the sha256 of the source, the
+compiler, the flags and the CPU.  Whenever it cannot be built or loaded,
+the kernel silently runs `conv_window_numpy`, the numpy loop that is also
+the reference the tests compare against.
+
 `matseq_convolution` additionally has a `polynomial` strategy that encodes
 entries as bivariate boolean polynomials (x-degree = hop index, y-degree =
 shifted entry value), multiplies the polynomial matrices, and reads the
@@ -23,6 +34,12 @@ the window.  Strategies must agree entry-for-entry.
 
 from __future__ import annotations
 
+import ctypes
+import importlib
+import os
+import shutil
+import tempfile
+
 import numpy as np
 
 from .matrices import DistMatrix, MatrixSeq
@@ -30,7 +47,7 @@ from .values import INF
 
 MATSEQ_STRATEGIES = ("naive", "polynomial")
 
-# Temp-array budget for the kernel: ~32 MB of float64 per chunk.
+# Temp-array budget for the numpy loop: ~32 MB of float64 per chunk.
 _CHUNK_CELLS = 1 << 22
 
 
@@ -56,12 +73,11 @@ def conv_window(
 
         out[z - lo] = min over x + y = z of a3[x] (x) b3[y]
 
-    An output hop that no (x, y) pair reaches is +inf.  B is stacked once
-    as (K, lb*C), so for each left hop x the matching y form one contiguous
-    column block and x costs one (R x K) by (K x ny*C) product.  That
-    product accumulates over the inner index k with two in-place ufuncs
-    into a reused buffer, then is minned into out[x+y].  Every sum is an
-    exact integer, so the evaluation order cannot change a value.
+    An output hop that no (x, y) pair reaches is +inf; a window with
+    hi < lo is empty.  Runs the compiled loop when it builds and loads
+    (see `_compiled_kernel`), else `conv_window_numpy`; both give the same
+    bits, because every sum is an exact integer, so the evaluation order
+    cannot change a value.
 
     `one_split` takes a single pair per output hop: x = min(la-1, z) and
     y = z - x.  The left hops x < la-1 then only feed y = 0, and every
@@ -71,11 +87,40 @@ def conv_window(
     the same value, d_{<=a} (x) d_{<=b} = d_{<=a+b}, because a walk of at
     most a + b hops splits at its vertex after min(a, length) hops.
     """
-    la, R, K = a3.shape
-    lb, K2, C = b3.shape
-    if K != K2:
+    kernel = _compiled_kernel() if _BACKEND == "c" else None
+    if kernel is None:
+        return conv_window_numpy(a3, b3, lo, hi, one_split=one_split)
+    out = _window_out(a3, b3, lo, hi)
+    if out.size and a3.shape[2]:
+        la, R, K = a3.shape
+        lb, _, C = b3.shape
+        a = np.ascontiguousarray(a3, dtype=np.float64)
+        b = np.ascontiguousarray(b3, dtype=np.float64)
+        kernel(a, b, out, la, R, K, lb, C, lo, hi, bool(one_split))
+    return out
+
+
+def _window_out(a3: np.ndarray, b3: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """The all-+inf (hi-lo+1, R, C) output of `conv_window`."""
+    if a3.shape[2] != b3.shape[1]:
         raise ValueError("inner index sets do not match")
-    out = np.full((max(0, hi - lo + 1), R, C), INF)
+    return np.full((max(0, hi - lo + 1), a3.shape[1], b3.shape[2]), INF)
+
+
+def conv_window_numpy(
+    a3: np.ndarray, b3: np.ndarray, lo: int, hi: int, *, one_split: bool = False
+) -> np.ndarray:
+    """`conv_window` in numpy: the reference the compiled loop is tested
+    against, and its fallback.
+
+    B is stacked once as (K, lb*C), so for each left hop x the matching y
+    form one contiguous column block and x costs one (R x K) by (K x ny*C)
+    product.  That product accumulates over the inner index k with two
+    in-place ufuncs into a reused buffer, then is minned into out[x+y].
+    """
+    out = _window_out(a3, b3, lo, hi)
+    la, R, K = a3.shape
+    lb, _, C = b3.shape
     width = min(lb, out.shape[0]) * C  # widest column block
     if K == 0 or width == 0:
         return out
@@ -103,6 +148,153 @@ def conv_window(
             blk = dst[:, r0 : r0 + step]
             np.minimum(blk, acc.reshape(len(acc), -1, C).transpose(1, 0, 2), out=blk)
     return out
+
+
+# ---------------------------------------------------------------------------
+# compiled backend
+
+# "c": `conv_window` runs the C loop below, built on first use, or the numpy
+# loop when no C loop can be built or loaded; "numpy": always the numpy loop.
+_BACKEND = "c"
+_CC = "cc"
+# No -ffast-math: it lets the compiler assume that no value is infinite, and
+# +inf is the no-path value.  -march=native ties the build to this CPU, so
+# the cache key holds the CPU's feature flags.
+_CFLAGS = ("-O3", "-march=native", "-shared", "-fPIC")
+_C_SOURCE = r"""
+#include <math.h>
+#include <stdint.h>
+
+/* out[z-lo] = min(out[z-lo], min over x+y=z of a[x] (x) b[y]), z in [lo, hi].
+   a is (la,R,K), b is (lb,K,C), out is (hi-lo+1,R,C), all C-contiguous. */
+void conv_window(const double *restrict a, const double *restrict b,
+                 double *restrict out, int64_t la, int64_t R, int64_t K,
+                 int64_t lb, int64_t C, int64_t lo, int64_t hi, int one_split)
+{
+    for (int64_t z = lo; z <= hi; z++) {
+        int64_t x0 = z - lb + 1 > 0 ? z - lb + 1 : 0;
+        int64_t x1 = z < la - 1 ? z : la - 1;
+        if (one_split && x0 < x1)
+            x0 = x1;
+        for (int64_t r = 0; r < R; r++) {
+            double *restrict o = out + ((z - lo) * R + r) * C;
+            for (int64_t x = x0; x <= x1; x++) {
+                const double *ar = a + (x * R + r) * K;
+                const double *by = b + (z - x) * K * C;
+                for (int64_t k = 0; k < K; k++) {
+                    const double s0 = ar[k];
+                    if (s0 == INFINITY)  /* inf + b never lowers a minimum */
+                        continue;
+                    const double *bk = by + k * C;
+                    for (int64_t c = 0; c < C; c++) {
+                        const double s = s0 + bk[c];
+                        o[c] = s < o[c] ? s : o[c];
+                    }
+                }
+            }
+        }
+    }
+}
+"""
+
+_kernel = None  # the loaded C function; False once building or loading failed
+
+
+def _compiled_kernel():
+    """The C `conv_window`, built and loaded on the first call; None when
+    that fails, for whatever reason (no compiler, no writable cache, a
+    failed compile or load), so that the caller runs the numpy loop."""
+    global _kernel
+    if _kernel is None:
+        try:
+            _kernel = _load_kernel()
+        except OSError:
+            _kernel = False
+    return _kernel or None
+
+
+def _load_kernel():
+    if os.name != "posix":
+        raise OSError("the compiled kernel is built on POSIX systems only")
+    cc = shutil.which(_CC)
+    if cc is None:
+        raise FileNotFoundError(f"no C compiler {_CC!r}")
+    st = os.stat(cc)
+    ident = [_C_SOURCE, os.path.realpath(cc), str(st.st_size), str(st.st_mtime_ns),
+             *_CFLAGS, os.uname().machine, _cpu_flags()]
+    key = _sha256("\0".join(ident).encode("utf-8", "surrogateescape"))[:32]
+    path = os.path.join(_cache_dir(), f"conv_window-{key}.so")
+    try:
+        lib = ctypes.CDLL(path)
+    except OSError:  # not built yet, or a damaged file: build it (again)
+        _compile(cc, path)
+        lib = ctypes.CDLL(path)
+    fn = lib.conv_window
+    f64 = np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS")
+    fn.argtypes = [f64, f64, f64] + [ctypes.c_int64] * 7 + [ctypes.c_int]
+    fn.restype = None
+    return fn
+
+
+def _compile(cc: str, path: str) -> None:
+    """Build the library into a private temp directory next to `path`, then
+    move it into place, so that concurrent builds never expose a partial file.
+    A failed build is an OSError, like every other way the backend fails."""
+    import subprocess  # only on a cold cache: it adds ~0.6 MB to every process
+
+    with tempfile.TemporaryDirectory(dir=os.path.dirname(path)) as tmp:
+        src, lib = os.path.join(tmp, "conv_window.c"), os.path.join(tmp, "conv_window.so")
+        with open(src, "w") as f:
+            f.write(_C_SOURCE)
+        try:
+            subprocess.run([cc, *_CFLAGS, "-o", lib, src], check=True, capture_output=True,
+                           timeout=120)
+        except subprocess.SubprocessError as e:
+            raise OSError(f"building the compiled kernel failed: {e}") from e
+        os.replace(lib, path)
+
+
+def _cache_dir() -> str:
+    """The first usable of $XDG_CACHE_HOME/allhops (default ~/.cache/allhops)
+    and <tempdir>/allhops-<uid>, made if missing.  A directory is usable when
+    it is an absolute path, ours and writable by nobody else, because a
+    library loaded from it runs as us."""
+    base = os.environ.get("XDG_CACHE_HOME") or os.path.join(os.path.expanduser("~"), ".cache")
+    uid = os.getuid()
+    for d in (os.path.join(base, "allhops"),
+              os.path.join(tempfile.gettempdir(), f"allhops-{uid}")):
+        if not os.path.isabs(d):
+            continue
+        try:
+            os.makedirs(d, mode=0o700, exist_ok=True)
+            st = os.stat(d)
+        except OSError:
+            continue
+        if st.st_uid == uid and not st.st_mode & 0o022 and os.access(d, os.W_OK):
+            return d
+    raise PermissionError("no usable cache directory for the compiled kernel")
+
+
+def _sha256(data: bytes) -> str:
+    """Hex sha256 from the interpreter's own module where it has one
+    (`_sha2` from Python 3.12, `_sha256` before): hashlib loads OpenSSL,
+    which added ~4 MB to the resident set of a CLI run."""
+    for name in ("_sha2", "_sha256"):
+        try:
+            return importlib.import_module(name).sha256(data).hexdigest()
+        except ImportError:
+            continue
+    import hashlib
+
+    return hashlib.sha256(data).hexdigest()
+
+
+def _cpu_flags() -> str:
+    try:
+        with open("/proc/cpuinfo") as f:
+            return next((line for line in f if line.startswith(("flags", "Features"))), "")
+    except OSError:
+        return ""
 
 
 def extend_hops(

@@ -37,7 +37,6 @@ from __future__ import annotations
 import io
 import math
 import struct
-import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -60,24 +59,16 @@ class MemoryBudgetError(MemoryError):
 
 @dataclass
 class WorkCounters:
-    """Contention-safe work tallies; queries may run concurrently."""
+    """Work tallies of one oracle: additions made by queries, Bellman-Ford
+    relaxations made by the build.  Plain counters: nothing in the package
+    queries one oracle from several threads."""
 
     adds: int = 0
     relaxations: int = 0
-    _lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
-
-    def add_adds(self, count: int) -> None:
-        with self._lock:
-            self.adds += count
-
-    def add_relaxations(self, count: int) -> None:
-        with self._lock:
-            self.relaxations += count
 
     def reset(self) -> None:
-        with self._lock:
-            self.adds = 0
-            self.relaxations = 0
+        self.adds = 0
+        self.relaxations = 0
 
 
 def _check_query(n: int, u: int, v: int, h: int) -> None:
@@ -249,7 +240,7 @@ class LevelOracle:
                 lo = max(0, min(h - tf, hi))
                 to_s = self.bwd[j][lo : hi + 1, :, u]
                 from_s = self.fwd[j][min(h - hi, tf) : min(h - lo, tf) + 1, :, v][::-1]
-            self.counters.add_adds(to_s.size)
+            self.counters.adds += to_s.size
             best = min(best, (to_s + from_s).min())
         return best
 
@@ -344,8 +335,8 @@ def _build_levels(
     oracle = LevelOracle(
         kind, g.n, plan.seed, plan.C, ks, samples, tables(g), tables(reverse(g)), kstar
     )
-    oracle.counters.add_relaxations(
-        sum(2 * g.m * k * s.size for k, s, d in zip(ks, samples, direct) if d)
+    oracle.counters.relaxations += sum(
+        2 * g.m * k * s.size for k, s, d in zip(ks, samples, direct) if d
     )
     return oracle
 

@@ -4,6 +4,7 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from allhops.cli import main
@@ -263,6 +264,24 @@ def test_selftest_runs_green(capsys):
     assert code == 0
     lines = [l for l in out.splitlines() if l.startswith("selftest")]
     assert lines and all(l.endswith("ok") for l in lines)
+
+
+def test_selftest_fails_on_a_wrong_kernel(capsys, monkeypatch):
+    """A compiled kernel that disagrees with the numpy reference fails the
+    kernel suite, also where the polynomial strategy cannot see it: this
+    one is off by one only when it takes one split per output hop."""
+    from allhops import minplus
+
+    def wrong_one_split(a, b, out, la, R, K, lb, C, lo, hi, one_split):
+        out[:] = minplus.conv_window_numpy(a, b, lo, hi, one_split=bool(one_split))
+        if one_split:
+            out[out < np.inf] += 1
+
+    monkeypatch.setattr(minplus, "_BACKEND", "c")
+    monkeypatch.setattr(minplus, "_kernel", wrong_one_split)
+    code, out, err = run_cli(capsys, "selftest")
+    assert code == 3 and "selftest suite(s) failed" in err
+    assert "selftest kernel equivalence: FAILED" in out
 
 
 # Record output (`u v h d` tables, oracle answers, `h d` pairs) pinned byte

@@ -1,0 +1,157 @@
+"""Building, caching and falling back from the compiled `conv_window`.
+
+Every case must give the numpy reference's outputs, let no exception
+escape and keep the CLI at exit 0."""
+
+import os
+import shlex
+import shutil
+import subprocess
+import sys
+import tempfile
+
+import numpy as np
+import pytest
+
+from allhops import gen_random_graph, render_graph
+from allhops import minplus
+from allhops.cli import main
+
+REAL_CC = shutil.which(minplus._CC)
+needs_cc = pytest.mark.skipif(REAL_CC is None, reason="no C compiler")
+
+
+@pytest.fixture
+def cold(monkeypatch, tmp_path):
+    """A process state that has not tried to load the kernel, with the
+    cache and the temp-dir fallback under tmp_path."""
+    monkeypatch.setattr(minplus, "_kernel", None)
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "xdg"))
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path / "tmp"))
+    (tmp_path / "tmp").mkdir()
+    return tmp_path
+
+
+@pytest.fixture
+def graph_path(tmp_path):
+    p = tmp_path / "g.el"
+    p.write_text(render_graph(gen_random_graph(14, 40, 4, 3, require_no_neg_cycle=True)))
+    return str(p)
+
+
+def _stacks():
+    rng = np.random.default_rng(5)
+    out = []
+    for la, lb, R, K, C in ((3, 4, 5, 6, 7), (1, 1, 1, 9, 1), (4, 2, 3, 0, 2)):
+        a = rng.integers(-9, 10, size=(la, R, K)).astype(float)
+        b = rng.integers(-9, 10, size=(lb, K, C)).astype(float)
+        a[rng.random(a.shape) < 0.3] = np.inf
+        b[rng.random(b.shape) < 0.3] = np.inf
+        out.append((a, b))
+    return out
+
+
+def _assert_reference_outputs():
+    for a, b in _stacks():
+        top = len(a) + len(b)
+        for one_split in (False, True):
+            got = minplus.conv_window(a, b, -1, top, one_split=one_split)
+            want = minplus.conv_window_numpy(a, b, -1, top, one_split=one_split)
+            assert np.array_equal(got, want)
+
+
+def _cli_stdout(capsys, monkeypatch, graph_path, backend):
+    with monkeypatch.context() as mp:
+        mp.setattr(minplus, "_BACKEND", backend)
+        code = main(["single-source", "--graph", graph_path, "--s", "0"])
+    out, err = capsys.readouterr()
+    assert code == 0 and err == ""
+    return out
+
+
+@pytest.mark.parametrize("compiler", ["missing", "failing"])
+def test_broken_compiler_falls_back(cold, capsys, monkeypatch, graph_path, compiler):
+    cc = cold / "cc"
+    if compiler == "failing":
+        cc.write_text("#!/bin/sh\necho 'cc: internal error' >&2\nexit 1\n")
+        cc.chmod(0o755)
+    monkeypatch.setattr(minplus, "_CC", str(cc))
+    want = _cli_stdout(capsys, monkeypatch, graph_path, "numpy")
+    assert _cli_stdout(capsys, monkeypatch, graph_path, "c") == want
+    assert minplus._kernel is False
+    _assert_reference_outputs()
+
+
+def test_unusable_cache_falls_back(cold, capsys, monkeypatch, graph_path):
+    """Both cache directories sit under a regular file, so neither can be
+    made, not even by root."""
+    blocker = cold / "file"
+    blocker.write_text("")
+    monkeypatch.setenv("XDG_CACHE_HOME", str(blocker / "xdg"))
+    monkeypatch.setattr(tempfile, "tempdir", str(blocker / "tmp"))
+    want = _cli_stdout(capsys, monkeypatch, graph_path, "numpy")
+    assert _cli_stdout(capsys, monkeypatch, graph_path, "c") == want
+    assert minplus._kernel is False
+    _assert_reference_outputs()
+
+
+@needs_cc
+def test_unusable_user_cache_builds_in_the_temp_dir(cold, monkeypatch):
+    blocker = cold / "file"
+    blocker.write_text("")
+    monkeypatch.setenv("XDG_CACHE_HOME", str(blocker / "xdg"))
+    _assert_reference_outputs()
+    assert minplus._kernel
+    built = os.listdir(cold / "tmp" / f"allhops-{os.getuid()}")
+    assert len(built) == 1 and built[0].endswith(".so")
+
+
+# Runs in a fresh process: builds or loads the kernel with the compiler
+# given as argv[1], checks it against the numpy reference, then runs the
+# CLI on argv[2:] with the compiled backend.
+_CHILD = """
+import sys
+import numpy as np
+from allhops import minplus
+from allhops.cli import main
+assert minplus._kernel is None, "importing allhops tried the kernel"
+minplus._CC = sys.argv[1]
+assert minplus._compiled_kernel() is not None, "kernel not loaded"
+a = np.arange(24.0).reshape(2, 3, 4) - 9
+b = np.arange(40.0).reshape(2, 4, 5) % 7 - 3
+a[0, 1] = np.inf
+for s in (False, True):
+    got = minplus.conv_window(a, b, -1, 3, one_split=s)
+    assert np.array_equal(got, minplus.conv_window_numpy(a, b, -1, 3, one_split=s))
+sys.exit(main(sys.argv[2:]))
+"""
+
+
+@needs_cc
+def test_cache_reuse_and_truncated_library(cold, capsys, monkeypatch, graph_path):
+    """A cold cache builds once; a fresh process loads the cached library
+    without running the compiler; a truncated library is rebuilt."""
+    log = cold / "cc.log"
+    spy = cold / "spycc"
+    spy.write_text(f"#!/bin/sh\necho run >> {shlex.quote(str(log))}\n"
+                   f"exec {shlex.quote(REAL_CC)} \"$@\"\n")
+    spy.chmod(0o755)
+    env = dict(os.environ, XDG_CACHE_HOME=str(cold / "xdg"))
+    cli = ["single-source", "--graph", graph_path, "--s", "0"]
+    want = _cli_stdout(capsys, monkeypatch, graph_path, "numpy")
+
+    def child():
+        out = subprocess.run([sys.executable, "-c", _CHILD, str(spy), *cli],
+                             capture_output=True, text=True, env=env, timeout=300)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout == want and out.stderr == ""
+        return len(log.read_text().splitlines())
+
+    assert child() == 1
+    assert child() == 1
+    cache = cold / "xdg" / "allhops"
+    (lib,) = [p for p in cache.iterdir() if p.suffix == ".so"]
+    lib.write_bytes(lib.read_bytes()[:100])
+    assert child() == 2
+    assert child() == 2
+    assert [p.suffix for p in cache.iterdir()] == [".so"]

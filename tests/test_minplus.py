@@ -21,6 +21,15 @@ from allhops.minplus import conv_window, extend_hops
 from _brute import brute_matseq_conv, brute_minplus
 
 ENTRY = st.one_of(st.integers(-8, 8), st.just(INF))
+# The `conv_window` backend the tests of a module run on: here the default,
+# which is the compiled loop wherever it builds; `test_minplus_numpy.py`
+# collects every test of this module again on the numpy reference.
+BACKEND = "c"
+
+
+@pytest.fixture(autouse=True)
+def backend(request, monkeypatch):
+    monkeypatch.setattr(minplus, "_BACKEND", request.module.BACKEND)
 
 
 def _mat(vals):
@@ -197,6 +206,7 @@ def _stack(rng, length, rows, cols):
 @pytest.mark.parametrize("la,lb,R,K,C", [
     (3, 3, 2, 3, 2), (4, 2, 3, 2, 2), (1, 5, 2, 3, 3), (5, 1, 2, 2, 1),
     (3, 4, 1, 3, 2), (3, 2, 2, 3, 1), (2, 3, 1, 2, 1), (3, 3, 2, 0, 2),
+    (1, 1, 1, 1, 1), (2, 3, 1, 0, 1), (3, 2, 4, 5, 6),
 ])
 @pytest.mark.parametrize("chunk", [None, 1])
 def test_conv_window_matches_brute_every_window(monkeypatch, la, lb, R, K, C, chunk):
@@ -212,6 +222,49 @@ def test_conv_window_matches_brute_every_window(monkeypatch, la, lb, R, K, C, ch
         for hi in range(lo, top + 1):
             got = conv_window(a3, b3, lo, hi)
             assert np.array_equal(got, _brute_window(a3, b3, lo, hi)), (lo, hi)
+
+
+def test_conv_window_non_contiguous_inputs():
+    """Transposed and strided views, like the single-source combine's
+    `ex[1:][:, :, verts].transpose(0, 2, 1)`, give the values of their
+    contiguous copies."""
+    rng = np.random.default_rng(11)
+    ex = _stack(rng, 5, 7, 7)
+    verts = np.array([1, 4, 6])
+    a3 = ex[1:][:, :, verts].transpose(0, 2, 1)  # (4, 3, 7)
+    b3 = _stack(rng, 6, 14, 5)[::2, ::2]  # (3, 7, 5)
+    assert not (a3.flags.c_contiguous or b3.flags.c_contiguous)
+    for lo, hi in ((0, 5), (-1, 7), (2, 3)):
+        for one_split, brute in ((False, _brute_window), (True, _brute_one_split)):
+            got = conv_window(a3, b3, lo, hi, one_split=one_split)
+            assert np.array_equal(got, brute(a3, b3, lo, hi)), (lo, hi, one_split)
+            want = conv_window(a3.copy(), b3.copy(), lo, hi, one_split=one_split)
+            assert np.array_equal(got, want), (lo, hi, one_split)
+
+
+def test_conv_window_inf_rows_and_negative_entries():
+    """Rows of A and columns of B that are entirely +inf stay +inf in the
+    output; negative entries sum exactly."""
+    rng = np.random.default_rng(12)
+    a3 = -rng.integers(0, 9, size=(3, 4, 5)).astype(float)
+    b3 = rng.integers(-9, 9, size=(3, 5, 6)).astype(float)
+    a3[:, 1] = INF
+    a3[1, 3] = INF
+    b3[:, :, 2] = INF
+    b3[2] = INF
+    got = conv_window(a3, b3, 0, 4)
+    assert np.array_equal(got, _brute_window(a3, b3, 0, 4))
+    assert np.isinf(got[:, 1]).all() and np.isinf(got[:, :, 2]).all()
+    assert (got[np.isfinite(got)] < 0).any()
+
+
+@pytest.mark.parametrize("one_split", [False, True])
+def test_conv_window_empty_window(one_split):
+    rng = np.random.default_rng(13)
+    a3, b3 = _stack(rng, 3, 2, 4), _stack(rng, 2, 4, 3)
+    for lo, hi in ((3, 2), (0, -1), (10, 0)):
+        out = conv_window(a3, b3, lo, hi, one_split=one_split)
+        assert out.shape == (0, 2, 3)
 
 
 def _brute_one_split(a3, b3, lo, hi):
