@@ -55,6 +55,13 @@ def _edge_groups(g: Graph):
     return us, ws, heads, starts
 
 
+def _relax(rows: np.ndarray, edges) -> np.ndarray:
+    """One Bellman-Ford step over `_edge_groups` edges: column i is the
+    minimum over in-edges (x, heads[i], w) of rows[:, x] + w."""
+    us, ws, heads, starts = edges
+    return np.minimum.reduceat(rows[:, us] + ws, starts, axis=1)
+
+
 def bellman_ford_allhops(g: Graph, s: int, L: int) -> AllHopsRow:
     """Dynamic program ex[h][v] = min over edges (u,v,w) of ex[h-1][u] + w;
     le[h] is the running minimum.  O(mL) time; negative cycles permitted."""
@@ -69,7 +76,7 @@ def bellman_ford_allhops(g: Graph, s: int, L: int) -> AllHopsRow:
 def _bf_multi(g: Graph, sources, L: int, with_exact: bool) -> AllHopsTable:
     sources = tuple(sources)
     nS, n = len(sources), g.n
-    us, ws, heads, starts = _edge_groups(g)
+    edges = _edge_groups(g)
     ex_prev = identity_rows(sources, n)
     le = np.full((L + 1, nS, n), INF)
     le[0] = ex_prev
@@ -79,9 +86,7 @@ def _bf_multi(g: Graph, sources, L: int, with_exact: bool) -> AllHopsTable:
         ex[0] = ex_prev
     for h in range(1, L + 1):
         ex_h = np.full((nS, n), INF)
-        if us.size:
-            gathered = ex_prev[:, us] + ws
-            ex_h[:, heads] = np.minimum.reduceat(gathered, starts, axis=1)
+        ex_h[:, edges[2]] = _relax(ex_prev, edges)
         le[h] = np.minimum(le[h - 1], ex_h)
         if with_exact:
             ex[h] = ex_h

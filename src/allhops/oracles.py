@@ -8,11 +8,13 @@ Five kinds share one query contract (d_{<=h}(u,v) for 1 <= h <= n-1):
 * mn / mpp / bounded - LevelOracle: levels j of sampled vertices S_j, each
   with forward and backward tables d_{<=h}(S_j, V) and d_{<=h}(V, S_j) for
   h up to a hop budget K_j.  A query splits at the sampled vertices of
-  every level with K_{j-1} <= h.  One build serves all three: level 0 and
-  every level with K_j up to a direct budget run Bellman-Ford from S_j in
-  both directions, and each other level extends the one below with
-  `minplus.extend_hops`, splitting at S_{j-1}.  The kinds differ only in
-  their schedules:
+  every level with K_{j-1} <= h.  One level build serves all three
+  (`_level`): a level whose sample lies inside the one below starts from
+  that level's table, any other from identity rows at hop 0; rows that no
+  edge relaxes (`_settled`) are copied forward, and the live rows continue
+  to K_j, by Bellman-Ford on a direct level (level 0 and every level with
+  K_j up to a direct budget) and by `minplus.extend_hops` through S_{j-1}
+  on the others.  The kinds differ only in their schedules:
   - mn: log-many unnested samples, doubling budgets, every level direct;
   - mpp: geometric (3/2) budgets over nested samples, only level 0 direct;
   - bounded: the same ladder with its own sample sizes, levels with
@@ -21,10 +23,10 @@ Five kinds share one query contract (d_{<=h}(u,v) for 1 <= h <= n-1):
   `level_size(n, C, 2^j)` vertices, mpp's nested levels are drawn for
   stretches 1.5^j and bounded's for K_j (`nested_samples`), and both
   follow the (3/2) ladder `geometric_ladder`.
-  Settled rows end the work: an extended level copies forward every row
-  that no edge relaxes (`_settled`), and a query scans on each level only
-  the splits up to the last hop at which its tables change, skipping
-  levels that repeat the one below (`LevelOracle.query`).  Neither
+  Tables never increase along the hop axis; `LevelOracle` refuses one
+  that does.  A query scans on each level only the splits up to the last
+  hop at which its tables change, skipping levels that repeat the one
+  below (`LevelOracle.query`).  Neither the copied rows nor the window
   changes a stored byte or an answer.
 
 Oracles are immutable after build; `query` only touches the work counters.
@@ -41,7 +43,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .baselines import _bf_multi, _edge_groups
+from .baselines import _bf_multi, _edge_groups, _relax
 from .graph import Graph, ParseError, reverse, weight_matrix
 from .matrices import identity_rows
 from .minplus import extend_hops, mp_array
@@ -170,34 +172,29 @@ class LevelOracle:
     kstar: int = 0  # bounded's crossover budget; 0 for mn and mpp
     counters: WorkCounters = field(default_factory=WorkCounters)
     # Per-level query windows, read off the tables (see __post_init__).
-    tf: list[int | None] = field(init=False, repr=False)
-    tb: list[int | None] = field(init=False, repr=False)
+    tf: list[int] = field(init=False, repr=False)
+    tb: list[int] = field(init=False, repr=False)
     copies: list[bool] = field(init=False, repr=False)
 
     def __post_init__(self):
         """tf[j] / tb[j]: the last hop at which level j's fwd / bwd table
         changes, so every later slice repeats it.  copies[j]: S_j <= S_{j-1}
         and level j is level j-1 with its last slice repeated.  Both rest on
-        tables that are non-increasing along the hop axis, as every build
-        makes them.  A level that is not (a hand-edited snapshot) gets
-        tf = tb = None and keeps the full scan, and neither it nor the level
-        above it is a copy."""
-        self.tf, self.tb, self.copies = [], [], []
-        for j, (f, b) in enumerate(zip(self.fwd, self.bwd)):
-            monotone = _non_increasing(f) and _non_increasing(b)
-            self.tf.append(_last_change(f) if monotone else None)
-            self.tb.append(_last_change(b) if monotone else None)
-            self.copies.append(j > 0 and monotone and self._repeats(j))
+        tables that do not increase along the hop axis, as every build makes
+        them; a table that does (a hand-edited snapshot) is a ValueError."""
+        if not all((t[1:] <= t[:-1]).all() for t in self.fwd + self.bwd):
+            raise ValueError("a level's table increases along the hop axis")
+        self.tf = [_last_change(f) for f in self.fwd]
+        self.tb = [_last_change(b) for b in self.bwd]
+        self.copies = [j > 0 and self._repeats(j) for j in range(len(self.ks))]
 
     def _repeats(self, j: int) -> bool:
         """Level j is level j-1 restricted to S_j, last slice repeated."""
-        kp, sample, below = self.ks[j - 1], self.samples[j], self.samples[j - 1]
-        if self.tf[j - 1] is None or max(self.tf[j], self.tb[j]) > kp:
+        kp = self.ks[j - 1]
+        if max(self.tf[j], self.tb[j]) > kp:
             return False
-        if not np.isin(sample, below).all():
-            return False
-        sel = np.searchsorted(below, sample)
-        return all(
+        sel = _positions(self.samples[j - 1], self.samples[j])
+        return sel is not None and all(
             np.array_equal(t[j][: kp + 1], t[j - 1][:, sel]) for t in (self.fwd, self.bwd)
         )
 
@@ -219,7 +216,7 @@ class LevelOracle:
         and the fwd term only grows; below h - tf_j the fwd term is
         constant and the bwd term only grows; a copy level's candidates are
         the level below's with the fwd hop cut at K_{j-1}.  So the answer
-        equals the full scan's.
+        equals the scan of every split a in [0, min(h, K_j)].
         """
         _check_query(self.n, u, v, h)
         if u == v:
@@ -230,16 +227,12 @@ class LevelOracle:
                 break
             if self.copies[j] or self.samples[j].size == 0:
                 continue
+            # fwd hops h-lo..h-hi; past tf (only when lo == hi) read tf
             tf, tb = self.tf[j], self.tb[j]
-            if tf is None:  # full scan
-                a = np.arange(min(h, k) + 1)
-                to_s = self.bwd[j][a, :, u]
-                from_s = self.fwd[j][np.minimum(h - a, k), :, v]
-            else:  # fwd hops h-lo..h-hi; past tf (only when lo == hi) read tf
-                hi = min(h, k, tb)
-                lo = max(0, min(h - tf, hi))
-                to_s = self.bwd[j][lo : hi + 1, :, u]
-                from_s = self.fwd[j][min(h - hi, tf) : min(h - lo, tf) + 1, :, v][::-1]
+            hi = min(h, k, tb)
+            lo = max(0, min(h - tf, hi))
+            to_s = self.bwd[j][lo : hi + 1, :, u]
+            from_s = self.fwd[j][min(h - hi, tf) : min(h - lo, tf) + 1, :, v][::-1]
             self.counters.adds += to_s.size
             best = min(best, (to_s + from_s).min())
         return best
@@ -249,8 +242,13 @@ class LevelOracle:
         return self.seed, self.C, self.kstar, [(k, s, [f, b]) for k, s, f, b in levels]
 
 
-def _non_increasing(t: np.ndarray) -> bool:
-    return bool((t[1:] <= t[:-1]).all())
+def _positions(below: np.ndarray, verts: np.ndarray) -> np.ndarray | None:
+    """Indices of the sorted `verts` in the sorted `below`; None unless
+    every vertex of `verts` is in `below`."""
+    sel = np.searchsorted(below, verts)
+    if sel.size and (sel[-1] >= below.size or (below[sel] != verts).any()):
+        return None
+    return sel
 
 
 def _last_change(t: np.ndarray) -> int:
@@ -272,72 +270,89 @@ def build_oracle_mn(g: Graph, plan: SamplePlan) -> LevelOracle:
     return _build_levels("mn", g, plan, ks, samples, ks[-1])
 
 
-def _extend_level(
-    prev: np.ndarray, prev_verts: np.ndarray, verts: np.ndarray, k_new: int, edges
-) -> np.ndarray:
-    """d_{<=h}(S_j, V) for h = 0..k_new from the previous level's table
-    d_{<=h}(S_{j-1}, V), h = 0..K_{j-1}, splitting at every vertex of
-    S_{j-1} (which contains S_j).  Rows that `_settled` finds stable keep
-    their last slice; only the other rows are extended."""
-    k_prev = prev.shape[0] - 1
-    sel = np.searchsorted(prev_verts, verts)
-    out = np.empty((k_new + 1, len(verts), prev.shape[2]))
-    out[: k_prev + 1] = prev[:, sel]
-    live = ~_settled(out[k_prev], edges)
-    out[k_prev + 1 :, ~live] = out[k_prev, ~live]
-    mids = np.arange(len(prev_verts))
-    if live.all():
-        extend_hops(out, prev, sel, mids, prev_verts)
-    elif live.any():
-        part = out[:, live]
-        extend_hops(part, prev, sel[live], mids, prev_verts)
-        out[k_prev + 1 :, live] = part[k_prev + 1 :]
-    return out
-
-
 def _settled(rows: np.ndarray, edges) -> np.ndarray:
     """Rows r = d_{<=K}(s, .) that no edge relaxes: r[v] <= r[x] + w(x, v).
 
     Since r[s] <= 0, such a row is at most the weight of every walk from s,
     and each of its entries is the weight of a real walk, so it already is
-    d_{<=h}(s, .) for every h >= K.  Extending it could only return it
-    again, because every extension candidate is a real walk too.  This
-    holds even where a sampled level below missed a walk; on exact tables
-    it covers every row whose slices K-1 and K are equal."""
-    us, ws, heads, starts = edges
-    if not us.size:
-        return np.ones(len(rows), dtype=bool)
-    best = np.minimum.reduceat(rows[:, us] + ws, starts, axis=1)
-    return (rows[:, heads] <= best).all(axis=1)
+    d_{<=h}(s, .) for every h >= K.  Continuing it could only return it
+    again, because every candidate is a real walk too.  This holds even
+    where a sampled level below missed a walk; on exact tables it covers
+    every row whose slices K-1 and K are equal."""
+    return (rows[:, edges[2]] <= _relax(rows, edges)).all(axis=1)
+
+
+def _bf_hops(out: np.ndarray, k0: int, edges) -> None:
+    """Bellman-Ford in place from out[k0]: out[h] is out[h-1] relaxed by one
+    more hop, h = k0+1..len(out)-1.  Relaxing d_{<=h-1} rather than the
+    exact-hop rows gives the same d_{<=h}, every sum being exact."""
+    heads = edges[2]
+    for h in range(k0 + 1, len(out)):
+        out[h] = out[h - 1]
+        out[h][:, heads] = np.minimum(out[h - 1][:, heads], _relax(out[h - 1], edges))
+
+
+def _level(
+    n: int, k: int, verts: np.ndarray, below: np.ndarray | None,
+    below_verts: np.ndarray | None, direct: bool, edges,
+) -> tuple[np.ndarray, int]:
+    """d_{<=h}(S_j, V) for h = 0..k, and the number of Bellman-Ford
+    row-hops it ran.
+
+    If S_j <= S_{j-1}, the rows start from the level below's table at hops
+    0..K_{j-1}; otherwise from identity rows at hop 0.  Rows that
+    `_settled` finds stable are copied forward, and the live ones continue
+    to k: by Bellman-Ford on a direct level, else by `extend_hops`,
+    splitting at every vertex of S_{j-1} (which nested samples contain)."""
+    out = np.empty((k + 1, len(verts), n))
+    sel = None if below is None else _positions(below_verts, verts)
+    if sel is None:
+        k0, live = 0, np.ones(len(verts), dtype=bool)
+        out[0] = identity_rows(verts, n)
+    else:
+        k0 = below.shape[0] - 1
+        out[: k0 + 1] = below[:, sel]
+        live = ~_settled(out[k0], edges)
+        out[k0 + 1 :, ~live] = out[k0, ~live]
+    if live.any():
+        part = out if live.all() else out[:, live]
+        if direct:
+            _bf_hops(part, k0, edges)
+        else:
+            extend_hops(part, below, sel[live], np.arange(len(below_verts)), below_verts)
+        if part is not out:
+            out[k0 + 1 :, live] = part[k0 + 1 :]
+    return out, int(live.sum()) * (k - k0) if direct else 0
 
 
 def _build_levels(
     kind: str, g: Graph, plan: SamplePlan, ks: list[int], samples: list[np.ndarray],
     direct_upto: int,
 ) -> LevelOracle:
-    """The LevelOracle over levels (ks[j], samples[j]).  Level 0 and every
-    level with K_j <= direct_upto run Bellman-Ford from S_j, forward and on
-    the reversed graph (2·m·K_j·|S_j| relaxations, tallied in the
-    counters); every other level is `_extend_level` of the one below.
-    Only `bounded` records direct_upto, as its crossover kstar."""
-    direct = [j == 0 or k <= direct_upto for j, k in enumerate(ks)]
+    """The LevelOracle over levels (ks[j], samples[j]), each built by
+    `_level` forward and on the reversed graph.  Level 0 and every level
+    with K_j <= direct_upto are direct (Bellman-Ford); they come first, so
+    a direct level that starts from the level below starts from exact
+    rows.  The counters tally m relaxations per row and hop that
+    Bellman-Ford ran.  Only `bounded` records direct_upto, as its
+    crossover kstar."""
+    row_hops = 0
 
     def tables(graph: Graph) -> list[np.ndarray]:
+        nonlocal row_hops
         out, edges = [], _edge_groups(graph)
         for j, k in enumerate(ks):
-            if direct[j]:
-                out.append(_bf_multi(graph, samples[j], k, with_exact=False).le)
-            else:
-                out.append(_extend_level(out[-1], samples[j - 1], samples[j], k, edges))
+            below = (out[-1], samples[j - 1]) if j else (None, None)
+            table, ran = _level(g.n, k, samples[j], *below, j == 0 or k <= direct_upto, edges)
+            out.append(table)
+            row_hops += ran
         return out
 
     kstar = direct_upto if kind == "bounded" else 0
     oracle = LevelOracle(
         kind, g.n, plan.seed, plan.C, ks, samples, tables(g), tables(reverse(g)), kstar
     )
-    oracle.counters.relaxations += sum(
-        2 * g.m * k * s.size for k, s, d in zip(ks, samples, direct) if d
-    )
+    oracle.counters.relaxations += g.m * row_hops
     return oracle
 
 
@@ -463,4 +478,7 @@ def load_oracle(data: bytes):
     samples = [sample for _, sample, _ in levels]
     fwd = [arrays[0] for _, _, arrays in levels]
     bwd = [arrays[1] for _, _, arrays in levels]
-    return LevelOracle(kind, n, seed, C, ks, samples, fwd, bwd, kstar)
+    try:
+        return LevelOracle(kind, n, seed, C, ks, samples, fwd, bwd, kstar)
+    except ValueError as e:
+        raise ParseError(f"oracle snapshot: {e}") from None

@@ -143,10 +143,10 @@ def _sp_level_tables(g: Graph, k: int, plan: SamplePlan, strategy: str = "naive"
             windows[i] = (d_win, d_off)
 
         # Prefix extension: rows S_r, cols S_{r-1}, doubling the known range.
-        rowsel = np.searchsorted(prev_verts, cur_verts)
+        sel = np.searchsorted(prev_verts, cur_verts)
         P = np.full((Nr + 1, len(cur_verts), len(prev_verts)), INF)
         base = min(known.shape[0] - 1, Nr)
-        P[: base + 1] = known[: base + 1][:, rowsel, :]
+        P[: base + 1] = known[: base + 1][:, sel, :]
         known_hi = base
         for i in range(L + 1):
             target = min(1 << (i + 1), Nr)
@@ -161,8 +161,7 @@ def _sp_level_tables(g: Graph, k: int, plan: SamplePlan, strategy: str = "naive"
             np.minimum.accumulate(P[known_hi : target + 1], axis=0, out=P[known_hi : target + 1])
             known_hi = target
 
-        colsel = np.searchsorted(prev_verts, cur_verts)
-        tables.append(P[:, :, colsel])
+        tables.append(P[:, :, sel])
 
     return levels, tables
 
@@ -218,40 +217,32 @@ def single_source_allhops(
     levels = hier.levels
     HH = max(1, n - 1)
 
-    cur = None  # (HH+1, |S_r|): d_{<=h}(s, S_r)
     # Levels below `split` are computed by the self-contained first
-    # algorithm and never read again, so the loop starts at r = split.
-    for r in range(split, k + 1):
-        verts = levels[r]
-        if r <= split:
-            inner_plan = plan.with_pins(verts.tolist())
-            sp_levels, sp_tables = _sp_level_tables(g, k, inner_plan)
-            fv, ft = sp_levels[-1], sp_tables[-1]
-            si = int(np.searchsorted(fv, s))
-            pos = np.searchsorted(fv, verts)
-            seq = ft[:, si, pos]  # (N_k+1, |S_r|)
-            cur = np.full((HH + 1, len(verts)), INF)
-            hi = min(seq.shape[0] - 1, HH)
-            cur[: hi + 1] = seq[: hi + 1]
-            if hi < HH:
-                cur[hi + 1 :] = seq[hi]
-        else:
-            prev_verts = levels[r - 1]
-            H1 = hier.budgets[r - 1]
-            ex = _bf_multi(g, prev_verts, H1, with_exact=True).ex  # d_h(S_{r-1}, V)
-            out = np.full((HH + 1, len(verts)), INF)
-            # base: the exact-hop row of s (s is in every level), hop 0 included
-            lim = min(H1, HH)
-            out[: lim + 1] = ex[: lim + 1, np.searchsorted(prev_verts, s)][:, verts]
-            # combine: out[j + h'] <- d_{<=j}(s, S_{r-1}) (x) d_{h'}(S_{r-1}, S_r),
-            # one convolution with the short exact-hop stack (h' = 1..H1) on
-            # the left.  Exact-hop tables are not prefix tables, so every
-            # split is taken.
-            exact = ex[1:][:, :, verts].transpose(0, 2, 1)  # (H1, |S_r|, |S_{r-1}|)
-            comb = conv_window(exact, cur[:, :, None], 0, HH - 1)  # hops 1..HH
-            np.minimum(out[1:], comb[:, :, 0], out=out[1:])
-            np.minimum.accumulate(out, axis=0, out=out)
-            cur = out
+    # algorithm and never read again, so the ladder runs once, at r = split,
+    # for every vertex of S_split.  Its last level's budget is
+    # min(n, ceil(n^(k/k))) = n >= HH.
+    sp_levels, sp_tables = _sp_level_tables(g, k, plan.with_pins(levels[split].tolist()))
+    fv, ft = sp_levels[-1], sp_tables[-1]
+    si = int(np.searchsorted(fv, s))
+    pos = np.searchsorted(fv, levels[split])
+    cur = np.ascontiguousarray(ft[: HH + 1, si, pos])  # (HH+1, |S_r|): d_{<=h}(s, S_r)
+    for r in range(split + 1, k + 1):
+        verts, prev_verts = levels[r], levels[r - 1]
+        H1 = hier.budgets[r - 1]
+        ex = _bf_multi(g, prev_verts, H1, with_exact=True).ex  # d_h(S_{r-1}, V)
+        out = np.full((HH + 1, len(verts)), INF)
+        # base: the exact-hop row of s (s is in every level), hop 0 included
+        lim = min(H1, HH)
+        out[: lim + 1] = ex[: lim + 1, np.searchsorted(prev_verts, s)][:, verts]
+        # combine: out[j + h'] <- d_{<=j}(s, S_{r-1}) (x) d_{h'}(S_{r-1}, S_r),
+        # one convolution with the short exact-hop stack (h' = 1..H1) on
+        # the left.  Exact-hop tables are not prefix tables, so every
+        # split is taken.
+        exact = ex[1:][:, :, verts].transpose(0, 2, 1)  # (H1, |S_r|, |S_{r-1}|)
+        comb = conv_window(exact, cur[:, :, None], 0, HH - 1)  # hops 1..HH
+        np.minimum(out[1:], comb[:, :, 0], out=out[1:])
+        np.minimum.accumulate(out, axis=0, out=out)
+        cur = out
     return AllHopsTable((s,), HH, cur[:, None, :], None)
 
 

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from allhops import oracles
+from allhops.cli import main
 
 from allhops import (
     LevelOracle,
@@ -96,9 +97,13 @@ def test_mn_level0_clamps_to_all_vertices(f1):
     assert o.samples[0].tolist() == [0, 1, 2]
 
 
-def test_mn_tables_are_bf_rows():
+@pytest.mark.parametrize("C", [8.0, 1.0])
+def test_mn_tables_are_bf_rows(C):
+    """At C = 1 the levels hold 30, 30, 26, 13 and 7 vertices, so levels
+    start both from the level below (26 of V) and from identity rows (13
+    not inside 26)."""
     g = gen_random_graph(30, 80, 5, 12, require_no_neg_cycle=True)
-    o = build_oracle_mn(g, PLAN)
+    o = build_oracle_mn(g, SamplePlan(C=C, seed=PLAN.seed))
     rg = reverse(g)
     for k, sample, fwd_t, bwd_t in zip(o.ks, o.samples, o.fwd, o.bwd):
         for si, s in enumerate(sample.tolist()):
@@ -308,21 +313,50 @@ def test_sampled_level_oracles_exact():
 
 
 def test_build_relaxations_count_every_bellman_ford_level():
-    """2·m·K_j·|S_j| for each level built by Bellman-Ford from its sample:
-    every mn level, level 0 of mpp, and bounded's levels up to kstar."""
+    """m per row and hop that Bellman-Ford ran, in each direction, on the
+    direct levels: every mn level, level 0 of mpp and bounded's levels up
+    to kstar.  A level whose sample lies in the one below starts at
+    K_{j-1} and runs only the rows that hop K_{j-1}+1 changes (on exact
+    tables, the rows no edge relaxes are the unchanged ones); any other
+    level runs every row from hop 0."""
     g = gen_random_graph(40, 160, 8, 2, require_no_neg_cycle=True)
     plan = SamplePlan(C=1.0, seed=3)
+    brute = apah_brute(g, with_exact=False).le
+    back = brute.transpose(0, 2, 1)  # back[h][s, u] = d_<=h(u, s)
+    starts = set()
 
     def bf_cost(o, levels):
-        return sum(2 * g.m * o.ks[j] * o.samples[j].size for j in levels)
+        total = 0
+        for j in levels:
+            k, s = o.ks[j], o.samples[j]
+            nested = j > 0 and np.isin(s, o.samples[j - 1]).all()
+            starts.add(nested)
+            k0 = o.ks[j - 1] if nested else 0
+            rows = 2 * s.size
+            if nested and k0 < k:
+                rows = sum(int((t[k0 + 1, s] != t[k0, s]).any(axis=1).sum()) for t in (brute, back))
+            total += g.m * (k - k0) * rows
+        return total
 
     mn = build_oracle_mn(g, plan)
     assert mn.counters.relaxations == bf_cost(mn, range(len(mn.ks)))
+    assert starts == {False, True}
     mpp = build_oracle_mpp(g, plan)
     assert mpp.counters.relaxations == 2 * g.m * 1 * g.n
     bounded = build_oracle_bounded(g, plan, kstar=6)
     assert bounded.ks[:5] == [1, 2, 3, 4, 6] and bounded.ks[5] > 6
     assert bounded.counters.relaxations == bf_cost(bounded, range(5))
+
+
+def test_mn_build_reruns_no_level_below():
+    """On an n = 64 sparse graph like the oracle benchmark's, mn levels 0-4
+    all hold V.  Starting each level from the one below and copying settled
+    rows runs under a third of the Bellman-Ford work of rerunning every
+    level from scratch, 2·m·K_j·|S_j| relaxations each."""
+    g = gen_random_graph(64, 256, 8, 4, require_no_neg_cycle=True)
+    o = build_oracle_mn(g, SamplePlan())
+    rerun = sum(2 * g.m * k * s.size for k, s in zip(o.ks, o.samples))
+    assert o.counters.relaxations <= rerun / 3
 
 
 def test_counters_track_and_reset():
@@ -343,8 +377,8 @@ def test_counters_track_and_reset():
 
 
 def _full_scan(o, h):
-    """d_{<=h} for every (u, v) by the unwindowed query: every level with
-    K_{j-1} <= h, every split a in [0, min(h, K_j)], no level skipped."""
+    """d_{<=h} for every (u, v) without the query's windows: every level
+    with K_{j-1} <= h, every split a in [0, min(h, K_j)], no level skipped."""
     best = np.full((o.n, o.n), np.inf)
     for j, k in enumerate(o.ks):
         if j and o.ks[j - 1] > h:
@@ -485,21 +519,28 @@ def _cell_offset(blob, level, array, hop, row, col):
     raise AssertionError("no such level")
 
 
-def test_non_monotone_snapshot_keeps_the_full_scan():
-    """A hand-edited snapshot whose tables grow along the hop axis loads,
-    and every answer equals the full scan over its (edited) tables."""
+def test_snapshot_increasing_along_the_hop_axis_is_refused(capsys, tmp_path):
+    """A hand-edited snapshot whose table grows along the hop axis is a
+    ParseError at load and exit 1 from `oracle query`; a LevelOracle built
+    directly from that table is a ValueError."""
     g = gen_random_graph(24, 72, 6, 1, require_no_neg_cycle=True)
     o = build_oracle_mpp(g, SamplePlan(C=4.0, seed=2))
-    j = 5  # K_5 = 8 < n - 1, every row settled by hop 9
+    j = 5
     blob = save_oracle(o)
     at = _cell_offset(blob, j, 1, 0, 3, 7)  # bwd hop 0: d_<=0(7, s_3)
-    edited = load_oracle(_patch(blob, at, "<q", -100))
-    assert edited.bwd[j][0, 3, 7] == -100
-    assert edited.tf[j] is None and edited.tb[j] is None
-    assert not edited.copies[j + 1]
-    full = [None] + [_full_scan(edited, h) for h in range(1, g.n)]
-    assert any(full[h][7, v] != o.query(7, v, h) for h in range(9, g.n) for v in range(g.n) if v != 7)
-    _assert_answers(edited, full)
+    edited = _patch(blob, at, "<q", -100)
+    with pytest.raises(ParseError, match="hop axis"):
+        load_oracle(edited)
+    snap, queries = tmp_path / "edited.ahdo", tmp_path / "queries.txt"
+    snap.write_bytes(edited)
+    queries.write_text("7 0 9\n")
+    code = main(["oracle", "query", "--oracle", str(snap), "--queries", str(queries)])
+    out, err = capsys.readouterr()
+    assert code == 1 and out == "" and err.startswith("allhops: ") and "hop axis" in err
+    bwd = [b.copy() for b in o.bwd]
+    bwd[j][0, 3, 7] = -100
+    with pytest.raises(ValueError, match="hop axis"):
+        LevelOracle(o.kind, o.n, o.seed, o.C, o.ks, o.samples, o.fwd, bwd)
 
 
 # sha256 of save_oracle at the default C = 4 on a sparse graph whose
