@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -30,7 +31,7 @@ from .graph import (
 from .matrices import MatrixSeq
 from .minplus import conv_window, conv_window_numpy, matseq_convolution
 from .oracles import (
-    MemoryBudgetError,
+    KINDS,
     build_oracle_bf,
     build_oracle_bounded,
     build_oracle_mn,
@@ -61,12 +62,19 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _command(sub, name: str, run) -> _Parser:
+    """Subcommand `name`, bound to its handler `run(args)`."""
+    parser = sub.add_parser(name)
+    parser.set_defaults(run=run)
+    return parser
+
+
 def _build_parser() -> _Parser:
     p = _Parser(prog="allhops", description=__doc__)
     p.add_argument("--format", choices=("tsv", "json-lines"), default="tsv")
     sub = p.add_subparsers(dest="cmd", required=True)
 
-    g = sub.add_parser("gen")
+    g = _command(sub, "gen", _cmd_gen)
     g.add_argument("--n", type=int, required=True)
     g.add_argument("--m", type=int, required=True)
     g.add_argument("--M", type=int, required=True)
@@ -74,11 +82,13 @@ def _build_parser() -> _Parser:
     g.add_argument("--require-no-neg-cycle", action="store_true")
     g.add_argument("--out")
 
-    c = sub.add_parser("check")
+    c = _command(sub, "check", _cmd_check)
     c.add_argument("--graph", required=True)
 
-    for name in ("bf", "single-pair", "single-source", "all-pairs"):
-        q = sub.add_parser(name)
+    solvers = {"bf": _cmd_bf, "single-pair": _cmd_single_pair,
+               "single-source": _cmd_single_source, "all-pairs": _cmd_all_pairs}
+    for name, run in solvers.items():
+        q = _command(sub, name, run)
         q.add_argument("--graph", required=True)
         q.add_argument("--max-hop", type=int)
         if name in ("bf", "single-pair", "single-source"):
@@ -95,42 +105,46 @@ def _build_parser() -> _Parser:
             q.add_argument("--seed", type=int, default=0)
             q.add_argument("--paranoid", action="store_true")
 
-    o = sub.add_parser("oracle")
-    osub = o.add_subparsers(dest="oracle_cmd", required=True)
-    for ob in (osub.add_parser("build"),):
-        ob.add_argument("--kind", choices=("powers", "bf", "mn", "mpp", "bounded"), required=True)
-        ob.add_argument("--graph", required=True)
-        ob.add_argument("--out", required=True)
-        ob.add_argument("--C", type=float, default=4.0)
-        ob.add_argument("--seed", type=int, default=0)
-        ob.add_argument("--kstar", type=int)
-        ob.add_argument("--max-hop", type=int)
-        ob.add_argument("--mem-cap", type=int, default=4 << 30)
-    for oq in (osub.add_parser("query"),):
-        oq.add_argument("--oracle", required=True)
-        oq.add_argument("--queries", default="-")
+    osub = sub.add_parser("oracle").add_subparsers(dest="oracle_cmd", required=True)
+    ob = _command(osub, "build", _cmd_oracle_build)
+    ob.add_argument("--kind", choices=KINDS, required=True)
+    ob.add_argument("--graph", required=True)
+    ob.add_argument("--out", required=True)
+    ob.add_argument("--C", type=float, default=4.0)
+    ob.add_argument("--seed", type=int, default=0)
+    ob.add_argument("--kstar", type=int)
+    ob.add_argument("--max-hop", type=int)
+    ob.add_argument("--mem-cap", type=int, default=4 << 30)
+    oq = _command(osub, "query", _cmd_oracle_query)
+    oq.add_argument("--oracle", required=True)
+    oq.add_argument("--queries", default="-")
 
-    ga = sub.add_parser("gadget")
-    gsub = ga.add_subparsers(dest="gadget_cmd", required=True)
-    gt = gsub.add_parser("tree")
+    gsub = sub.add_parser("gadget").add_subparsers(dest="gadget_cmd", required=True)
+    gt = _command(gsub, "tree", _cmd_tree)
     gt.add_argument("--l", type=int, required=True)
     gt.add_argument("--reversed", action="store_true")
-    for name in ("triangle", "mpp", "conv"):
-        gg = gsub.add_parser(name)
-        gg.add_argument("--input", required=True)
+    for name in _GADGETS:
+        _command(gsub, name, _cmd_gadget).add_argument("--input", required=True)
     for gg in gsub.choices.values():
         gg.add_argument("--out")
         gg.add_argument("--names-out")
         gg.add_argument("--verify", action="store_true")
 
-    st = sub.add_parser("selftest")
+    st = _command(sub, "selftest", _cmd_selftest)
     st.add_argument("--seed", type=int, default=0)
     return p
 
 
 def _read_graph(path: str) -> Graph:
-    with open(path, "rb") as f:
-        return parse_graph(f.read())
+    return parse_graph(Path(path).read_bytes())
+
+
+def _write(path: str | None, text: str) -> None:
+    """Write text to the file at path, or to stdout if path is None."""
+    if path:
+        Path(path).write_text(text)
+    else:
+        sys.stdout.write(text)
 
 
 # Rows rendered into one string per write.  256-row chunks render ~10%
@@ -185,126 +199,97 @@ def _table_block(le: np.ndarray, u: int, hops: range):
     return np.full(d.size, u), np.repeat(np.arange(n), h.size), np.tile(h, n), d
 
 
-def _cmd_gen(args) -> int:
+def _cmd_gen(args) -> None:
     g = gen_random_graph(args.n, args.m, args.M, args.seed, args.require_no_neg_cycle)
-    text = render_graph(g)
-    if args.out:
-        with open(args.out, "w") as f:
-            f.write(text)
-    else:
-        sys.stdout.write(text)
-    return 0
+    _write(args.out, render_graph(g))
 
 
-def _cmd_check(args) -> int:
-    g = _read_graph(args.graph)
-    if detect_negative_cycle(g):
+def _cmd_check(args) -> None:
+    if detect_negative_cycle(_read_graph(args.graph)):
         raise NegativeCycleError("negative cycle")
     sys.stdout.write("no negative cycle\n")
-    return 0
 
 
-def _solver_plan(args) -> SamplePlan:
+def _plan(args) -> SamplePlan:
     return SamplePlan(C=args.C, seed=args.seed)
 
 
-def _cmd_single_pair(args) -> int:
+def _solve(args, solve) -> np.ndarray:
+    """solve(plan) under --C and --seed; with --paranoid, the same values
+    again at twice C, or a VerificationError."""
+    values = solve(_plan(args))
+    if args.paranoid and not np.array_equal(values, solve(SamplePlan(C=2 * args.C, seed=args.seed))):
+        raise VerificationError("paranoid re-run with doubled C disagrees")
+    return values
+
+
+def _cmd_single_pair(args) -> None:
     g = _read_graph(args.graph)
     strategy = "naive" if args.strategy == "auto" else args.strategy
-    vals = single_pair_allhops(g, args.s, args.t, args.k, _solver_plan(args), strategy)
-    if args.paranoid:
-        again = single_pair_allhops(
-            g, args.s, args.t, args.k, SamplePlan(C=2 * args.C, seed=args.seed), strategy
-        )
-        if not np.array_equal(vals, again):
-            raise VerificationError("paranoid re-run with doubled C disagrees")
+    vals = _solve(args, lambda plan: single_pair_allhops(g, args.s, args.t, args.k, plan, strategy))
     hops = _hop_range(g.n, args.max_hop)
     h = np.arange(hops.start, hops.stop)
     blocks = [(h, vals[np.minimum(h, len(vals)) - 1])] if len(vals) else []
     _emit_records(args, blocks, ("h", "d"))
-    return 0
 
 
-def _cmd_single_source(args) -> int:
+def _cmd_single_source(args) -> None:
     g = _read_graph(args.graph)
-    table = single_source_allhops(g, args.s, args.k, _solver_plan(args), args.split)
-    if args.paranoid:
-        again = single_source_allhops(
-            g, args.s, args.k, SamplePlan(C=2 * args.C, seed=args.seed), args.split
-        )
-        if not np.array_equal(table.le, again.le):
-            raise VerificationError("paranoid re-run with doubled C disagrees")
-    block = _table_block(table.le[:, 0, :], args.s, _hop_range(g.n, args.max_hop))
+    le = _solve(args, lambda plan: single_source_allhops(g, args.s, args.k, plan, args.split).le)
+    block = _table_block(le[:, 0, :], args.s, _hop_range(g.n, args.max_hop))
     _emit_records(args, [block], ("u", "v", "h", "d"))
-    return 0
 
 
-def _cmd_bf(args) -> int:
+def _cmd_bf(args) -> None:
     g = _read_graph(args.graph)
     hops = _hop_range(g.n, args.max_hop)
-    budget = max(hops.stop - 1, 1)
-    row = bellman_ford_allhops(g, args.s, budget)
+    row = bellman_ford_allhops(g, args.s, max(hops.stop - 1, 1))
     _emit_records(args, [_table_block(row.le, args.s, hops)], ("u", "v", "h", "d"))
-    return 0
 
 
-def _cmd_all_pairs(args) -> int:
+def _cmd_all_pairs(args) -> None:
     g = _read_graph(args.graph)
-    table = all_pairs_allhops(g, _solver_plan(args))
-    if args.paranoid:
-        again = all_pairs_allhops(g, SamplePlan(C=2 * args.C, seed=args.seed))
-        if not np.array_equal(table.le, again.le):
-            raise VerificationError("paranoid re-run with doubled C disagrees")
+    le = _solve(args, lambda plan: all_pairs_allhops(g, plan).le)
     hops = _hop_range(g.n, args.max_hop)
-    blocks = (_table_block(table.le[:, ui, :], u, hops) for ui, u in enumerate(table.sources))
+    blocks = (_table_block(le[:, u, :], u, hops) for u in range(g.n))
     _emit_records(args, blocks, ("u", "v", "h", "d"))
-    return 0
 
 
-def _cmd_oracle_build(args) -> int:
+# --kind: the oracle builder, given the graph and the parsed arguments
+_ORACLE_BUILDERS = {
+    "powers": lambda g, args: build_oracle_powers(g, args.max_hop, args.mem_cap),
+    "bf": lambda g, args: build_oracle_bf(g, args.max_hop, args.mem_cap),
+    "mn": lambda g, args: build_oracle_mn(g, _plan(args)),
+    "mpp": lambda g, args: build_oracle_mpp(g, _plan(args)),
+    "bounded": lambda g, args: build_oracle_bounded(g, _plan(args), args.kstar),
+}
+
+
+def _cmd_oracle_build(args) -> None:
     _check_max_hop(args.max_hop)
-    g = _read_graph(args.graph)
-    plan = SamplePlan(C=args.C, seed=args.seed)
-    if args.kind == "powers":
-        oracle = build_oracle_powers(g, args.max_hop, args.mem_cap)
-    elif args.kind == "bf":
-        oracle = build_oracle_bf(g, args.max_hop, args.mem_cap)
-    elif args.kind == "mn":
-        oracle = build_oracle_mn(g, plan)
-    elif args.kind == "mpp":
-        oracle = build_oracle_mpp(g, plan)
-    else:
-        oracle = build_oracle_bounded(g, plan, args.kstar)
-    with open(args.out, "wb") as f:
-        f.write(save_oracle(oracle))
-    return 0
+    oracle = _ORACLE_BUILDERS[args.kind](_read_graph(args.graph), args)
+    Path(args.out).write_bytes(save_oracle(oracle))
 
 
-def _cmd_oracle_query(args) -> int:
-    with open(args.oracle, "rb") as f:
-        oracle = load_oracle(f.read())
-    src = sys.stdin if args.queries == "-" else open(args.queries)
+def _cmd_oracle_query(args) -> None:
+    oracle = load_oracle(Path(args.oracle).read_bytes())
+    text = sys.stdin.read() if args.queries == "-" else Path(args.queries).read_text()
     queries, dists = [], []
-    try:
-        for lineno, line in enumerate(src, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            if len(parts) != 3:
-                raise ParseError(f"line {lineno}: expected `u v h`")
-            try:
-                u, v, h = (int(x) for x in parts)
-            except ValueError:
-                raise ParseError(f"line {lineno}: non-integer field") from None
-            queries.append((u, v, h))
-            dists.append(oracle.query(u, v, h))
-    finally:
-        if src is not sys.stdin:
-            src.close()
+    for lineno, line in enumerate(text.split("\n"), start=1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split()
+        if len(parts) != 3:
+            raise ParseError(f"line {lineno}: expected `u v h`")
+        try:
+            u, v, h = (int(x) for x in parts)
+        except ValueError:
+            raise ParseError(f"line {lineno}: non-integer field") from None
+        queries.append((u, v, h))
+        dists.append(oracle.query(u, v, h))
     block = (*np.array(queries, dtype=np.int64).reshape(-1, 3).T, np.array(dists, dtype=np.float64))
     _emit_records(args, [block], ("u", "v", "h", "d"))
-    return 0
 
 
 def _read_matrix_lines(lines, rows, cols, what):
@@ -324,107 +309,107 @@ def _read_matrix_lines(lines, rows, cols, what):
     return np.array(out, dtype=np.int64)
 
 
-def _gadget_emit(args, gadget) -> None:
-    text = render_graph(gadget.graph)
-    if args.out:
-        with open(args.out, "w") as f:
-            f.write(text)
-    elif not args.verify:
-        sys.stdout.write(text)
-    if args.names_out:
-        with open(args.names_out, "w") as f:
-            f.write(reductions.render_names(gadget))
+def _read_triangle(lines):
+    """Header `n n n`, then edge lines `ij a b`, `jk a b` or `ki a b`."""
+    header = _read_matrix_lines(lines, 1, 3, "triangle header")[0].tolist()
+    if len(set(header)) != 1:
+        raise ParseError("triangle input: header must be three equal part sizes")
+    groups = {"ij": [], "jk": [], "ki": []}
+    for line in lines:
+        parts = line.split()
+        if len(parts) != 3 or parts[0] not in groups:
+            raise ParseError(f"triangle input: bad edge line {line!r}")
+        try:
+            groups[parts[0]].append((int(parts[1]), int(parts[2])))
+        except ValueError:
+            raise ParseError(f"triangle input: non-integer vertex in {line!r}") from None
+    return header[0], groups["ij"], groups["jk"], groups["ki"]
 
 
-def _cmd_gadget(args) -> int:
-    if args.gadget_cmd == "tree":
-        if args.l < 1:
-            raise UsageError("--l must be >= 1")
-        gadget = reductions.build_tree_gadget(args.l, args.reversed)
-        _gadget_emit(args, gadget)
-        if args.verify:
-            _verify_tree(gadget, args.l, args.reversed)
-            sys.stdout.write("verify ok\n")
-        return 0
-    with open(args.input) as f:
-        lines = iter([l for l in (ln.strip() for ln in f) if l and not l.startswith("#")])
-    if args.gadget_cmd == "triangle":
-        header = _read_matrix_lines(lines, 1, 3, "triangle header")[0].tolist()
-        if len(set(header)) != 1 or header[0] < 1:
-            raise ParseError("triangle input: header must be three equal positive part sizes")
-        n = header[0]
-        groups = {"ij": [], "jk": [], "ki": []}
-        for line in lines:
-            parts = line.split()
-            if len(parts) != 3 or parts[0] not in groups:
-                raise ParseError(f"triangle input: bad edge line {line!r}")
-            try:
-                a, b = int(parts[1]), int(parts[2])
-            except ValueError:
-                raise ParseError(f"triangle input: non-integer vertex in {line!r}") from None
-            if not (0 <= a < n and 0 <= b < n):
-                raise ParseError(f"triangle input: vertex out of [0, {n}) in {line!r}")
-            groups[parts[0]].append((a, b))
-        gadget = reductions.build_triangle_gadget(n, groups["ij"], groups["jk"], groups["ki"])
-        _gadget_emit(args, gadget)
-        if args.verify:
-            table = apah_brute(gadget.graph, n + 4, with_exact=False)
-            got = reductions.decide_triangle(gadget, table)
-            want = reductions.triangle_bruteforce(n, groups["ij"], groups["jk"], groups["ki"])
-            if got != want:
-                raise VerificationError("triangle decision disagrees with enumeration")
-            sys.stdout.write(f"verify ok: triangle={'yes' if got else 'no'}\n")
-        return 0
-    if args.gadget_cmd == "mpp":
-        n, x = _read_matrix_lines(lines, 1, 2, "mpp header")[0].tolist()
-        if n < 1 or x < 2 or x & (x - 1) or n % x:
-            raise ParseError("mpp header: x must be a power of two >= 2 dividing n")
-        A = _read_matrix_lines(lines, n, n // x, "A")
-        B = _read_matrix_lines(lines, n // x, n, "B")
-        if min(A.min(), B.min()) < 1 or max(A.max(), B.max()) > x:
-            raise ParseError(f"mpp input: entries must lie in [1, {x}]")
-        gadget = reductions.reduce_mpp_to_exact_hops(A, B, x)
-        _gadget_emit(args, gadget)
-        if args.verify:
-            table = apah_brute(gadget.graph, n - 1 + 2 * x)
-            got = reductions.decode_mpp(gadget, table)
-            want = reductions.minplus_product_bruteforce(A, B)
-            if not np.array_equal(got, want):
-                raise VerificationError("decoded product disagrees with brute force")
-            sys.stdout.write("verify ok\n")
-        return 0
+def _read_mpp(lines):
+    """Header `n x`, then A (n rows of n/x) and B (n/x rows of n)."""
+    n, x = _read_matrix_lines(lines, 1, 2, "mpp header")[0].tolist()
+    if x < 2 or n % x:
+        raise ParseError("mpp header: x must be >= 2 and divide n")
+    return _read_matrix_lines(lines, n, n // x, "A"), _read_matrix_lines(lines, n // x, n, "B"), x
+
+
+def _read_conv(lines):
+    """Header `n`, then A and B, n rows of n each."""
     (n,) = _read_matrix_lines(lines, 1, 1, "conv header")[0].tolist()
-    if n < 1:
-        raise ParseError("conv header: n must be >= 1")
-    A = _read_matrix_lines(lines, n, n, "A")
-    B = _read_matrix_lines(lines, n, n, "B")
-    gadget = reductions.reduce_convolution_to_hops(A, B)
-    _gadget_emit(args, gadget)
+    return _read_matrix_lines(lines, n, n, "A"), _read_matrix_lines(lines, n, n, "B")
+
+
+# gadget -> (reader of its --input lines, builder, decoder, brute-force
+# evaluator of the same inputs, whether the decoder reads exact-hop tables,
+# the message when the two disagree)
+_GADGETS = {
+    "triangle": (_read_triangle, reductions.build_triangle_gadget, reductions.decide_triangle,
+                 reductions.triangle_bruteforce, False,
+                 "triangle decision disagrees with enumeration"),
+    "mpp": (_read_mpp, reductions.reduce_mpp_to_exact_hops, reductions.decode_mpp,
+            lambda A, B, x: reductions.minplus_product_bruteforce(A, B), True,
+            "decoded product disagrees with brute force"),
+    "conv": (_read_conv, reductions.reduce_convolution_to_hops, reductions.decode_convolution,
+             reductions.indexed_combination_bruteforce, True,
+             "decoded values disagree with brute force"),
+}
+
+
+def _build_gadget(args, build, inputs) -> reductions.GadgetGraph:
+    """build(*inputs), written to --out (else stdout, unless --verify) and
+    its names to --names-out.  The builders check their inputs, so their
+    ValueError is an input error."""
+    try:
+        gadget = build(*inputs)
+    except ValueError as e:
+        raise ParseError(f"gadget {args.gadget_cmd}: {e}") from None
+    if args.out or not args.verify:
+        _write(args.out, render_graph(gadget.graph))
+    if args.names_out:
+        Path(args.names_out).write_text(reductions.render_names(gadget))
+    return gadget
+
+
+def _cmd_tree(args) -> None:
+    gadget = _build_gadget(args, reductions.build_tree_gadget, (args.l, args.reversed))
     if args.verify:
-        table = apah_brute(gadget.graph, 2 * n + 2)
-        got = reductions.decode_convolution(gadget, table)
-        want = reductions.indexed_combination_bruteforce(A, B)
-        if not np.array_equal(got, want):
-            raise VerificationError("decoded values disagree with brute force")
+        _verify_tree(gadget, args.reversed)
         sys.stdout.write("verify ok\n")
-    return 0
 
 
-def _verify_tree(gadget, depth: int, reversed_edges: bool) -> None:
-    g = gadget.graph
-    budget = (1 << depth) - 1
-    for i in range(1, (1 << depth) + 1):
+def _verify_tree(gadget, reversed_edges: bool) -> None:
+    """Each leaf u_i reaches the root in exactly 2^depth - 1 hops, with
+    weight i + 2^depth - 2, and in no fewer."""
+    g, budget = gadget.graph, gadget.params["hops"]
+    for i in range(1, gadget.params["leaves"] + 1):
         u, v = gadget.vertex(f"u{i}"), gadget.vertex("v")
         s, t = (v, u) if reversed_edges else (u, v)
         row = bellman_ford_allhops(g, s, budget)
-        want = i + (1 << depth) - 2
+        want = i + budget - 1
         if row.ex[budget][t] != want or row.le[budget][t] != want:
             raise VerificationError(f"leaf {i}: expected weight {want}")
         if any(np.isfinite(row.ex[h][t]) for h in range(budget)):
             raise VerificationError(f"leaf {i}: path with fewer than {budget} hops")
 
 
-def _cmd_selftest(args) -> int:
+def _cmd_gadget(args) -> None:
+    """A triangle, mpp or conv gadget from --input; --verify decodes
+    Bellman-Ford tables up to the gadget's hop budget and compares the
+    result with the brute-force evaluator."""
+    read, build, decode, brute, exact, mismatch = _GADGETS[args.gadget_cmd]
+    lines = (ln.strip() for ln in Path(args.input).read_text().split("\n"))
+    inputs = read(iter([ln for ln in lines if ln and not ln.startswith("#")]))
+    gadget = _build_gadget(args, build, inputs)
+    if args.verify:
+        got = decode(gadget, apah_brute(gadget.graph, gadget.params["hops"], with_exact=exact))
+        if not np.array_equal(got, brute(*inputs)):
+            raise VerificationError(mismatch)
+        answer = f": triangle={'yes' if got else 'no'}" if args.gadget_cmd == "triangle" else ""
+        sys.stdout.write(f"verify ok{answer}\n")
+
+
+def _cmd_selftest(args) -> None:
     seed = args.seed
     failures = 0
 
@@ -486,47 +471,28 @@ def _cmd_selftest(args) -> int:
 
     if failures:
         raise VerificationError(f"{failures} selftest suite(s) failed")
-    return 0
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
+    """Run one command; every failure is one stderr line and an exit code."""
     try:
-        args = parser.parse_args(argv)
-        if args.cmd == "gen":
-            return _cmd_gen(args)
-        if args.cmd == "check":
-            return _cmd_check(args)
-        if args.cmd == "bf":
-            return _cmd_bf(args)
-        if args.cmd == "single-pair":
-            return _cmd_single_pair(args)
-        if args.cmd == "single-source":
-            return _cmd_single_source(args)
-        if args.cmd == "all-pairs":
-            return _cmd_all_pairs(args)
-        if args.cmd == "oracle":
-            return _cmd_oracle_build(args) if args.oracle_cmd == "build" else _cmd_oracle_query(args)
-        if args.cmd == "gadget":
-            return _cmd_gadget(args)
-        if args.cmd == "selftest":
-            return _cmd_selftest(args)
-        raise UsageError(f"unknown command {args.cmd!r}")
+        args = _build_parser().parse_args(argv)
+        args.run(args)
+        return 0
     except BrokenPipeError:  # the reader went away, as under `| head`
         try:
             sys.stdout.close()
         except OSError:
             pass
         return 0
-    except (UsageError, ParseError, GenerationError, OSError) as e:
-        sys.stderr.write(f"allhops: {e}\n")
-        return 1
-    except (ValueError, MemoryBudgetError, OverflowError) as e:
-        sys.stderr.write(f"allhops: {e}\n")
-        return 2
+    except (UsageError, ParseError, GenerationError, OSError, UnicodeDecodeError) as e:
+        code, err = 1, e
+    except (ValueError, MemoryError, OverflowError) as e:
+        code, err = 2, e
     except VerificationError as e:
-        sys.stderr.write(f"allhops: {e}\n")
-        return 3
+        code, err = 3, e
+    sys.stderr.write(f"allhops: {err}\n")
+    return code
 
 
 if __name__ == "__main__":

@@ -73,7 +73,10 @@ def parse_graph(text: bytes | str) -> Graph:
     token, declared_M is set to the maximum |w| read.
     """
     if isinstance(text, bytes):
-        text = text.decode("ascii")
+        try:
+            text = text.decode("ascii")
+        except UnicodeDecodeError as e:
+            raise ParseError(f"byte {e.start}: not ASCII text") from None
     header = None
     edges = []
     want_M = False

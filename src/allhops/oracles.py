@@ -9,12 +9,14 @@ Five kinds share one query contract (d_{<=h}(u,v) for 1 <= h <= n-1):
   with forward and backward tables d_{<=h}(S_j, V) and d_{<=h}(V, S_j) for
   h up to a hop budget K_j.  A query splits at the sampled vertices of
   every level with K_{j-1} <= h.  One level build serves all three
-  (`_level`): a level whose sample lies inside the one below starts from
-  that level's table, any other from identity rows at hop 0; rows that no
-  edge relaxes (`_settled`) are copied forward, and the live rows continue
-  to K_j, by Bellman-Ford on a direct level (level 0 and every level with
-  K_j up to a direct budget) and by `minplus.extend_hops` through S_{j-1}
-  on the others.  The kinds differ only in their schedules:
+  (`_level`), with one start rule: below level 0 sits a root, the hop-0
+  identity over V, and every level starts from the highest table below it
+  whose sample contains S_j.  Rows that no edge relaxes (`_settled`) are
+  copied forward, and the live rows continue to K_j, by Bellman-Ford on a
+  direct level (level 0 and every level with K_j up to a direct budget)
+  and by `minplus.extend_hops` through S_{j-1} on the others, whose nested
+  samples make level j-1 their start.  The kinds differ only in their
+  schedules:
   - mn: log-many unnested samples, doubling budgets, every level direct;
   - mpp: geometric (3/2) budgets over nested samples, only level 0 direct;
   - bounded: the same ladder with its own sample sizes, levels with
@@ -293,33 +295,33 @@ def _bf_hops(out: np.ndarray, k0: int, edges) -> None:
 
 
 def _level(
-    n: int, k: int, verts: np.ndarray, below: np.ndarray | None,
-    below_verts: np.ndarray | None, direct: bool, edges,
+    n: int, k: int, verts: np.ndarray, built: list[tuple[np.ndarray, np.ndarray]],
+    direct: bool, edges,
 ) -> tuple[np.ndarray, int]:
     """d_{<=h}(S_j, V) for h = 0..k, and the number of Bellman-Ford
     row-hops it ran.
 
-    If S_j <= S_{j-1}, the rows start from the level below's table at hops
-    0..K_{j-1}; otherwise from identity rows at hop 0.  Rows that
-    `_settled` finds stable are copied forward, and the live ones continue
-    to k: by Bellman-Ford on a direct level, else by `extend_hops`,
-    splitting at every vertex of S_{j-1} (which nested samples contain)."""
+    `built` holds (table, sample) pairs: the root, the hop-0 identity over
+    V, then levels 0..j-1.  The rows start from the highest of them whose
+    sample contains S_j, at its hops 0..K.  Rows that `_settled` finds
+    stable are copied forward, and the live ones continue to k: by
+    Bellman-Ford on a direct level, else by `extend_hops`, splitting at
+    every vertex of S_{j-1} (nested samples put S_j inside S_{j-1}, so the
+    rows start from level j-1)."""
     out = np.empty((k + 1, len(verts), n))
-    sel = None if below is None else _positions(below_verts, verts)
-    if sel is None:
-        k0, live = 0, np.ones(len(verts), dtype=bool)
-        out[0] = identity_rows(verts, n)
-    else:
-        k0 = below.shape[0] - 1
-        out[: k0 + 1] = below[:, sel]
-        live = ~_settled(out[k0], edges)
-        out[k0 + 1 :, ~live] = out[k0, ~live]
+    start, start_verts, sel = next(
+        (t, s, sel) for t, s in reversed(built) if (sel := _positions(s, verts)) is not None
+    )
+    k0 = start.shape[0] - 1
+    out[: k0 + 1] = start[:, sel]
+    live = ~_settled(out[k0], edges)
+    out[k0 + 1 :, ~live] = out[k0, ~live]
     if live.any():
         part = out if live.all() else out[:, live]
         if direct:
             _bf_hops(part, k0, edges)
         else:
-            extend_hops(part, below, sel[live], np.arange(len(below_verts)), below_verts)
+            extend_hops(part, start, sel[live], np.arange(len(start_verts)), start_verts)
         if part is not out:
             out[k0 + 1 :, live] = part[k0 + 1 :]
     return out, int(live.sum()) * (k - k0) if direct else 0
@@ -332,21 +334,20 @@ def _build_levels(
     """The LevelOracle over levels (ks[j], samples[j]), each built by
     `_level` forward and on the reversed graph.  Level 0 and every level
     with K_j <= direct_upto are direct (Bellman-Ford); they come first, so
-    a direct level that starts from the level below starts from exact
-    rows.  The counters tally m relaxations per row and hop that
-    Bellman-Ford ran.  Only `bounded` records direct_upto, as its
-    crossover kstar."""
+    a direct level starts from exact rows.  The counters tally m
+    relaxations per row and hop that Bellman-Ford ran.  Only `bounded`
+    records direct_upto, as its crossover kstar."""
     row_hops = 0
+    root = (identity_rows(range(g.n), g.n)[None], np.arange(g.n))
 
     def tables(graph: Graph) -> list[np.ndarray]:
         nonlocal row_hops
-        out, edges = [], _edge_groups(graph)
+        built, edges = [root], _edge_groups(graph)
         for j, k in enumerate(ks):
-            below = (out[-1], samples[j - 1]) if j else (None, None)
-            table, ran = _level(g.n, k, samples[j], *below, j == 0 or k <= direct_upto, edges)
-            out.append(table)
+            table, ran = _level(g.n, k, samples[j], built, j == 0 or k <= direct_upto, edges)
+            built.append((table, samples[j]))
             row_hops += ran
-        return out
+        return [table for table, _ in built[1:]]
 
     kstar = direct_upto if kind == "bounded" else 0
     oracle = LevelOracle(

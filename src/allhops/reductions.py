@@ -1,9 +1,10 @@
 """Constructive reduction gadgets and their decoders.
 
 Each builder returns a GadgetGraph: the graph itself, a name map for the
-distinguished vertices, and the constants its decoder needs.  Every decoder
-has a brute-force companion evaluator used to certify the decoding identity
-on concrete instances.
+distinguished vertices, and the constants its decoder needs.  Among them,
+params["hops"] is the hop budget the tables handed to the decoder must
+reach; the decoder checks it.  Every decoder has a brute-force companion
+evaluator used to certify the decoding identity on concrete instances.
 
 Exact-hop tables for the decoders come from the baselines module; the
 weight-shift reduction provides the alternative route from at-most-hop
@@ -29,6 +30,15 @@ class GadgetGraph:
 
     def vertex(self, name: str) -> int:
         return self.names[name]
+
+
+def _check_table(gadget: GadgetGraph, table: AllHopsTable, exact: bool) -> None:
+    """The table reaches the gadget's hop budget, with exact-hop rows if
+    the decoder reads them."""
+    if exact and table.ex is None:
+        raise ValueError("decoder needs exact-hop tables")
+    if table.H < gadget.params["hops"]:
+        raise ValueError(f"table hop budget must reach {gadget.params['hops']}")
 
 
 def render_names(gadget: GadgetGraph) -> str:
@@ -85,7 +95,7 @@ def build_tree_gadget(depth: int, reversed_edges: bool = False) -> GadgetGraph:
     if reversed_edges:
         edges = [(v, u, w) for u, v, w in edges]
     g = Graph(counter[0], tuple(edges), 2)
-    return GadgetGraph(g, names, {"depth": depth, "leaves": leaves})
+    return GadgetGraph(g, names, {"depth": depth, "leaves": leaves, "hops": leaves - 1})
 
 
 # ---------------------------------------------------------------------------
@@ -105,13 +115,13 @@ def reduce_mpp_to_exact_hops(A: np.ndarray, B: np.ndarray, x: int) -> GadgetGrap
     n = A.shape[0]
     if x < 2 or x & (x - 1):
         raise ValueError("x must be a power of two >= 2")
-    if n % x:
-        raise ValueError("x must divide n")
+    if n < 1 or n % x:
+        raise ValueError("x must divide n >= 1")
     inner = n // x
     if A.shape != (n, inner) or B.shape != (inner, n):
         raise ValueError("A must be n x (n/x) and B (n/x) x n")
     if (A < 1).any() or (A > x).any() or (B < 1).any() or (B > x).any():
-        raise ValueError("entries must lie in [1, x]")
+        raise ValueError(f"entries must lie in [1, {x}]")
     depth = x.bit_length() - 1
 
     names: dict[str, int] = {}
@@ -163,17 +173,14 @@ def reduce_mpp_to_exact_hops(A: np.ndarray, B: np.ndarray, x: int) -> GadgetGrap
     )
     names = {name: remap[idx] for name, idx in names.items()}
     names["s"] = names["a1"]
-    return GadgetGraph(g, names, {"n": n, "x": x, "inner": inner})
+    return GadgetGraph(g, names, {"n": n, "x": x, "inner": inner, "hops": n - 1 + 2 * x})
 
 
 def decode_mpp(gadget: GadgetGraph, table: AllHopsTable) -> np.ndarray:
     """Read C[i,j] = d_{i-1+2x}(a_1, b_j) - (i - 3 + 2x) from an exact-hop
     table whose source set contains a_1."""
     n, x = gadget.params["n"], gadget.params["x"]
-    if table.ex is None:
-        raise ValueError("decoder needs exact-hop tables")
-    if table.H < n - 1 + 2 * x:
-        raise ValueError(f"table hop budget must reach {n - 1 + 2 * x}")
+    _check_table(gadget, table, exact=True)
     s = gadget.vertex("s")
     row = table.ex[:, table.sources.index(s), :]
     out = np.full((n, n), INF)
@@ -210,8 +217,8 @@ def reduce_convolution_to_hops(A: np.ndarray, B: np.ndarray) -> GadgetGraph:
     A = np.asarray(A, dtype=np.int64)
     B = np.asarray(B, dtype=np.int64)
     n = A.shape[0]
-    if A.shape != (n, n) or B.shape != (n, n):
-        raise ValueError("A and B must be square and equally sized")
+    if n < 1 or A.shape != (n, n) or B.shape != (n, n):
+        raise ValueError("A and B must be nonempty, square and equally sized")
     names: dict[str, int] = {}
     i_ids = list(range(n))
     x_ids = list(range(n, 2 * n))
@@ -238,16 +245,13 @@ def reduce_convolution_to_hops(A: np.ndarray, B: np.ndarray) -> GadgetGraph:
         for yy in range(n):
             edges.append((y_ids[yy], j_ids[j], int(B[j, yy])))
     g = Graph(4 * n + 1, tuple(edges), None)
-    return GadgetGraph(g, names, {"n": n})
+    return GadgetGraph(g, names, {"n": n, "hops": 2 * n + 2})
 
 
 def decode_convolution(gadget: GadgetGraph, table: AllHopsTable) -> np.ndarray:
     """out[i-1, j-1, l-1] = d_{l+2}(i-node, j-node) for l in [1, 2n]."""
     n = gadget.params["n"]
-    if table.ex is None:
-        raise ValueError("decoder needs exact-hop tables")
-    if table.H < 2 * n + 2:
-        raise ValueError(f"table hop budget must reach {2 * n + 2}")
+    _check_table(gadget, table, exact=True)
     out = np.full((n, n, 2 * n), INF)
     for i in range(1, n + 1):
         src = gadget.vertex(f"i{i}")
@@ -363,17 +367,16 @@ def build_triangle_gadget(n: int, ij_edges, jk_edges, ki_edges) -> GadgetGraph:
     for a, b in ki:
         edges.append((kp[a], i2[b], 1))
     g = Graph(2 + 4 * n, tuple(edges), 1)
-    return GadgetGraph(g, names, {"n": n})
+    return GadgetGraph(g, names, {"n": n, "hops": n + 4})
 
 
 def decide_triangle(gadget: GadgetGraph, table: AllHopsTable) -> bool:
-    n = gadget.params["n"]
+    """d_{<=n+4}(s, t) == 2 - n, read from an at-most-hop table whose
+    source set contains s."""
+    _check_table(gadget, table, exact=False)
     s, t = gadget.vertex("s"), gadget.vertex("t")
-    h = n + 4
-    if table.H < h:
-        raise ValueError(f"table hop budget must reach {h}")
     row = table.le[:, table.sources.index(s), :]
-    return row[h, t] == 2 - n
+    return row[gadget.params["hops"], t] == 2 - gadget.params["n"]
 
 
 def triangle_bruteforce(n: int, ij_edges, jk_edges, ki_edges) -> bool:

@@ -7,7 +7,18 @@ import sys
 import numpy as np
 import pytest
 
+from allhops import (
+    SamplePlan,
+    build_oracle_bf,
+    build_oracle_bounded,
+    build_oracle_mn,
+    build_oracle_mpp,
+    build_oracle_powers,
+    parse_graph,
+    save_oracle,
+)
 from allhops.cli import main
+from allhops.oracles import KINDS
 
 F1 = "3 3\n0 1 1\n1 2 1\n0 2 10\n"
 F3 = "2 2\n0 1 -2\n1 0 1\n"
@@ -145,6 +156,39 @@ def test_single_source_paranoid(capsys, f1_path):
     assert "0\t2\t2\t2" in out.splitlines()
 
 
+@pytest.mark.parametrize("cmd,solver", [
+    (["single-pair", "--s", "0", "--t", "2"], "single_pair_allhops"),
+    (["single-source", "--s", "0"], "single_source_allhops"),
+    (["all-pairs"], "all_pairs_allhops"),
+])
+def test_paranoid_reruns_at_twice_c(capsys, monkeypatch, f1_path, cmd, solver):
+    """--paranoid solves again with twice --C and the same seed, and a
+    re-run that disagrees is a verification failure (exit 3)."""
+    import dataclasses
+
+    import allhops.cli
+
+    real, plans = getattr(allhops.cli, solver), []
+
+    def spy(*args):
+        plan = next(a for a in args if isinstance(a, SamplePlan))
+        plans.append((plan.C, plan.seed))
+        result = real(*args)
+        if plan.C == 6.0 and disagree:
+            return result + 1 if isinstance(result, np.ndarray) else dataclasses.replace(
+                result, le=result.le + 1)
+        return result
+
+    monkeypatch.setattr(allhops.cli, solver, spy)
+    argv = [*cmd[:1], "--graph", f1_path, *cmd[1:], "--C", "3", "--seed", "7", "--paranoid"]
+    disagree = False
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0 and out and plans == [(3.0, 7), (6.0, 7)]
+    disagree = True
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (3, "") and err == "allhops: paranoid re-run with doubled C disagrees\n"
+
+
 def test_max_hop(capsys, f1_path):
     _, out, _ = run_cli(capsys, "single-pair", "--graph", f1_path, "--s", "0", "--t", "2",
                         "--max-hop", "1")
@@ -186,6 +230,40 @@ def test_gadget_bad_header_is_input_error(capsys, tmp_path, gadget, text):
     assert code == 1 and err.startswith("allhops: ")
 
 
+@pytest.mark.parametrize("what", ["graph", "queries", "triangle"])
+def test_undecodable_input_is_input_error(capsys, tmp_path, f1_path, what):
+    """A byte that does not decode is an input error (exit 1) in every file
+    the CLI reads, also where it comes after valid lines."""
+    bad = tmp_path / "bad.txt"
+    if what == "graph":
+        bad.write_bytes(F1.encode() + b"# caf\xe9\n")
+        argv = ["check", "--graph", str(bad)]
+    elif what == "queries":
+        snap = str(tmp_path / "f1.ahdo")
+        assert run_cli(capsys, "oracle", "build", "--kind", "bf", "--graph", f1_path,
+                       "--out", snap)[0] == 0
+        bad.write_bytes(b"0 2 1\n0 1 \xff\n")
+        argv = ["oracle", "query", "--oracle", snap, "--queries", str(bad)]
+    else:
+        bad.write_bytes(b"2 2 2\nij 0 1\njk \xff 0\n")
+        argv = ["gadget", "triangle", "--input", str(bad)]
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (1, "") and err.startswith("allhops: ")
+
+
+def test_allocation_failure_is_precondition_error(capsys, monkeypatch, f1_path):
+    """A table too large to allocate is exit 2 with one stderr line, as
+    numpy raises it for a graph whose header is `100000 0`."""
+    import allhops.cli
+
+    def no_memory(g, plan):
+        raise MemoryError("Unable to allocate 7.11 PiB for an array")
+
+    monkeypatch.setattr(allhops.cli, "all_pairs_allhops", no_memory)
+    code, out, err = run_cli(capsys, "all-pairs", "--graph", f1_path)
+    assert (code, out) == (2, "") and err.startswith("allhops: ") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("depth", ["0", "-3"])
 def test_gadget_tree_depth_below_one_is_usage_error(capsys, depth):
     code, out, err = run_cli(capsys, "gadget", "tree", "--l", depth)
@@ -200,6 +278,28 @@ def test_oracle_build_max_hop_below_one_is_usage_error(capsys, tmp_path, f1_path
                              "--max-hop", max_hop, "--out", str(snap))
     assert (code, out) == (1, "") and err.startswith("allhops: --max-hop")
     assert not snap.exists()
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_oracle_build_every_kind_matches_the_library(capsys, tmp_path, kind):
+    """Each --kind writes the snapshot its library builder makes from the
+    same graph, plan, --max-hop and --kstar."""
+    graph = tmp_path / "g.el"
+    graph.write_text(SMALL.replace("4 6", "4 6 M", 1))
+    snap = tmp_path / "g.ahdo"
+    code, out, _ = run_cli(capsys, "oracle", "build", "--kind", kind, "--graph", str(graph),
+                           "--C", "2", "--seed", "3", "--max-hop", "2", "--kstar", "1",
+                           "--out", str(snap))
+    assert (code, out) == (0, "")
+    g, plan = parse_graph(graph.read_bytes()), SamplePlan(C=2.0, seed=3)
+    want = {
+        "powers": lambda: build_oracle_powers(g, 2),
+        "bf": lambda: build_oracle_bf(g, 2),
+        "mn": lambda: build_oracle_mn(g, plan),
+        "mpp": lambda: build_oracle_mpp(g, plan),
+        "bounded": lambda: build_oracle_bounded(g, plan, 1),
+    }[kind]()
+    assert snap.read_bytes() == save_oracle(want)
 
 
 @pytest.mark.parametrize("kind", ["powers", "bf"])

@@ -85,6 +85,16 @@ def test_tree_rejects_bad_depth():
         build_tree_gadget(0)
 
 
+def test_gadget_builders_refuse_empty_inputs():
+    """The builders, not their callers, refuse n = 0: an empty mpp or conv
+    input is a ValueError, not a failed lookup part-way through the build."""
+    empty = np.zeros((0, 0), dtype=np.int64)
+    with pytest.raises(ValueError):
+        reduce_mpp_to_exact_hops(empty, empty, 2)
+    with pytest.raises(ValueError):
+        reduce_convolution_to_hops(empty, empty)
+
+
 # ---------------------------------------------------------------------------
 # min-plus product gadget
 
