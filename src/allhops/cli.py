@@ -306,7 +306,10 @@ def _read_matrix_lines(lines, rows, cols, what):
         if len(vals) != cols:
             raise ParseError(f"{what}: expected {cols} entries per row")
         out.append(vals)
-    return np.array(out, dtype=np.int64)
+    try:
+        return np.array(out, dtype=np.int64)
+    except OverflowError:
+        raise ParseError(f"{what}: entry outside the 64-bit integer range") from None
 
 
 def _read_triangle(lines):

@@ -435,8 +435,13 @@ class _Reader:
 
 def _read_level(r: _Reader, n: int, full: bool):
     """One level, checked against n: a sorted sample of distinct vertices
-    (all of V for a full table) and arrays of shape (budget+1, |S|, n)."""
+    (all of V for a full table) and arrays of shape (budget+1, |S|, n).  A
+    sampled level's budget is at most max(1, n - 1), the most any build
+    writes: an empty level holds no cells whatever its budget, yet
+    `LevelOracle` allocates along its whole hop axis."""
     budget, size = r.unpack("<II")
+    if not full and budget > max(1, n - 1):
+        raise ParseError(f"oracle snapshot: sampled level budget {budget} exceeds n - 1")
     sample = r.int64s(size).astype(np.int64)
     if size and (sample[0] < 0 or sample[-1] >= n or (np.diff(sample) <= 0).any()):
         raise ParseError("oracle snapshot: sample is not sorted distinct vertices of [0, n)")

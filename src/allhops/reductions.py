@@ -109,6 +109,15 @@ def reduce_mpp_to_exact_hops(A: np.ndarray, B: np.ndarray, x: int) -> GadgetGrap
     A chain a_1 -> ... -> a_n feeds tree gadgets (one forward and one
     reversed copy per inner index, sinks identified); weight-1 edges select
     leaf A[i,k] on the way in and leaf B[k,j] on the way out.
+
+    Vertex numbers, with T the vertex count of `build_tree_gadget(log2 x)`,
+    whose root is its vertex 0: a_i is i - 1 and b_j is n + j - 1.  Inner
+    index k (from 0) owns the block from base = 2n + k(2T - 1): forward-tree
+    vertex t is base + t, and reversed-tree vertex t >= 1 is base + T + t - 1;
+    the reversed root is the forward root, the shared sink.  Edges come in
+    this order: the a-chain, then per k the forward tree's edges, the
+    reversed tree's (the same edges flipped), the edges a_i -> in_k.u_{A[i,k]}
+    and the edges out_k.u_{B[k,j]} -> b_j.
     """
     A = np.asarray(A, dtype=np.int64)
     B = np.asarray(B, dtype=np.int64)
@@ -122,57 +131,26 @@ def reduce_mpp_to_exact_hops(A: np.ndarray, B: np.ndarray, x: int) -> GadgetGrap
         raise ValueError("A must be n x (n/x) and B (n/x) x n")
     if (A < 1).any() or (A > x).any() or (B < 1).any() or (B > x).any():
         raise ValueError(f"entries must lie in [1, {x}]")
-    depth = x.bit_length() - 1
+    tree = build_tree_gadget(x.bit_length() - 1)
+    T, local = tree.graph.n, tree.names
 
-    names: dict[str, int] = {}
-    edges: list[tuple[int, int, int]] = []
-    offset = [0]
-
-    def add_tree(rev: bool, tag: str) -> dict[str, int]:
-        t = build_tree_gadget(depth, reversed_edges=rev)
-        base = offset[0]
-        for u, v, w in t.graph.edges:
-            edges.append((u + base, v + base, w))
-        local = {name: idx + base for name, idx in t.names.items()}
-        offset[0] += t.graph.n
-        for name, idx in local.items():
-            names[f"{tag}.{name}"] = idx
-        return local
-
-    a_ids = [offset[0] + i for i in range(n)]
-    offset[0] += n
-    b_ids = [offset[0] + j for j in range(n)]
-    offset[0] += n
+    names = {"s": 0}
     for i in range(n):
-        names[f"a{i + 1}"] = a_ids[i]
-        names[f"b{i + 1}"] = b_ids[i]
-    for i in range(n - 1):
-        edges.append((a_ids[i], a_ids[i + 1], 1))
-
+        names[f"a{i + 1}"] = i
+        names[f"b{i + 1}"] = n + i
+    edges = [(i, i + 1, 1) for i in range(n - 1)]
     for k in range(inner):
-        fwd = add_tree(False, f"in{k + 1}")
-        rev = add_tree(True, f"out{k + 1}")
-        # identify the two sinks: reroute edges at the reversed copy's root
-        sink, rev_root = fwd["v"], rev["v"]
-        edges = [
-            (sink if u == rev_root else u, sink if v == rev_root else v, w)
-            for u, v, w in edges
-        ]
-        for name, idx in list(names.items()):
-            if idx == rev_root:
-                names[name] = sink
-        for i in range(n):
-            edges.append((a_ids[i], fwd[f"u{int(A[i, k])}"], 1))
-        for j in range(n):
-            edges.append((rev[f"u{int(B[k, j])}"], b_ids[j], 1))
-
-    used = sorted({u for u, v, _ in edges} | {v for _, v, _ in edges} | set(names.values()))
-    remap = {old: new for new, old in enumerate(used)}
-    g = Graph(
-        len(used), tuple((remap[u], remap[v], w) for u, v, w in edges), None
-    )
-    names = {name: remap[idx] for name, idx in names.items()}
-    names["s"] = names["a1"]
+        base = 2 * n + k * (2 * T - 1)
+        fwd = [base + t for t in range(T)]
+        rev = [base] + [base + T + t - 1 for t in range(1, T)]
+        edges += [(fwd[u], fwd[v], w) for u, v, w in tree.graph.edges]
+        edges += [(rev[v], rev[u], w) for u, v, w in tree.graph.edges]
+        edges += [(i, fwd[local[f"u{A[i, k]}"]], 1) for i in range(n)]
+        edges += [(rev[local[f"u{B[k, j]}"]], n + j, 1) for j in range(n)]
+        for name, t in local.items():
+            names[f"in{k + 1}.{name}"] = fwd[t]
+            names[f"out{k + 1}.{name}"] = rev[t]
+    g = Graph(2 * n + inner * (2 * T - 1), tuple(edges), None)
     return GadgetGraph(g, names, {"n": n, "x": x, "inner": inner, "hops": n - 1 + 2 * x})
 
 
@@ -181,16 +159,10 @@ def decode_mpp(gadget: GadgetGraph, table: AllHopsTable) -> np.ndarray:
     table whose source set contains a_1."""
     n, x = gadget.params["n"], gadget.params["x"]
     _check_table(gadget, table, exact=True)
-    s = gadget.vertex("s")
-    row = table.ex[:, table.sources.index(s), :]
-    out = np.full((n, n), INF)
-    for i in range(1, n + 1):
-        hops = i - 1 + 2 * x
-        shift = i - 3 + 2 * x
-        for j in range(1, n + 1):
-            val = row[hops, gadget.vertex(f"b{j}")]
-            out[i - 1, j - 1] = val - shift if np.isfinite(val) else INF
-    return out
+    row = table.ex[:, table.sources.index(gadget.vertex("s")), :]
+    hops = np.arange(n) + 2 * x  # i - 1 + 2x for i = 1..n
+    b = [gadget.vertex(f"b{j}") for j in range(1, n + 1)]
+    return row[hops[:, None], b] - (hops - 2)[:, None]
 
 
 def minplus_product_bruteforce(A: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -252,15 +224,10 @@ def decode_convolution(gadget: GadgetGraph, table: AllHopsTable) -> np.ndarray:
     """out[i-1, j-1, l-1] = d_{l+2}(i-node, j-node) for l in [1, 2n]."""
     n = gadget.params["n"]
     _check_table(gadget, table, exact=True)
-    out = np.full((n, n, 2 * n), INF)
-    for i in range(1, n + 1):
-        src = gadget.vertex(f"i{i}")
-        row = table.ex[:, table.sources.index(src), :]
-        for j in range(1, n + 1):
-            tgt = gadget.vertex(f"j{j}")
-            for ell in range(1, 2 * n + 1):
-                out[i - 1, j - 1, ell - 1] = row[ell + 2, tgt]
-    return out
+    src = [table.sources.index(gadget.vertex(f"i{i}")) for i in range(1, n + 1)]
+    tgt = [gadget.vertex(f"j{j}") for j in range(1, n + 1)]
+    hops = np.arange(3, 2 * n + 3)  # l + 2 for l = 1..2n
+    return table.ex[hops, np.array(src)[:, None, None], np.array(tgt)[:, None]]
 
 
 def indexed_combination_bruteforce(A: np.ndarray, B: np.ndarray) -> np.ndarray:

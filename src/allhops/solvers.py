@@ -8,9 +8,9 @@ deterministic):
 * single_pair_allhops  - shrinking hierarchy, windowed self-convolutions
   of hop-indexed matrix sequences plus doubling prefix extensions.
 * single_source_allhops - growing hierarchy; per level either repeated
-  pinned-target single-pair solves or exact-hop tables by Bellman-Ford
-  from the previous level's sample, combined with the previous level by
-  one min-plus convolution.
+  pinned-target single-pair solves or prefix tables by Bellman-Ford from
+  the previous level's sample, combined with the previous level by one
+  min-plus convolution.
 * all_pairs_allhops   - geometric rounds extending every pair's sequence
   by min-plus convolution through the round's sample plus a stagnation
   candidate; the hop extension is `minplus.extend_hops`, the same kernel
@@ -20,6 +20,10 @@ The schedule lives in `sampling`: every sample holds
 `level_size(n, C, q)` vertices for its stretch q, each hierarchy level
 carries its hop budget (`SampleHierarchy.budgets`), and the all-pairs
 rounds follow `geometric_ladder`.
+
+Every table the solvers build is a prefix table, d_{<=h} for h = 0..H;
+exact-hop tables d_h belong to the ground truth (`baselines`) and to the
+reduction decoders that read them.
 
 Internally everything runs on raw float64 stacks.  The matrix-sequence
 convolutions of the single-pair ladder (which the single-source solver
@@ -119,28 +123,20 @@ def _sp_level_tables(g: Graph, k: int, plan: SamplePlan, strategy: str = "naive"
             boot = _conv(prev, 0, prev, 0, H + 1, 1 + half_hi, strategy, one_split)
             known = np.concatenate([prev, boot])
 
-        def window(lo: int, hi: int, src: np.ndarray, src_off: int) -> tuple[np.ndarray, int]:
-            """Materialize d_{<=j} for j in [max(lo,0), hi] from src, seeding
-            with known values wherever they exist."""
-            lo = max(lo, 0)
-            out = np.full((hi - lo + 1, len(prev_verts), len(prev_verts)), INF)
-            s_lo, s_hi = max(lo, src_off), min(hi, src_off + src.shape[0] - 1)
-            if s_lo <= s_hi:
-                out[s_lo - lo : s_hi - lo + 1] = src[s_lo - src_off : s_hi - src_off + 1]
-            k_hi = min(hi, known.shape[0] - 1)
-            if k_hi >= lo:
-                np.minimum(
-                    out[: k_hi - lo + 1], known[lo : k_hi + 1], out=out[: k_hi - lo + 1]
-                )
-            return out, lo
-
-        d_win, d_off = window(1 - half_lo, 1 + half_hi, known, 0)
-        windows = {0: (d_win, d_off)}
+        # Window i holds d_{<=j}(S_{r-1}, S_{r-1}) for j in
+        # [max(2^i - half_lo, 0), 2^i + half_hi]: window 0 is read off the
+        # known prefix, each later one is the self-convolution of the one
+        # before, lowered to the known prefix wherever that reaches.
+        lo = max(1 - half_lo, 0)
+        windows = [(known[lo : 2 + half_hi], lo)]
         for i in range(1, L + 1):
+            d_win, d_off = windows[-1]
             lo, hi = max((1 << i) - half_lo, 0), (1 << i) + half_hi
             conv = _conv(d_win, d_off, d_win, d_off, lo, hi, strategy, one_split)
-            d_win, d_off = window(lo, hi, conv, lo)
-            windows[i] = (d_win, d_off)
+            top = min(hi, known.shape[0] - 1)
+            if top >= lo:
+                np.minimum(conv[: top - lo + 1], known[lo : top + 1], out=conv[: top - lo + 1])
+            windows.append((conv, lo))
 
         # Prefix extension: rows S_r, cols S_{r-1}, doubling the known range.
         sel = np.searchsorted(prev_verts, cur_verts)
@@ -196,10 +192,22 @@ def single_source_allhops(
     Levels r <= split run the pinned-target single-pair solver for every
     vertex of S_r (one shared hierarchy build per level: with identical
     plans the per-target solves compute identical tables, so the rows are
-    read from a single build).  Levels r > split run Bellman-Ford from
-    S_{r-1} for the exact-hop tables d_h(S_{r-1}, V), h <= n^(1-(r-1)/k),
-    and combine them with the previous level through one min-plus
-    convolution of its hop sequence with that exact-hop stack.
+    read from a single build).  Level r > split runs Bellman-Ford from
+    S_{r-1} for the prefix table d_{<=h'}(S_{r-1}, S_r), h' = 0..H1 with
+    H1 = n^(1-(r-1)/k), and sets, for every hop j,
+
+        cur_r[j](s, v) = min over x in S_{r-1}, j' + h' = j of
+                         cur_{r-1}[j'](s, x) + d_{<=h'}(x, v).
+
+    Every candidate is the weight of a walk from s with at most j hops, so
+    no value falls below d_{<=j}(s, v).  The split at x = s with h' = 0
+    hops carries each vertex's previous value over, and the split at
+    x = s with j' = 0 gives d_{<=h'}(s, v) directly (cur[0] is 0 at s, and
+    s is in every level).  A shortest walk with more than H1 hops has a
+    vertex x of S_{r-1} among its last H1 + 1 whenever the sample hits
+    that stretch (see `SamplePlan`), and the split there is exact.  The
+    table never increases in j, because each split of j is also a split
+    of j + 1 with one more hop allowed on the right.
     """
     n = g.n
     if not (0 <= s < n):
@@ -228,21 +236,10 @@ def single_source_allhops(
     cur = np.ascontiguousarray(ft[: HH + 1, si, pos])  # (HH+1, |S_r|): d_{<=h}(s, S_r)
     for r in range(split + 1, k + 1):
         verts, prev_verts = levels[r], levels[r - 1]
-        H1 = hier.budgets[r - 1]
-        ex = _bf_multi(g, prev_verts, H1, with_exact=True).ex  # d_h(S_{r-1}, V)
-        out = np.full((HH + 1, len(verts)), INF)
-        # base: the exact-hop row of s (s is in every level), hop 0 included
-        lim = min(H1, HH)
-        out[: lim + 1] = ex[: lim + 1, np.searchsorted(prev_verts, s)][:, verts]
-        # combine: out[j + h'] <- d_{<=j}(s, S_{r-1}) (x) d_{h'}(S_{r-1}, S_r),
-        # one convolution with the short exact-hop stack (h' = 1..H1) on
-        # the left.  Exact-hop tables are not prefix tables, so every
-        # split is taken.
-        exact = ex[1:][:, :, verts].transpose(0, 2, 1)  # (H1, |S_r|, |S_{r-1}|)
-        comb = conv_window(exact, cur[:, :, None], 0, HH - 1)  # hops 1..HH
-        np.minimum(out[1:], comb[:, :, 0], out=out[1:])
-        np.minimum.accumulate(out, axis=0, out=out)
-        cur = out
+        # d_{<=h'}(S_{r-1}, S_r) for h' = 0..H1, transposed to put S_r on
+        # the left; one convolution with cur over S_{r-1} gives every hop.
+        T = _bf_multi(g, prev_verts, hier.budgets[r - 1], with_exact=False).le[:, :, verts]
+        cur = conv_window(T.transpose(0, 2, 1), cur[:, :, None], 0, HH)[:, :, 0]
     return AllHopsTable((s,), HH, cur[:, None, :], None)
 
 

@@ -230,6 +230,19 @@ def test_gadget_bad_header_is_input_error(capsys, tmp_path, gadget, text):
     assert code == 1 and err.startswith("allhops: ")
 
 
+@pytest.mark.parametrize("gadget,text", [
+    ("conv", "99999999999999999999\n"),
+    ("conv", "1\n99999999999999999999\n1\n"),
+    ("mpp", "4 99999999999999999999\n"),
+])
+def test_gadget_entry_beyond_int64_is_input_error(capsys, tmp_path, gadget, text):
+    path = tmp_path / "in.txt"
+    path.write_text(text)
+    code, out, err = run_cli(capsys, "gadget", gadget, "--input", str(path))
+    assert code == 1 and out == ""
+    assert err.startswith("allhops: ") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("what", ["graph", "queries", "triangle"])
 def test_undecodable_input_is_input_error(capsys, tmp_path, f1_path, what):
     """A byte that does not decode is an input error (exit 1) in every file

@@ -295,6 +295,26 @@ def test_snapshot_structure_is_validated(corrupt):
         load_oracle(corrupt(_small_snapshot()))
 
 
+def test_sampled_level_budget_past_n_is_refused(capsys, tmp_path):
+    """A sampled level with no vertices holds no cells, so a tiny file could
+    ask for a hop axis of any length.  No build goes past max(1, n - 1)
+    hops; a larger budget is a ParseError at load and exit 1 from `oracle
+    query`."""
+    budget = 1 << 20
+    header = struct.pack("<BIQdqI", oracles.KINDS.index("mn"), 2, 0, 4.0, 0, 1)
+    shape = struct.pack("<3Q", budget + 1, 0, 2)
+    level = struct.pack("<II", budget, 0) + struct.pack("<I", 2) + 2 * (struct.pack("<I", 3) + shape)
+    blob = oracles.MAGIC + header + level
+    with pytest.raises(ParseError, match="budget"):
+        load_oracle(blob)
+    snap, queries = tmp_path / "wide.ahdo", tmp_path / "queries.txt"
+    snap.write_bytes(blob)
+    queries.write_text("0 1 1\n")
+    code = main(["oracle", "query", "--oracle", str(snap), "--queries", str(queries)])
+    out, err = capsys.readouterr()
+    assert code == 1 and out == "" and err.startswith("allhops: ") and err.count("\n") == 1
+
+
 def test_sampled_level_oracles_exact():
     """C=1 at n=60: the deep levels are proper samples, so every answer
     depends on the split vertices actually hitting the shortest walks."""

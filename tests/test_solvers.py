@@ -119,7 +119,7 @@ def test_single_source_split_settings_match_oracle():
 
 
 def test_single_source_on_dense_multigraph(multigraph):
-    """Exact-hop stacks by Bellman-Ford over parallel edges, self-loops and
+    """Prefix tables by Bellman-Ford over parallel edges, self-loops and
     m ~ n^2/2, which no generator makes."""
     brute = apah_brute(multigraph, with_exact=False)
     for k in (2, 3):
@@ -142,6 +142,26 @@ def test_single_source_output_monotone():
     g, _, _ = _random_case(17)
     t = single_source_allhops(g, 2, 3, SamplePlan(seed=2))
     assert (t.le[1:] <= t.le[:-1]).all()
+
+
+def test_single_source_asks_only_for_prefix_tables(monkeypatch):
+    """Every level past split relaxes d_<=h rows: no call asks Bellman-Ford
+    for exact-hop tables, at any split."""
+    calls = []
+    bf = solvers._bf_multi
+
+    def bf_spy(g, sources, L, with_exact):
+        calls.append(with_exact)
+        return bf(g, sources, L, with_exact)
+
+    monkeypatch.setattr(solvers, "_bf_multi", bf_spy)
+    g, brute, rng = _random_case(23)
+    s = int(rng.integers(0, g.n))
+    for k in (1, 2, 3, 4):
+        for split in range(k + 1):
+            got = single_source_allhops(g, s, k, PLAN, split=split)
+            assert np.array_equal(got.le[:, 0, :], brute.le[:, s, :]), (k, split)
+    assert calls and not any(calls)
 
 
 # ---------------------------------------------------------------------------
