@@ -9,6 +9,7 @@ from .baselines import AllHopsRow, AllHopsTable, allhops_from_powers, apah_brute
 from .graph import (
     GenerationError,
     Graph,
+    NegativeCycleError,
     ParseError,
     detect_negative_cycle,
     gen_no_neg_cycle_graph,
@@ -51,7 +52,6 @@ from .reductions import (
 )
 from .sampling import SampleHierarchy, SamplePlan, growing_hierarchy, shrinking_hierarchy
 from .solvers import (
-    NegativeCycleError,
     all_pairs_allhops,
     single_pair_allhops,
     single_source_allhops,

@@ -3,6 +3,11 @@ source, all-pairs all-hops by repetition, and the same tables via iterated
 min-plus powers.  These are the ground truth every other module is tested
 against.
 
+Bellman-Ford runs on the one hop in `minplus` (`relax`, `relax_hops`),
+which the oracles and solvers share; the powers route
+(`allhops_from_powers`) stays off it, as the independent check of
+`apah_brute`.  Every hop budget is at least 1.
+
 Hop-0 rows are stored explicitly (0 on the diagonal, +inf elsewhere) so the
 convolution identities hold without special cases.  Bounded-hop values stay
 well defined even in graphs with negative cycles; the minimizing walks need
@@ -17,7 +22,7 @@ import numpy as np
 
 from .graph import Graph, weight_matrix
 from .matrices import identity_rows
-from .minplus import mp_array
+from .minplus import mp_array, relax, relax_hops
 from .values import INF
 
 
@@ -46,51 +51,32 @@ class AllHopsTable:
         )
 
 
-def _edge_groups(g: Graph):
-    """Edges sorted by head vertex, with reduceat boundaries."""
-    us, vs, ws = g.edge_arrays()
-    order = np.argsort(vs, kind="stable")
-    us, vs, ws = us[order], vs[order], ws[order]
-    heads, starts = np.unique(vs, return_index=True)
-    return us, ws, heads, starts
-
-
-def _relax(rows: np.ndarray, edges) -> np.ndarray:
-    """One Bellman-Ford step over `_edge_groups` edges: column i is the
-    minimum over in-edges (x, heads[i], w) of rows[:, x] + w."""
-    us, ws, heads, starts = edges
-    return np.minimum.reduceat(rows[:, us] + ws, starts, axis=1)
-
-
 def bellman_ford_allhops(g: Graph, s: int, L: int) -> AllHopsRow:
     """Dynamic program ex[h][v] = min over edges (u,v,w) of ex[h-1][u] + w;
     le[h] is the running minimum.  O(mL) time; negative cycles permitted."""
     if not (0 <= s < g.n):
         raise ValueError("source out of range")
-    if L < 1:
-        raise ValueError("hop budget must be >= 1")
     table = _bf_multi(g, (s,), L, with_exact=True)
     return table.row(s)
 
 
 def _bf_multi(g: Graph, sources, L: int, with_exact: bool) -> AllHopsTable:
+    """Hops 0..L from `sources` by `minplus.relax`.  Prefix rows relax
+    from le[h-1] (`relax_hops`); exact-hop rows relax from ex[h-1], and
+    le[h] takes the minimum with le[h-1] in the same loop."""
+    if L < 1:
+        raise ValueError("hop budget must be >= 1")
     sources = tuple(sources)
-    nS, n = len(sources), g.n
-    edges = _edge_groups(g)
-    ex_prev = identity_rows(sources, n)
-    le = np.full((L + 1, nS, n), INF)
-    le[0] = ex_prev
-    ex = None
-    if with_exact:
-        ex = np.full((L + 1, nS, n), INF)
-        ex[0] = ex_prev
+    edges = g.in_edges()
+    le = np.empty((L + 1, len(sources), g.n))
+    le[0] = identity_rows(sources, g.n)
+    if not with_exact:
+        relax_hops(le, 0, edges)
+        return AllHopsTable(sources, L, le)
+    ex = np.full(le.shape, INF)
+    ex[0] = le[0]
     for h in range(1, L + 1):
-        ex_h = np.full((nS, n), INF)
-        ex_h[:, edges[2]] = _relax(ex_prev, edges)
-        le[h] = np.minimum(le[h - 1], ex_h)
-        if with_exact:
-            ex[h] = ex_h
-        ex_prev = ex_h
+        np.minimum(le[h - 1], relax(ex[h - 1], edges, ex[h]), out=le[h])
     return AllHopsTable(sources, L, le, ex)
 
 
@@ -106,6 +92,8 @@ def allhops_from_powers(g: Graph, H: int | None = None) -> AllHopsTable:
     must agree with apah_brute entry-for-entry."""
     if H is None:
         H = max(1, g.n - 1)
+    if H < 1:
+        raise ValueError("hop budget must be >= 1")
     n = g.n
     w = weight_matrix(g)
     ex = np.full((H + 1, n, n), INF)

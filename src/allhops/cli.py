@@ -22,6 +22,7 @@ from .baselines import apah_brute, bellman_ford_allhops
 from .graph import (
     GenerationError,
     Graph,
+    NegativeCycleError,
     ParseError,
     detect_negative_cycle,
     gen_random_graph,
@@ -42,7 +43,6 @@ from .oracles import (
 )
 from .sampling import SamplePlan
 from .solvers import (
-    NegativeCycleError,
     all_pairs_allhops,
     single_pair_allhops,
     single_source_allhops,

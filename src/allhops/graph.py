@@ -1,5 +1,6 @@
 """Directed weighted graphs: edge-list I/O, reversal, adjacency matrix,
-negative-cycle detection, and a seeded random generator.
+edges grouped by head for Bellman-Ford, negative-cycle detection, and a
+seeded random generator.
 
 Vertices are 0-indexed.  Edge weights are 64-bit signed integers; parallel
 edges are allowed and only the minimum weight per ordered pair can affect
@@ -21,6 +22,10 @@ class ParseError(ValueError):
 
 class GenerationError(RuntimeError):
     """Random generation could not satisfy its constraints."""
+
+
+class NegativeCycleError(ValueError):
+    """The input graph violates the no-negative-cycle precondition."""
 
 
 @dataclass(frozen=True)
@@ -57,6 +62,15 @@ class Graph:
             return z, z.copy(), np.zeros(0, dtype=np.float64)
         e = np.asarray(self.edges, dtype=np.int64)
         return e[:, 0], e[:, 1], e[:, 2].astype(np.float64)
+
+    def in_edges(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """(tails, weights, heads, starts): the edges sorted by head, with
+        `heads` the distinct heads and `starts` where each head's edges
+        begin, the layout `minplus.relax` reduces over."""
+        us, vs, ws = self.edge_arrays()
+        order = np.argsort(vs, kind="stable")
+        heads, starts = np.unique(vs[order], return_index=True)
+        return us[order], ws[order], heads, starts
 
     def max_abs_weight(self) -> int:
         return max((abs(w) for _, _, w in self.edges), default=0)
@@ -146,14 +160,6 @@ def weight_matrix(g: Graph) -> np.ndarray:
     return w
 
 
-def hop1_matrix(g: Graph) -> np.ndarray:
-    """d_{<=1}: weight matrix with the diagonal clamped to 0."""
-    w = weight_matrix(g)
-    d = np.diag_indices(g.n)
-    w[d] = np.minimum(w[d], 0.0)
-    return w
-
-
 def detect_negative_cycle(g: Graph) -> bool:
     """True iff some directed cycle has negative total weight.
 
@@ -172,6 +178,12 @@ def detect_negative_cycle(g: Graph) -> bool:
             return False
         dist = nxt
     return bool((dist[us] + ws < dist[vs]).any())
+
+
+def require_no_neg_cycle(g: Graph) -> None:
+    """NegativeCycleError unless `detect_negative_cycle` clears the graph."""
+    if detect_negative_cycle(g):
+        raise NegativeCycleError("graph has a negative cycle")
 
 
 def _check_gen_args(n: int, m: int, M: int) -> None:

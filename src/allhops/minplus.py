@@ -1,5 +1,6 @@
 """Min-plus (tropical) kernels: one windowed min-plus convolution of
-hop-indexed matrix sequences, and the matrix product as its one-hop case.
+hop-indexed matrix sequences, the matrix product as its one-hop case, and
+the Bellman-Ford hop.
 
 `conv_window` computes out[z] = min over x + y = z of A[x] (x) B[y] for a
 requested window of output hops only.  It serves `matseq_convolution`
@@ -13,6 +14,14 @@ Where the split set is all of V (the solvers' unsampled levels and rounds,
 the oracle levels that extend from S_{j-1} = V), the kernel takes one split
 per output hop (`one_split`), which on exact prefix tables equals taking
 every split.
+
+The Bellman-Ford hop lives here too: `relax` is the min-plus product of
+hop rows with the sparse weight matrix, over the edges grouped by head
+(`Graph.in_edges`), and `relax_hops` builds d_{<=h} rows from it hop by
+hop.  Every table built by Bellman-Ford runs on them: the baselines'
+`apah_brute` and `bellman_ford_allhops`, the `bf` oracle, the sampled
+oracles' direct levels and settled-row check, and the solvers' hop-0..1
+tables and single-source levels past split.
 
 `conv_window` has two backends with the same bits, because every sum is an
 exact integer in float64.  The compiled one is a fused C loop per output
@@ -327,6 +336,29 @@ def extend_hops(
         one_split=len(mid_cols) == table.shape[2],
     )
     np.minimum.accumulate(out[K:], axis=0, out=out[K:])
+
+
+def relax(rows: np.ndarray, edges, out: np.ndarray) -> np.ndarray:
+    """One Bellman-Ford hop into `out`, which it returns: each head column v
+    of `out` gets the minimum over v's in-edges (x, v, w) of rows[..., x] + w,
+    the other columns are left as they are.  `edges` is `Graph.in_edges()`.
+
+    Into an all-+inf `out` this writes the min-plus product of `rows` with
+    the sparse weight matrix: exact-hop rows d_{h-1} give d_h."""
+    tails, ws, heads, starts = edges
+    out[..., heads] = np.minimum.reduceat(rows[..., tails] + ws, starts, axis=-1)
+    return out
+
+
+def relax_hops(out: np.ndarray, k0: int, edges) -> None:
+    """Bellman-Ford in place from out[k0]: out[h] = min(out[h-1], one hop
+    from out[h-1]) for h = k0+1..len(out)-1.  From d_{<=k0} rows this gives
+    d_{<=h}, since a walk of at most h hops is a walk of at most h-1 hops,
+    or one of them and one more edge.  One +inf buffer serves every hop:
+    `relax` writes only its head columns."""
+    step = np.full(out.shape[1:], INF)
+    for h in range(k0 + 1, len(out)):
+        np.minimum(out[h - 1], relax(out[h - 1], edges, step), out=out[h])
 
 
 # ---------------------------------------------------------------------------

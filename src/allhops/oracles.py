@@ -3,8 +3,8 @@
 Five kinds share one query contract (d_{<=h}(u,v) for 1 <= h <= n-1):
 
 * powers / bf - FullTableOracle: full 3-D tables, O(1) lookup; built either
-  by iterated min-plus powers or by Bellman-Ford from every vertex;
-  bit-identical.
+  by iterated min-plus powers or by Bellman-Ford from every vertex
+  (`baselines.apah_brute`); bit-identical, with hop budgets of at least 1.
 * mn / mpp / bounded - LevelOracle: levels j of sampled vertices S_j, each
   with forward and backward tables d_{<=h}(S_j, V) and d_{<=h}(V, S_j) for
   h up to a hop budget K_j.  A query splits at the sampled vertices of
@@ -12,11 +12,11 @@ Five kinds share one query contract (d_{<=h}(u,v) for 1 <= h <= n-1):
   (`_level`), with one start rule: below level 0 sits a root, the hop-0
   identity over V, and every level starts from the highest table below it
   whose sample contains S_j.  Rows that no edge relaxes (`_settled`) are
-  copied forward, and the live rows continue to K_j, by Bellman-Ford on a
-  direct level (level 0 and every level with K_j up to a direct budget)
-  and by `minplus.extend_hops` through S_{j-1} on the others, whose nested
-  samples make level j-1 their start.  The kinds differ only in their
-  schedules:
+  copied forward, and the live rows continue to K_j, by Bellman-Ford
+  (`minplus.relax_hops`) on a direct level (level 0 and every level with
+  K_j up to a direct budget) and by `minplus.extend_hops` through S_{j-1}
+  on the others, whose nested samples make level j-1 their start.  The
+  kinds differ only in their schedules:
   - mn: log-many unnested samples, doubling budgets, every level direct;
   - mpp: geometric (3/2) budgets over nested samples, only level 0 direct;
   - bounded: the same ladder with its own sample sizes, levels with
@@ -45,12 +45,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .baselines import _bf_multi, _edge_groups, _relax
-from .graph import Graph, ParseError, reverse, weight_matrix
+from .baselines import apah_brute
+from .graph import Graph, ParseError, require_no_neg_cycle, reverse, weight_matrix
 from .matrices import identity_rows
-from .minplus import extend_hops, mp_array
+from .minplus import extend_hops, mp_array, relax, relax_hops
 from .sampling import SamplePlan, geometric_ladder, level_size, nested_samples, round_sample
-from .solvers import _require_no_neg_cycle
 from .values import INF, from_int64, to_int64
 
 MAGIC = b"AHDO1"
@@ -130,6 +129,8 @@ def build_oracle_powers(
     n = g.n
     if H is None:
         H = max(1, n - 1)
+    if H < 1:
+        raise ValueError("hop budget must be >= 1")
     _check_mem((H + 1) * n * n, mem_cap_bytes)
     le = np.full((H + 1, n, n), INF)
     le[0] = identity_rows(range(n), n)
@@ -149,8 +150,7 @@ def build_oracle_bf(
     if H is None:
         H = max(1, n - 1)
     _check_mem((H + 1) * n * n, mem_cap_bytes)
-    table = _bf_multi(g, range(n), H, with_exact=False)
-    return FullTableOracle("bf", n, H, table.le)
+    return FullTableOracle("bf", n, H, apah_brute(g, H, with_exact=False).le)
 
 
 # ---------------------------------------------------------------------------
@@ -261,7 +261,7 @@ def _last_change(t: np.ndarray) -> int:
 
 def build_oracle_mn(g: Graph, plan: SamplePlan) -> LevelOracle:
     """Doubling budgets 2^(i+1) over shrinking samples, Bellman-Ford tables."""
-    _require_no_neg_cycle(g)
+    require_no_neg_cycle(g)
     n = g.n
     rng = np.random.default_rng(plan.seed)
     ks, samples = [], []
@@ -281,17 +281,7 @@ def _settled(rows: np.ndarray, edges) -> np.ndarray:
     again, because every candidate is a real walk too.  This holds even
     where a sampled level below missed a walk; on exact tables it covers
     every row whose slices K-1 and K are equal."""
-    return (rows[:, edges[2]] <= _relax(rows, edges)).all(axis=1)
-
-
-def _bf_hops(out: np.ndarray, k0: int, edges) -> None:
-    """Bellman-Ford in place from out[k0]: out[h] is out[h-1] relaxed by one
-    more hop, h = k0+1..len(out)-1.  Relaxing d_{<=h-1} rather than the
-    exact-hop rows gives the same d_{<=h}, every sum being exact."""
-    heads = edges[2]
-    for h in range(k0 + 1, len(out)):
-        out[h] = out[h - 1]
-        out[h][:, heads] = np.minimum(out[h - 1][:, heads], _relax(out[h - 1], edges))
+    return (rows <= relax(rows, edges, np.full_like(rows, INF))).all(axis=1)
 
 
 def _level(
@@ -319,7 +309,7 @@ def _level(
     if live.any():
         part = out if live.all() else out[:, live]
         if direct:
-            _bf_hops(part, k0, edges)
+            relax_hops(part, k0, edges)
         else:
             extend_hops(part, start, sel[live], np.arange(len(start_verts)), start_verts)
         if part is not out:
@@ -342,7 +332,7 @@ def _build_levels(
 
     def tables(graph: Graph) -> list[np.ndarray]:
         nonlocal row_hops
-        built, edges = [root], _edge_groups(graph)
+        built, edges = [root], graph.in_edges()
         for j, k in enumerate(ks):
             table, ran = _level(g.n, k, samples[j], built, j == 0 or k <= direct_upto, edges)
             built.append((table, samples[j]))
@@ -358,7 +348,7 @@ def _build_levels(
 
 
 def build_oracle_mpp(g: Graph, plan: SamplePlan) -> LevelOracle:
-    _require_no_neg_cycle(g)
+    require_no_neg_cycle(g)
     ks = geometric_ladder(g.n)
     samples = nested_samples(g.n, plan, [1.5**j for j in range(len(ks))])
     return _build_levels("mpp", g, plan, ks, samples, 0)
@@ -373,7 +363,7 @@ def build_oracle_bounded(
 ) -> LevelOracle:
     if g.declared_M is None:
         raise ValueError("bounded oracle needs declared_M on the graph")
-    _require_no_neg_cycle(g)
+    require_no_neg_cycle(g)
     n = g.n
     ks = geometric_ladder(n)
     samples = nested_samples(n, plan, ks)
@@ -438,10 +428,14 @@ def _read_level(r: _Reader, n: int, full: bool):
     (all of V for a full table) and arrays of shape (budget+1, |S|, n).  A
     sampled level's budget is at most max(1, n - 1), the most any build
     writes: an empty level holds no cells whatever its budget, yet
-    `LevelOracle` allocates along its whole hop axis."""
+    `LevelOracle` allocates along its whole hop axis.  A full table's
+    budget is at least 1, as every build's is: with budget 0 it would
+    answer no query."""
     budget, size = r.unpack("<II")
     if not full and budget > max(1, n - 1):
         raise ParseError(f"oracle snapshot: sampled level budget {budget} exceeds n - 1")
+    if full and budget < 1:
+        raise ParseError("oracle snapshot: full table budget 0")
     sample = r.int64s(size).astype(np.int64)
     if size and (sample[0] < 0 or sample[-1] >= n or (np.diff(sample) <= 0).any()):
         raise ParseError("oracle snapshot: sample is not sorted distinct vertices of [0, n)")

@@ -21,6 +21,9 @@ The schedule lives in `sampling`: every sample holds
 carries its hop budget (`SampleHierarchy.budgets`), and the all-pairs
 rounds follow `geometric_ladder`.
 
+Each entry point refuses a graph with a negative cycle with
+`graph.NegativeCycleError`, which this module also exports.
+
 Every table the solvers build is a prefix table, d_{<=h} for h = 0..H;
 exact-hop tables d_h belong to the ground truth (`baselines`) and to the
 reduction decoders that read them.
@@ -42,8 +45,8 @@ import math
 import numpy as np
 
 from .baselines import AllHopsTable, _bf_multi
-from .graph import Graph, detect_negative_cycle, hop1_matrix
-from .matrices import MatrixSeq, identity_rows
+from .graph import Graph, NegativeCycleError, require_no_neg_cycle
+from .matrices import MatrixSeq
 from .minplus import conv_window, extend_hops, matseq_convolution
 from .sampling import (
     SamplePlan,
@@ -55,15 +58,6 @@ from .sampling import (
     shrinking_hierarchy,
 )
 from .values import INF
-
-
-class NegativeCycleError(ValueError):
-    """The input graph violates the no-negative-cycle precondition."""
-
-
-def _require_no_neg_cycle(g: Graph) -> None:
-    if detect_negative_cycle(g):
-        raise NegativeCycleError("graph has a negative cycle")
 
 
 def _conv(a3, aoff, b3, boff, lo, hi, strategy, one_split):
@@ -89,7 +83,7 @@ def _sp_level_tables(g: Graph, k: int, plan: SamplePlan, strategy: str = "naive"
     tables[r][j] = d_{<=j}(S_r, S_r) for j up to the level's hop budget
     min(n, ceil(n^(r/k))).
 
-    Level 0 holds hops 0..1 (identity and adjacency-with-zero-diagonal).
+    Level 0 holds hops 0..1 (the identity and one Bellman-Ford hop).
     Each later level doubles windowed sequences of the previous level's
     matrices and extends its own prefix by convolution, always taking
     entrywise minima with the best previously known values.
@@ -98,8 +92,7 @@ def _sp_level_tables(g: Graph, k: int, plan: SamplePlan, strategy: str = "naive"
     hier = shrinking_hierarchy(n, k, plan)
     levels = hier.levels
 
-    table = np.stack([identity_rows(range(n), n), hop1_matrix(g)])
-    tables = [table]
+    tables = [_bf_multi(g, range(n), 1, with_exact=False).le]
 
     for r in range(1, k + 1):
         prev_verts = levels[r - 1]
@@ -171,7 +164,7 @@ def single_pair_allhops(
         raise ValueError("endpoint out of range")
     if k < 1:
         raise ValueError("level count must be >= 1")
-    _require_no_neg_cycle(g)
+    require_no_neg_cycle(g)
     levels, tables = _sp_level_tables(g, k, plan.with_pins({s, t}), strategy)
     final_verts, final = levels[-1], tables[-1]
     si = int(np.searchsorted(final_verts, s))
@@ -218,7 +211,7 @@ def single_source_allhops(
         split = math.ceil(k / 2)
     if not (0 <= split <= k):
         raise ValueError("split must lie in [0, k]")
-    _require_no_neg_cycle(g)
+    require_no_neg_cycle(g)
 
     plan = plan.with_pins({s})
     hier = growing_hierarchy(n, k, plan)
@@ -260,12 +253,11 @@ def all_pairs_allhops(g: Graph, plan: SamplePlan) -> AllHopsTable:
     alone).
     """
     n = g.n
-    _require_no_neg_cycle(g)
+    require_no_neg_cycle(g)
     checked_pins(n, plan.pinned)
     HH = max(1, n - 1)
     le = np.full((HH + 1, n, n), INF)
-    le[0] = identity_rows(range(n), n)
-    le[1] = hop1_matrix(g)
+    le[:2] = _bf_multi(g, range(n), 1, with_exact=False).le
     rng = np.random.default_rng(plan.seed)
     ks = geometric_ladder(n)
     for K_prev, K_new in zip(ks, ks[1:]):

@@ -8,12 +8,15 @@ from allhops import (
     allhops_from_powers,
     apah_brute,
     bellman_ford_allhops,
+    build_oracle_bf,
+    build_oracle_powers,
     detect_negative_cycle,
     gen_random_graph,
     graph_from_edges,
 )
 
 from _brute import brute_bellman_ford
+from test_graph import graphs
 
 
 def test_bf_f1(f1):
@@ -51,6 +54,39 @@ def test_bf_matches_brute_dp():
         row = bellman_ford_allhops(g, 0, n + 2)
         assert row.ex.tolist() == ex
         assert row.le.tolist() == le
+
+
+@settings(max_examples=100, deadline=None)
+@given(graphs(), st.data())
+def test_tables_match_brute_dp_on_multigraphs(g, data):
+    """Self-loops, parallel edges, isolated vertices and negative cycles:
+    prefix tables alone and beside exact-hop tables, from every source."""
+    H = data.draw(st.integers(1, g.n + 2))
+    prefix, both = apah_brute(g, H, with_exact=False), apah_brute(g, H)
+    for s in range(g.n):
+        ex, le = brute_bellman_ford(g.n, g.edges, s, H)
+        assert prefix.le[:, s].tolist() == le
+        assert both.le[:, s].tolist() == le
+        assert both.ex[:, s].tolist() == ex
+
+
+@pytest.mark.parametrize("H", [0, -1])
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda g, H: apah_brute(g, H, with_exact=False),
+        apah_brute,
+        allhops_from_powers,
+        build_oracle_powers,
+        build_oracle_bf,
+    ],
+    ids=["apah_brute-prefix", "apah_brute", "allhops_from_powers", "powers", "bf"],
+)
+def test_full_tables_refuse_budgets_below_one(f1, build, H):
+    """A budget-0 table answers no query, and a negative one cannot be
+    allocated."""
+    with pytest.raises(ValueError, match="hop budget must be >= 1"):
+        build(f1, H)
 
 
 def test_apah_f1(f1):

@@ -315,6 +315,22 @@ def test_sampled_level_budget_past_n_is_refused(capsys, tmp_path):
     assert code == 1 and out == "" and err.startswith("allhops: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("kind", ["powers", "bf"])
+def test_full_table_budget_zero_is_refused(f1, kind, capsys, tmp_path):
+    """No build writes a full table with budget 0, and one would answer no
+    query: a ParseError at load and exit 1 from `oracle query`."""
+    le = apah_brute(f1, 1, with_exact=False).le[:1]
+    blob = save_oracle(oracles.FullTableOracle(kind, f1.n, 0, le))
+    with pytest.raises(ParseError, match="budget 0"):
+        load_oracle(blob)
+    snap, queries = tmp_path / "zero.ahdo", tmp_path / "queries.txt"
+    snap.write_bytes(blob)
+    queries.write_text("0 1 1\n")
+    code = main(["oracle", "query", "--oracle", str(snap), "--queries", str(queries)])
+    out, err = capsys.readouterr()
+    assert code == 1 and out == "" and err.startswith("allhops: ") and err.count("\n") == 1
+
+
 def test_sampled_level_oracles_exact():
     """C=1 at n=60: the deep levels are proper samples, so every answer
     depends on the split vertices actually hitting the shortest walks."""
