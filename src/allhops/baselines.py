@@ -4,9 +4,12 @@ min-plus powers.  These are the ground truth every other module is tested
 against.
 
 Bellman-Ford runs on the one hop in `minplus` (`relax`, `relax_hops`),
-which the oracles and solvers share; the powers route
-(`allhops_from_powers`) stays off it, as the independent check of
-`apah_brute`.  Every hop budget is at least 1.
+which the oracles and solvers share; it is a C loop of the same compiled
+library as `minplus.conv_window`, with its numpy body as the fallback.
+The powers route (`allhops_from_powers`) stays off the hop, on the
+product `mp_array`, as the independent check of `apah_brute`: both run
+compiled code where the library loads, but different algorithms through
+different entry points.  Every hop budget is at least 1.
 
 Hop-0 rows are stored explicitly (0 on the diagonal, +inf elsewhere) so the
 convolution identities hold without special cases.  Bounded-hop values stay
@@ -22,7 +25,7 @@ import numpy as np
 
 from .graph import Graph, weight_matrix
 from .matrices import identity_rows
-from .minplus import mp_array, relax, relax_hops
+from .minplus import mp_array, relax_hops
 from .values import INF
 
 
@@ -61,9 +64,9 @@ def bellman_ford_allhops(g: Graph, s: int, L: int) -> AllHopsRow:
 
 
 def _bf_multi(g: Graph, sources, L: int, with_exact: bool) -> AllHopsTable:
-    """Hops 0..L from `sources` by `minplus.relax`.  Prefix rows relax
-    from le[h-1] (`relax_hops`); exact-hop rows relax from ex[h-1], and
-    le[h] takes the minimum with le[h-1] in the same loop."""
+    """Hops 0..L from `sources` by `minplus.relax_hops`.  Prefix rows relax
+    from le[h-1]; exact-hop rows relax from ex[h-1], and le is their running
+    minimum."""
     if L < 1:
         raise ValueError("hop budget must be >= 1")
     sources = tuple(sources)
@@ -73,10 +76,10 @@ def _bf_multi(g: Graph, sources, L: int, with_exact: bool) -> AllHopsTable:
     if not with_exact:
         relax_hops(le, 0, edges)
         return AllHopsTable(sources, L, le)
-    ex = np.full(le.shape, INF)
+    ex = np.empty(le.shape)
     ex[0] = le[0]
-    for h in range(1, L + 1):
-        np.minimum(le[h - 1], relax(ex[h - 1], edges, ex[h]), out=le[h])
+    relax_hops(ex, 0, edges, exact=True)
+    np.minimum.accumulate(ex, axis=0, out=le)
     return AllHopsTable(sources, L, le, ex)
 
 

@@ -26,11 +26,20 @@ from .graph import (
     ParseError,
     detect_negative_cycle,
     gen_random_graph,
+    graph_from_edges,
     parse_graph,
     render_graph,
 )
 from .matrices import MatrixSeq
-from .minplus import conv_window, conv_window_numpy, matseq_convolution
+from .minplus import (
+    conv_window,
+    conv_window_numpy,
+    matseq_convolution,
+    relax,
+    relax_hops,
+    relax_hops_numpy,
+    relax_numpy,
+)
 from .oracles import (
     KINDS,
     build_oracle_bf,
@@ -470,6 +479,20 @@ def _cmd_selftest(args) -> None:
                 got = conv_window(A.data, B.data, lo, hi, one_split=one_split)
                 want = conv_window_numpy(A.data, B.data, lo, hi, one_split=one_split)
                 ok &= np.array_equal(got, want)
+        # the active relax and relax_hops against theirs, on a multigraph
+        # with self-loops and negative weights, from rows strewn with +inf
+        n = int(rng.integers(1, 7))
+        ends = rng.integers(0, n, size=(int(rng.integers(0, 3 * n)), 2)).tolist()
+        g = graph_from_edges(n, [(u, v, int(rng.integers(-4, 5))) for u, v in ends])
+        edges = g.in_edges()
+        rows = rng.integers(-9, 10, size=(4, 3, n)).astype(float)
+        rows[rng.random(rows.shape) < 0.3] = np.inf
+        got, want = rows.copy(), rows.copy()
+        ok &= np.array_equal(relax(rows[0], edges, got[1]), relax_numpy(rows[0], edges, want[1]))
+        for exact in (False, True):
+            relax_hops(got, 1, edges, exact=exact)
+            relax_hops_numpy(want, 1, edges, exact=exact)
+            ok &= np.array_equal(got, want)
     report("kernel equivalence", bool(ok))
 
     if failures:

@@ -9,7 +9,8 @@ a distance.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -66,11 +67,20 @@ class Graph:
     def in_edges(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """(tails, weights, heads, starts): the edges sorted by head, with
         `heads` the distinct heads and `starts` where each head's edges
-        begin, the layout `minplus.relax` reduces over."""
+        begin, the layout `minplus.relax` reduces over.  Built once per
+        graph; the arrays are read-only and C-contiguous, int64 but for the
+        float64 weights."""
+        return self._in_edges
+
+    @cached_property
+    def _in_edges(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         us, vs, ws = self.edge_arrays()
         order = np.argsort(vs, kind="stable")
         heads, starts = np.unique(vs[order], return_index=True)
-        return us[order], ws[order], heads, starts
+        arrays = (us[order], ws[order], heads, starts.astype(np.int64))
+        for a in arrays:
+            a.flags.writeable = False
+        return arrays
 
     def max_abs_weight(self) -> int:
         return max((abs(w) for _, _, w in self.edges), default=0)

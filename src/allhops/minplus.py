@@ -17,22 +17,27 @@ every split.
 
 The Bellman-Ford hop lives here too: `relax` is the min-plus product of
 hop rows with the sparse weight matrix, over the edges grouped by head
-(`Graph.in_edges`), and `relax_hops` builds d_{<=h} rows from it hop by
-hop.  Every table built by Bellman-Ford runs on them: the baselines'
+(`Graph.in_edges`), and `relax_hops` builds d_{<=h} rows (or, with
+`exact`, d_h rows) from it hop by hop.  Every table built by Bellman-Ford
+runs on them: the baselines'
 `apah_brute` and `bellman_ford_allhops`, the `bf` oracle, the sampled
 oracles' direct levels and settled-row check, and the solvers' hop-0..1
 tables and single-source levels past split.
 
-`conv_window` has two backends with the same bits, because every sum is an
-exact integer in float64.  The compiled one is a fused C loop per output
-row (`s = a + b; o = s < o ? s : o` straight into the output, skipping
-+inf left entries), built with the system C compiler on the first kernel
-call, never at import, and loaded with ctypes.  The library is cached per
-user under $XDG_CACHE_HOME/allhops (default ~/.cache/allhops, else a
-private directory in the temp dir), keyed by the sha256 of the source, the
+`conv_window`, `relax` and `relax_hops` each have two backends with the
+same bits, because every sum is an exact integer in float64.  The compiled
+ones are entry points of one C library: a fused loop per output row for
+`conv_window` (`s = a + b; o = s < o ? s : o` straight into the output,
+skipping +inf left entries), and for the hop a loop over each row's heads
+and their in-edges, in the order `Graph.in_edges` gives them.  The library
+is built with the system C compiler on the first kernel call, never at
+import, and loaded with ctypes.  It is cached per user under
+$XDG_CACHE_HOME/allhops (default ~/.cache/allhops, else a private
+directory in the temp dir), keyed by the sha256 of the source, the
 compiler, the flags and the CPU.  Whenever it cannot be built or loaded,
-the kernel silently runs `conv_window_numpy`, the numpy loop that is also
-the reference the tests compare against.
+the kernels silently run `conv_window_numpy`, `relax_numpy` and
+`relax_hops_numpy`, the numpy bodies that are also the references the
+tests compare against.
 
 `matseq_convolution` additionally has a `polynomial` strategy that encodes
 entries as bivariate boolean polynomials (x-degree = hop index, y-degree =
@@ -96,8 +101,8 @@ def conv_window(
     the same value, d_{<=a} (x) d_{<=b} = d_{<=a+b}, because a walk of at
     most a + b hops splits at its vertex after min(a, length) hops.
     """
-    kernel = _compiled_kernel() if _BACKEND == "c" else None
-    if kernel is None:
+    lib = _compiled_kernel() if _BACKEND == "c" else None
+    if lib is None:
         return conv_window_numpy(a3, b3, lo, hi, one_split=one_split)
     out = _window_out(a3, b3, lo, hi)
     if out.size and a3.shape[2]:
@@ -105,7 +110,7 @@ def conv_window(
         lb, _, C = b3.shape
         a = np.ascontiguousarray(a3, dtype=np.float64)
         b = np.ascontiguousarray(b3, dtype=np.float64)
-        kernel(a, b, out, la, R, K, lb, C, lo, hi, bool(one_split))
+        lib.conv_window(a, b, out, la, R, K, lb, C, lo, hi, bool(one_split))
     return out
 
 
@@ -162,8 +167,9 @@ def conv_window_numpy(
 # ---------------------------------------------------------------------------
 # compiled backend
 
-# "c": `conv_window` runs the C loop below, built on first use, or the numpy
-# loop when no C loop can be built or loaded; "numpy": always the numpy loop.
+# "c": `conv_window`, `relax` and `relax_hops` run the C loops below, built
+# on first use, or their numpy bodies when no C library can be built or
+# loaded; "numpy": always the numpy bodies.
 _BACKEND = "c"
 _CC = "cc"
 # No -ffast-math: it lets the compiler assume that no value is infinite, and
@@ -173,6 +179,7 @@ _CFLAGS = ("-O3", "-march=native", "-shared", "-fPIC")
 _C_SOURCE = r"""
 #include <math.h>
 #include <stdint.h>
+#include <string.h>
 
 /* out[z-lo] = min(out[z-lo], min over x+y=z of a[x] (x) b[y]), z in [lo, hi].
    a is (la,R,K), b is (lb,K,C), out is (hi-lo+1,R,C), all C-contiguous. */
@@ -204,15 +211,64 @@ void conv_window(const double *restrict a, const double *restrict b,
         }
     }
 }
+
+/* One Bellman-Ford hop of one row: dst[heads[j]] gets the minimum over the
+   edges e of head j (starts[j] up to starts[j+1], the last up to m) of
+   src[tails[e]] + ws[e], or the minimum of that and dst[heads[j]] when
+   keep is set.  The other entries of dst are left as they are. */
+static void relax_row(const double *restrict src, double *restrict dst,
+                      const int64_t *restrict tails, const double *restrict ws,
+                      const int64_t *restrict heads, const int64_t *restrict starts,
+                      int64_t nh, int64_t m, int keep)
+{
+    for (int64_t j = 0; j < nh; j++) {
+        const int64_t e1 = j + 1 < nh ? starts[j + 1] : m;
+        double best = keep ? dst[heads[j]] : INFINITY;
+        for (int64_t e = starts[j]; e < e1; e++) {
+            const double s = src[tails[e]] + ws[e];
+            best = s < best ? s : best;
+        }
+        dst[heads[j]] = best;
+    }
+}
+
+/* rows and out are (R,n) and do not overlap. */
+void relax(const double *restrict rows, double *restrict out, int64_t R, int64_t n,
+           const int64_t *tails, const double *ws, const int64_t *heads,
+           const int64_t *starts, int64_t nh, int64_t m)
+{
+    for (int64_t r = 0; r < R; r++)
+        relax_row(rows + r * n, out + r * n, tails, ws, heads, starts, nh, m, 0);
+}
+
+/* out is (L,R,n): for h = k0+1..L-1, out[h] = one hop from out[h-1] if
+   exact is set, else the minimum of that and out[h-1]. */
+void relax_hops(double *out, int64_t L, int64_t R, int64_t n, int64_t k0, int exact,
+                const int64_t *tails, const double *ws, const int64_t *heads,
+                const int64_t *starts, int64_t nh, int64_t m)
+{
+    for (int64_t h = k0 + 1; h < L; h++) {
+        const double *prev = out + (h - 1) * R * n;
+        double *cur = out + h * R * n;
+        if (exact)
+            for (int64_t i = 0; i < R * n; i++)
+                cur[i] = INFINITY;
+        else
+            memcpy(cur, prev, (size_t)(R * n) * sizeof(double));
+        for (int64_t r = 0; r < R; r++)
+            relax_row(prev + r * n, cur + r * n, tails, ws, heads, starts, nh, m, !exact);
+    }
+}
 """
 
-_kernel = None  # the loaded C function; False once building or loading failed
+_kernel = None  # the loaded C library; False once building or loading failed
 
 
 def _compiled_kernel():
-    """The C `conv_window`, built and loaded on the first call; None when
-    that fails, for whatever reason (no compiler, no writable cache, a
-    failed compile or load), so that the caller runs the numpy loop."""
+    """The C library, with its entry points `conv_window`, `relax` and
+    `relax_hops`, built and loaded on the first call; None when that fails,
+    for whatever reason (no compiler, no writable cache, a failed compile or
+    load), so that the caller runs its numpy body."""
     global _kernel
     if _kernel is None:
         try:
@@ -232,17 +288,23 @@ def _load_kernel():
     ident = [_C_SOURCE, os.path.realpath(cc), str(st.st_size), str(st.st_mtime_ns),
              *_CFLAGS, os.uname().machine, _cpu_flags()]
     key = _sha256("\0".join(ident).encode("utf-8", "surrogateescape"))[:32]
-    path = os.path.join(_cache_dir(), f"conv_window-{key}.so")
+    path = os.path.join(_cache_dir(), f"minplus-{key}.so")
     try:
         lib = ctypes.CDLL(path)
     except OSError:  # not built yet, or a damaged file: build it (again)
         _compile(cc, path)
         lib = ctypes.CDLL(path)
-    fn = lib.conv_window
     f64 = np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS")
-    fn.argtypes = [f64, f64, f64] + [ctypes.c_int64] * 7 + [ctypes.c_int]
-    fn.restype = None
-    return fn
+    i64 = np.ctypeslib.ndpointer(np.int64, flags="C_CONTIGUOUS")
+    edges = [i64, f64, i64, i64] + [ctypes.c_int64] * 2  # tails, ws, heads, starts, nh, m
+    for name, argtypes in (
+        ("conv_window", [f64, f64, f64] + [ctypes.c_int64] * 7 + [ctypes.c_int]),
+        ("relax", [f64, f64] + [ctypes.c_int64] * 2 + edges),
+        ("relax_hops", [f64] + [ctypes.c_int64] * 4 + [ctypes.c_int] + edges),
+    ):
+        fn = getattr(lib, name)
+        fn.argtypes, fn.restype = argtypes, None
+    return lib
 
 
 def _compile(cc: str, path: str) -> None:
@@ -252,7 +314,7 @@ def _compile(cc: str, path: str) -> None:
     import subprocess  # only on a cold cache: it adds ~0.6 MB to every process
 
     with tempfile.TemporaryDirectory(dir=os.path.dirname(path)) as tmp:
-        src, lib = os.path.join(tmp, "conv_window.c"), os.path.join(tmp, "conv_window.so")
+        src, lib = os.path.join(tmp, "minplus.c"), os.path.join(tmp, "minplus.so")
         with open(src, "w") as f:
             f.write(_C_SOURCE)
         try:
@@ -344,21 +406,91 @@ def relax(rows: np.ndarray, edges, out: np.ndarray) -> np.ndarray:
     the other columns are left as they are.  `edges` is `Graph.in_edges()`.
 
     Into an all-+inf `out` this writes the min-plus product of `rows` with
-    the sparse weight matrix: exact-hop rows d_{h-1} give d_h."""
+    the sparse weight matrix: exact-hop rows d_{h-1} give d_h.  Runs the
+    compiled loop when the library loads (see `_compiled_kernel`), else
+    `relax_numpy`; both give the same bits, as for `conv_window`."""
+    lib = _relax_lib(out)
+    if lib is None or rows.shape != out.shape:
+        return relax_numpy(rows, edges, out)
+    n = out.shape[-1]
+    args = _edge_args(edges, n)
+    o = np.ascontiguousarray(out)
+    src = np.ascontiguousarray(rows, dtype=np.float64)
+    if np.may_share_memory(src, o):
+        src = src.copy()
+    lib.relax(src, o, o.size // n, n, *args)
+    if o is not out:
+        out[...] = o
+    return out
+
+
+def relax_hops(out: np.ndarray, k0: int, edges, *, exact: bool = False) -> None:
+    """Bellman-Ford in place from out[k0]: out[h] = min(out[h-1], one hop
+    from out[h-1]) for h = k0+1..len(out)-1.  From d_{<=k0} rows this gives
+    d_{<=h}, since a walk of at most h hops is a walk of at most h-1 hops,
+    or one of them and one more edge.  With `exact`, out[h] is the hop
+    alone (`relax` into +inf), which from d_{k0} rows gives d_h.  Runs the
+    compiled loop when the library loads, else `relax_hops_numpy`, with the
+    same bits."""
+    if k0 < 0:
+        raise ValueError("relax_hops starts from a hop k0 >= 0")
+    lib = _relax_lib(out)
+    if lib is None:
+        return relax_hops_numpy(out, k0, edges, exact=exact)
+    L, n = len(out), out.shape[-1]
+    args = _edge_args(edges, n)
+    o = np.ascontiguousarray(out)
+    lib.relax_hops(o, L, o.size // (L * n), n, k0, bool(exact), *args)
+    if o is not out:
+        out[...] = o
+
+
+def _relax_lib(out: np.ndarray):
+    """The compiled library where the C loops can take `out` (a nonempty
+    float64 array), else None."""
+    if _BACKEND != "c" or out.dtype != np.float64 or not out.size:
+        return None
+    return _compiled_kernel()
+
+
+def _edge_args(edges, n: int) -> tuple:
+    """`Graph.in_edges()` as the C loops take it: C-contiguous int64 and
+    float64 arrays (the graph's own, not copies), the number of heads and of
+    edges.  Every index the loops follow is checked to lie inside the rows
+    and the edge list."""
+    tails, ws, heads, starts = (
+        np.ascontiguousarray(a, dtype=t)
+        for a, t in zip(edges, (np.int64, np.float64, np.int64, np.int64))
+    )
+    nh, m = len(heads), len(tails)
+    fits = len(ws) == m and len(starts) == nh
+    if fits and m:
+        fits = 0 <= tails.min() and tails.max() < n
+    if fits and nh:
+        fits = 0 <= heads.min() and heads.max() < n and 0 <= starts.min() and starts.max() <= m
+    if not fits:
+        raise IndexError("edge arrays do not fit the rows")
+    return tails, ws, heads, starts, nh, m
+
+
+def relax_numpy(rows: np.ndarray, edges, out: np.ndarray) -> np.ndarray:
+    """`relax` in numpy: the reference the compiled loop is tested against,
+    and its fallback."""
     tails, ws, heads, starts = edges
     out[..., heads] = np.minimum.reduceat(rows[..., tails] + ws, starts, axis=-1)
     return out
 
 
-def relax_hops(out: np.ndarray, k0: int, edges) -> None:
-    """Bellman-Ford in place from out[k0]: out[h] = min(out[h-1], one hop
-    from out[h-1]) for h = k0+1..len(out)-1.  From d_{<=k0} rows this gives
-    d_{<=h}, since a walk of at most h hops is a walk of at most h-1 hops,
-    or one of them and one more edge.  One +inf buffer serves every hop:
-    `relax` writes only its head columns."""
+def relax_hops_numpy(out: np.ndarray, k0: int, edges, *, exact: bool = False) -> None:
+    """`relax_hops` in numpy, the reference and fallback.  One +inf buffer
+    serves every hop: `relax_numpy` writes only its head columns."""
     step = np.full(out.shape[1:], INF)
     for h in range(k0 + 1, len(out)):
-        np.minimum(out[h - 1], relax(out[h - 1], edges, step), out=out[h])
+        if exact:
+            out[h] = step
+            relax_numpy(out[h - 1], edges, out[h])
+        else:
+            np.minimum(out[h - 1], relax_numpy(out[h - 1], edges, step), out=out[h])
 
 
 # ---------------------------------------------------------------------------

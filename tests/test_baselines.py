@@ -14,9 +14,21 @@ from allhops import (
     gen_random_graph,
     graph_from_edges,
 )
+from allhops import minplus
 
 from _brute import brute_bellman_ford
 from test_graph import graphs
+
+# The backend of `minplus.relax` and `relax_hops`, which every Bellman-Ford
+# table runs on: here the default, the compiled loop wherever it builds;
+# `test_baselines_numpy.py` collects every test of this module again on the
+# numpy reference.
+BACKEND = "c"
+
+
+@pytest.fixture(autouse=True)
+def backend(request, monkeypatch):
+    monkeypatch.setattr(minplus, "_BACKEND", request.module.BACKEND)
 
 
 def test_bf_f1(f1):

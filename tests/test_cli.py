@@ -3,6 +3,7 @@ import io
 import json
 import subprocess
 import sys
+import types
 
 import numpy as np
 import pytest
@@ -379,6 +380,26 @@ def test_selftest_runs_green(capsys):
     assert lines and all(l.endswith("ok") for l in lines)
 
 
+def _library(**entry_points):
+    """A stand-in for the compiled library: each entry point takes the C
+    loop's arguments and runs the numpy reference, unless replaced."""
+    from allhops import minplus
+
+    def conv_window(a, b, out, la, R, K, lb, C, lo, hi, one_split):
+        out[:] = minplus.conv_window_numpy(a, b, lo, hi, one_split=bool(one_split))
+
+    def relax(rows, out, R, n, tails, ws, heads, starts, nh, m):
+        minplus.relax_numpy(rows.reshape(R, n), (tails, ws, heads, starts), out.reshape(R, n))
+
+    def relax_hops(out, L, R, n, k0, exact, tails, ws, heads, starts, nh, m):
+        minplus.relax_hops_numpy(out.reshape(L, R, n), k0, (tails, ws, heads, starts),
+                                 exact=bool(exact))
+
+    return types.SimpleNamespace(
+        **{"conv_window": conv_window, "relax": relax, "relax_hops": relax_hops, **entry_points}
+    )
+
+
 def test_selftest_fails_on_a_wrong_kernel(capsys, monkeypatch):
     """A compiled kernel that disagrees with the numpy reference fails the
     kernel suite, also where the polynomial strategy cannot see it: this
@@ -391,7 +412,35 @@ def test_selftest_fails_on_a_wrong_kernel(capsys, monkeypatch):
             out[out < np.inf] += 1
 
     monkeypatch.setattr(minplus, "_BACKEND", "c")
-    monkeypatch.setattr(minplus, "_kernel", wrong_one_split)
+    monkeypatch.setattr(minplus, "_kernel", _library(conv_window=wrong_one_split))
+    code, out, err = run_cli(capsys, "selftest")
+    assert code == 3 and "selftest suite(s) failed" in err
+    assert "selftest kernel equivalence: FAILED" in out
+
+
+def _relax_off_by_one(rows, out, R, n, *edges):
+    _library().relax(rows, out, R, n, *edges)
+    out[out < np.inf] -= 1
+
+
+def _relax_hops_off_by_one(out, L, R, n, k0, exact, *edges):
+    _library().relax_hops(out, L, R, n, k0, exact, *edges)
+    later = out.reshape(L, -1)[k0 + 1 :]
+    later[later < np.inf] -= 1
+
+
+@pytest.mark.parametrize(
+    "entry_point", [{"relax": _relax_off_by_one}, {"relax_hops": _relax_hops_off_by_one}],
+    ids=["relax", "relax_hops"],
+)
+def test_selftest_fails_on_a_wrong_relax(capsys, monkeypatch, entry_point):
+    """A compiled Bellman-Ford hop that is one too low on its finite
+    entries fails the kernel suite.  (Too low, not too high: a table that
+    rises along the hop axis stops the oracle suite first, with exit 2.)"""
+    from allhops import minplus
+
+    monkeypatch.setattr(minplus, "_BACKEND", "c")
+    monkeypatch.setattr(minplus, "_kernel", _library(**entry_point))
     code, out, err = run_cli(capsys, "selftest")
     assert code == 3 and "selftest suite(s) failed" in err
     assert "selftest kernel equivalence: FAILED" in out

@@ -125,6 +125,17 @@ def test_reverse_transposes_weight_matrix(g):
     assert np.array_equal(weight_matrix(reverse(g)), weight_matrix(g).T)
 
 
+@pytest.mark.parametrize("edges", [[(0, 1, 1), (1, 2, 1), (0, 2, 10), (2, 2, 0)], []])
+def test_in_edges_built_once_and_read_only(edges):
+    g = graph_from_edges(3, edges)
+    first = g.in_edges()
+    assert all(a is b for a, b in zip(first, g.in_edges()))
+    for a, dtype in zip(first, (np.int64, np.float64, np.int64, np.int64)):
+        assert a.dtype == dtype and a.flags.c_contiguous
+        with pytest.raises(ValueError, match="read-only"):
+            a[...] = 0
+
+
 def test_weight_matrix_f1(f1):
     w = weight_matrix(f1)
     assert w.tolist() == [[INF, 1, 10], [INF, INF, 1], [INF, INF, INF]]
