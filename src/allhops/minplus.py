@@ -3,26 +3,27 @@ hop-indexed matrix sequences, the matrix product as its one-hop case, and
 the Bellman-Ford hop.
 
 `conv_window` computes out[z] = min over x + y = z of A[x] (x) B[y] for a
-requested window of output hops only.  It serves `matseq_convolution`
-(optionally windowed), the single-pair ladder of the single-pair and
-single-source solvers, the single-source solver's combining step,
-`extend_hops`, the hop extension shared by the all-pairs solver and the
-sampled oracles' level builds, and `mp_array`, the plain product under the
-`powers` oracle and `baselines.allhops_from_powers`.
-
-Where the split set is all of V (the solvers' unsampled levels and rounds,
-the oracle levels that extend from S_{j-1} = V), the kernel takes one split
-per output hop (`one_split`), which on exact prefix tables equals taking
-every split.
+requested window of output hops only, always over every split (x, y).  It
+serves `matseq_convolution` (optionally windowed), the single-pair ladder
+levels that split at a sampled parent, the single-source solver's
+combining step, `extend_hops`, the hop extension through a sample shared
+by the all-pairs rounds and the sampled oracles' level builds, and
+`mp_array`, the plain product under the `powers` oracle and
+`baselines.allhops_from_powers`.
 
 The Bellman-Ford hop lives here too: `relax` is the min-plus product of
 hop rows with the sparse weight matrix, over the edges grouped by head
 (`Graph.in_edges`), and `relax_hops` builds d_{<=h} rows (or, with
 `exact`, d_h rows) from it hop by hop.  Every table built by Bellman-Ford
-runs on them: the baselines'
-`apah_brute` and `bellman_ford_allhops`, the `bf` oracle, the sampled
-oracles' direct levels and settled-row check, and the solvers' hop-0..1
-tables and single-source levels past split.
+runs on them: the baselines' `apah_brute` and `bellman_ford_allhops`, the
+`bf` oracle, the sampled oracles' direct levels and settled-row check, and
+in the solvers every level or round whose split set would be all of V.
+Through all of V a split of exact prefix tables is Bellman-Ford itself,
+d_{<=a} (x) d_{<=b} = d_{<=a+b}, so the callers run the hop there and
+keep the convolution for sampled split sets.  On sparse graphs the hop is
+also the cheaper of the two.  On dense ones it is not: at n = 128,
+m = 8128 a hop over V x V costs about three times one min-plus product
+of V x V tables, and a level built from many such hops is slower for it.
 
 `conv_window`, `relax` and `relax_hops` each have two backends with the
 same bits, because every sum is an exact integer in float64.  The compiled
@@ -79,9 +80,7 @@ def mp_array(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return conv_window(a[None], b[None], 0, 0)[0]
 
 
-def conv_window(
-    a3: np.ndarray, b3: np.ndarray, lo: int, hi: int, *, one_split: bool = False
-) -> np.ndarray:
+def conv_window(a3: np.ndarray, b3: np.ndarray, lo: int, hi: int) -> np.ndarray:
     """Min-plus convolution of raw (la,R,K) and (lb,K,C) stacks, restricted
     to the output hops z in [lo, hi]:
 
@@ -92,25 +91,17 @@ def conv_window(
     (see `_compiled_kernel`), else `conv_window_numpy`; both give the same
     bits, because every sum is an exact integer, so the evaluation order
     cannot change a value.
-
-    `one_split` takes a single pair per output hop: x = min(la-1, z) and
-    y = z - x.  The left hops x < la-1 then only feed y = 0, and every
-    z >= la-1 comes from one wide product at x = la-1.  Precondition: both
-    stacks are exact prefix tables (slice p is d_{<=hop}, hop its offset
-    plus p) and their inner index is every vertex.  Then every split gives
-    the same value, d_{<=a} (x) d_{<=b} = d_{<=a+b}, because a walk of at
-    most a + b hops splits at its vertex after min(a, length) hops.
     """
     lib = _compiled_kernel() if _BACKEND == "c" else None
     if lib is None:
-        return conv_window_numpy(a3, b3, lo, hi, one_split=one_split)
+        return conv_window_numpy(a3, b3, lo, hi)
     out = _window_out(a3, b3, lo, hi)
     if out.size and a3.shape[2]:
         la, R, K = a3.shape
         lb, _, C = b3.shape
         a = np.ascontiguousarray(a3, dtype=np.float64)
         b = np.ascontiguousarray(b3, dtype=np.float64)
-        lib.conv_window(a, b, out, la, R, K, lb, C, lo, hi, bool(one_split))
+        lib.conv_window(a, b, out, la, R, K, lb, C, lo, hi)
     return out
 
 
@@ -121,9 +112,7 @@ def _window_out(a3: np.ndarray, b3: np.ndarray, lo: int, hi: int) -> np.ndarray:
     return np.full((max(0, hi - lo + 1), a3.shape[1], b3.shape[2]), INF)
 
 
-def conv_window_numpy(
-    a3: np.ndarray, b3: np.ndarray, lo: int, hi: int, *, one_split: bool = False
-) -> np.ndarray:
+def conv_window_numpy(a3: np.ndarray, b3: np.ndarray, lo: int, hi: int) -> np.ndarray:
     """`conv_window` in numpy: the reference the compiled loop is tested
     against, and its fallback.
 
@@ -144,8 +133,6 @@ def conv_window_numpy(
     tmp_buf = np.empty_like(acc_buf)
     for x in range(la):
         y0, y1 = max(0, lo - x), min(lb - 1, hi - x)
-        if one_split and x < la - 1:
-            y1 = min(y1, 0)
         if y0 > y1:
             continue
         at = np.ascontiguousarray(a3[x].T)[..., None]  # (K, R, 1)
@@ -185,13 +172,11 @@ _C_SOURCE = r"""
    a is (la,R,K), b is (lb,K,C), out is (hi-lo+1,R,C), all C-contiguous. */
 void conv_window(const double *restrict a, const double *restrict b,
                  double *restrict out, int64_t la, int64_t R, int64_t K,
-                 int64_t lb, int64_t C, int64_t lo, int64_t hi, int one_split)
+                 int64_t lb, int64_t C, int64_t lo, int64_t hi)
 {
     for (int64_t z = lo; z <= hi; z++) {
-        int64_t x0 = z - lb + 1 > 0 ? z - lb + 1 : 0;
-        int64_t x1 = z < la - 1 ? z : la - 1;
-        if (one_split && x0 < x1)
-            x0 = x1;
+        const int64_t x0 = z - lb + 1 > 0 ? z - lb + 1 : 0;
+        const int64_t x1 = z < la - 1 ? z : la - 1;
         for (int64_t r = 0; r < R; r++) {
             double *restrict o = out + ((z - lo) * R + r) * C;
             for (int64_t x = x0; x <= x1; x++) {
@@ -298,7 +283,7 @@ def _load_kernel():
     i64 = np.ctypeslib.ndpointer(np.int64, flags="C_CONTIGUOUS")
     edges = [i64, f64, i64, i64] + [ctypes.c_int64] * 2  # tails, ws, heads, starts, nh, m
     for name, argtypes in (
-        ("conv_window", [f64, f64, f64] + [ctypes.c_int64] * 7 + [ctypes.c_int]),
+        ("conv_window", [f64, f64, f64] + [ctypes.c_int64] * 7),
         ("relax", [f64, f64] + [ctypes.c_int64] * 2 + edges),
         ("relax_hops", [f64] + [ctypes.c_int64] * 4 + [ctypes.c_int] + edges),
     ):
@@ -386,16 +371,13 @@ def extend_hops(
 
     which is the windowed convolution of d_{<=.}(rows, X) with
     d_{<=.}(X, V) over hops [K+1, H], then a running minimum from hop K.
-    When X is all of V, the table must be exact and one split per hop is
-    taken (see `conv_window`).
+    Its callers split at a sample: where X would be all of V, they run
+    `relax_hops` from hop K instead, which gives the same integers on an
+    exact table.
     """
     K = table.shape[0] - 1
     out[K + 1 :] = conv_window(
-        table[:, rows[:, None], mid_cols],
-        table[:, mid_rows],
-        K + 1,
-        out.shape[0] - 1,
-        one_split=len(mid_cols) == table.shape[2],
+        table[:, rows[:, None], mid_cols], table[:, mid_rows], K + 1, out.shape[0] - 1
     )
     np.minimum.accumulate(out[K:], axis=0, out=out[K:])
 

@@ -13,14 +13,17 @@ Five kinds share one query contract (d_{<=h}(u,v) for 1 <= h <= n-1):
   identity over V, and every level starts from the highest table below it
   whose sample contains S_j.  Rows that no edge relaxes (`_settled`) are
   copied forward, and the live rows continue to K_j, by Bellman-Ford
-  (`minplus.relax_hops`) on a direct level (level 0 and every level with
-  K_j up to a direct budget) and by `minplus.extend_hops` through S_{j-1}
-  on the others, whose nested samples make level j-1 their start.  The
-  kinds differ only in their schedules:
+  (`minplus.relax_hops`) on a direct level and by `minplus.extend_hops`
+  through S_{j-1} on the others, whose nested samples make level j-1
+  their start.  A level is direct when it starts from a table over V (the
+  root, or a level that holds all of V), because through V the split of
+  exact tables is Bellman-Ford itself, or when its budget is at most a
+  direct budget.  The kinds differ only in their schedules:
   - mn: log-many unnested samples, doubling budgets, every level direct;
-  - mpp: geometric (3/2) budgets over nested samples, only level 0 direct;
-  - bounded: the same ladder with its own sample sizes, levels with
-    K_j <= kstar (the crossover) direct.
+  - mpp: geometric (3/2) budgets over nested samples, direct on the
+    levels that start from V;
+  - bounded: the same ladder with its own sample sizes, also direct on
+    levels with K_j <= kstar (the crossover).
   The schedules come from `sampling`: level j of mn holds
   `level_size(n, C, 2^j)` vertices, mpp's nested levels are drawn for
   stretches 1.5^j and bounded's for K_j (`nested_samples`), and both
@@ -295,13 +298,14 @@ def _level(
     V, then levels 0..j-1.  The rows start from the highest of them whose
     sample contains S_j, at its hops 0..K.  Rows that `_settled` finds
     stable are copied forward, and the live ones continue to k: by
-    Bellman-Ford on a direct level, else by `extend_hops`, splitting at
-    every vertex of S_{j-1} (nested samples put S_j inside S_{j-1}, so the
-    rows start from level j-1)."""
+    Bellman-Ford on a direct level or from a table over V, else by
+    `extend_hops`, splitting at every vertex of S_{j-1} (nested samples
+    put S_j inside S_{j-1}, so the rows start from level j-1)."""
     out = np.empty((k + 1, len(verts), n))
     start, start_verts, sel = next(
         (t, s, sel) for t, s in reversed(built) if (sel := _positions(s, verts)) is not None
     )
+    direct = direct or len(start_verts) == n
     k0 = start.shape[0] - 1
     out[: k0 + 1] = start[:, sel]
     live = ~_settled(out[k0], edges)
@@ -322,11 +326,12 @@ def _build_levels(
     direct_upto: int,
 ) -> LevelOracle:
     """The LevelOracle over levels (ks[j], samples[j]), each built by
-    `_level` forward and on the reversed graph.  Level 0 and every level
-    with K_j <= direct_upto are direct (Bellman-Ford); they come first, so
-    a direct level starts from exact rows.  The counters tally m
-    relaxations per row and hop that Bellman-Ford ran.  Only `bounded`
-    records direct_upto, as its crossover kstar."""
+    `_level` forward and on the reversed graph.  Every level that starts
+    from a table over V, level 0 among them, and every level with
+    K_j <= direct_upto is direct (Bellman-Ford); they come first, so a
+    direct level starts from exact rows.  The counters tally m relaxations
+    per row and hop that Bellman-Ford ran.  Only `bounded` records
+    direct_upto, as its crossover kstar."""
     row_hops = 0
     root = (identity_rows(range(g.n), g.n)[None], np.arange(g.n))
 
@@ -334,7 +339,7 @@ def _build_levels(
         nonlocal row_hops
         built, edges = [root], graph.in_edges()
         for j, k in enumerate(ks):
-            table, ran = _level(g.n, k, samples[j], built, j == 0 or k <= direct_upto, edges)
+            table, ran = _level(g.n, k, samples[j], built, k <= direct_upto, edges)
             built.append((table, samples[j]))
             row_hops += ran
         return [table for table, _ in built[1:]]

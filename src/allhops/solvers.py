@@ -6,7 +6,8 @@ small n the level-size schedules clamp to all of V and the outputs are
 deterministic):
 
 * single_pair_allhops  - shrinking hierarchy, windowed self-convolutions
-  of hop-indexed matrix sequences plus doubling prefix extensions.
+  of hop-indexed matrix sequences plus doubling prefix extensions, or
+  Bellman-Ford on a level whose parent is all of V.
 * single_source_allhops - growing hierarchy; per level either repeated
   pinned-target single-pair solves or prefix tables by Bellman-Ford from
   the previous level's sample, combined with the previous level by one
@@ -14,7 +15,8 @@ deterministic):
 * all_pairs_allhops   - geometric rounds extending every pair's sequence
   by min-plus convolution through the round's sample plus a stagnation
   candidate; the hop extension is `minplus.extend_hops`, the same kernel
-  the sampled oracles build their levels with.
+  the sampled oracles build their levels with, or Bellman-Ford in a
+  round whose sample is all of V.
 
 The schedule lives in `sampling`: every sample holds
 `level_size(n, C, q)` vertices for its stretch q, each hierarchy level
@@ -28,14 +30,16 @@ Every table the solvers build is a prefix table, d_{<=h} for h = 0..H;
 exact-hop tables d_h belong to the ground truth (`baselines`) and to the
 reduction decoders that read them.
 
-Internally everything runs on raw float64 stacks.  The matrix-sequence
-convolutions of the single-pair ladder (which the single-source solver
-also runs), of the single-source combining step and of the all-pairs hop
-extension are the windowed kernel `minplus.conv_window`, asked for
-exactly the output hops the caller reads.  When the split set is all of
-V, the kernel takes one split per output hop, which is exact on exact
-prefix tables.  The ladder's `polynomial` strategy goes through
-`matseq_convolution` instead and takes every split.
+Internally everything runs on raw float64 stacks.  One rule holds
+wherever a split set is all of V: the ladder levels whose parent is V
+(level 0 counted as such) and the all-pairs rounds whose sample is V run
+Bellman-Ford (`minplus.relax_hops`), because through V the split of exact
+prefix tables is d_{<=a} (x) d_{<=b} = d_{<=a+b}.  The convolutions of
+the ladder's other levels (which the single-source solver also runs), of
+the single-source combining step and of the all-pairs rounds through a
+sample are the windowed kernel `minplus.conv_window`, asked for exactly
+the output hops the caller reads.  The ladder's `polynomial` strategy goes
+through `matseq_convolution` instead; both take every split.
 """
 
 from __future__ import annotations
@@ -47,7 +51,7 @@ import numpy as np
 from .baselines import AllHopsTable, _bf_multi
 from .graph import Graph, NegativeCycleError, require_no_neg_cycle
 from .matrices import MatrixSeq
-from .minplus import conv_window, extend_hops, matseq_convolution
+from .minplus import conv_window, extend_hops, matseq_convolution, relax_hops
 from .sampling import (
     SamplePlan,
     checked_pins,
@@ -60,14 +64,13 @@ from .sampling import (
 from .values import INF
 
 
-def _conv(a3, aoff, b3, boff, lo, hi, strategy, one_split):
+def _conv(a3, aoff, b3, boff, lo, hi, strategy):
     """Hops lo..hi of the min-plus convolution of two raw hop-indexed stacks
-    (offsets aoff, boff).  `naive` calls the windowed kernel directly, with
-    one split per output hop when `one_split` holds (see `conv_window`);
-    `polynomial` goes through `matseq_convolution` and takes every split."""
+    (offsets aoff, boff).  `naive` calls the windowed kernel directly;
+    `polynomial` goes through `matseq_convolution`."""
     if strategy == "naive":
         base = aoff + boff
-        return conv_window(a3, b3, lo - base, hi - base, one_split=one_split)
+        return conv_window(a3, b3, lo - base, hi - base)
     (_, R, K), C = a3.shape, b3.shape[2]
     A = MatrixSeq(aoff, range(R), range(K), a3)
     B = MatrixSeq(boff, range(K), range(C), b3)
@@ -81,61 +84,48 @@ def _conv(a3, aoff, b3, boff, lo, hi, strategy, one_split):
 def _sp_level_tables(g: Graph, k: int, plan: SamplePlan, strategy: str = "naive"):
     """Shrinking-hierarchy ladder: returns (levels, tables) where
     tables[r][j] = d_{<=j}(S_r, S_r) for j up to the level's hop budget
-    min(n, ceil(n^(r/k))).
+    N_r = min(n, ceil(n^(r/k))).
 
-    Level 0 holds hops 0..1 (the identity and one Bellman-Ford hop).
-    Each later level doubles windowed sequences of the previous level's
-    matrices and extends its own prefix by convolution, always taking
+    A level whose parent is V, and level 0 (N_0 = 1), is Bellman-Ford from
+    S_r: every earlier level is V too, so its table is exact.  Each later
+    level doubles windowed sequences of the previous level's matrices and
+    extends its own prefix by convolution through S_{r-1}, always taking
     entrywise minima with the best previously known values.
     """
     n = g.n
     hier = shrinking_hierarchy(n, k, plan)
     levels = hier.levels
-
-    tables = [_bf_multi(g, range(n), 1, with_exact=False).le]
-
-    for r in range(1, k + 1):
+    tables = []
+    for r, (cur_verts, Nr) in enumerate(zip(levels, hier.budgets)):
+        if r == 0 or len(levels[r - 1]) == n:
+            tables.append(_bf_multi(g, cur_verts, Nr, with_exact=False).le[:, :, cur_verts])
+            continue
         prev_verts = levels[r - 1]
-        cur_verts = levels[r]
-        prev = tables[r - 1]  # (H+1, nP, nP)
+        prev = tables[r - 1]  # (H+1, nP, nP), H >= 2 since S_{r-1} is sampled
         H = prev.shape[0] - 1
-        Nr = hier.budgets[r]
         half_lo, half_hi = H // 2, (H + 1) // 2
         L = max(0, Nr.bit_length() - 1)  # floor(log2(Nr))
-        # Split sets only shrink: the ladder's levels, the all-pairs rounds'
-        # samples and the oracles' nested levels.  So a split set of all of
-        # V is only preceded by full ones, the tables it splits are exact
-        # prefix tables, and one split per output hop gives every split's
-        # value (`minplus.conv_window`).
-        one_split = len(prev_verts) == n
-
-        # Known exact prefix over S_{r-1}; extend once by self-convolution
-        # when the first window pokes past it (only happens for H == 1).
-        known = prev
-        if 1 + half_hi > H:
-            boot = _conv(prev, 0, prev, 0, H + 1, 1 + half_hi, strategy, one_split)
-            known = np.concatenate([prev, boot])
 
         # Window i holds d_{<=j}(S_{r-1}, S_{r-1}) for j in
         # [max(2^i - half_lo, 0), 2^i + half_hi]: window 0 is read off the
         # known prefix, each later one is the self-convolution of the one
         # before, lowered to the known prefix wherever that reaches.
         lo = max(1 - half_lo, 0)
-        windows = [(known[lo : 2 + half_hi], lo)]
+        windows = [(prev[lo : 2 + half_hi], lo)]
         for i in range(1, L + 1):
             d_win, d_off = windows[-1]
             lo, hi = max((1 << i) - half_lo, 0), (1 << i) + half_hi
-            conv = _conv(d_win, d_off, d_win, d_off, lo, hi, strategy, one_split)
-            top = min(hi, known.shape[0] - 1)
+            conv = _conv(d_win, d_off, d_win, d_off, lo, hi, strategy)
+            top = min(hi, H)
             if top >= lo:
-                np.minimum(conv[: top - lo + 1], known[lo : top + 1], out=conv[: top - lo + 1])
+                np.minimum(conv[: top - lo + 1], prev[lo : top + 1], out=conv[: top - lo + 1])
             windows.append((conv, lo))
 
         # Prefix extension: rows S_r, cols S_{r-1}, doubling the known range.
         sel = np.searchsorted(prev_verts, cur_verts)
         P = np.full((Nr + 1, len(cur_verts), len(prev_verts)), INF)
-        base = min(known.shape[0] - 1, Nr)
-        P[: base + 1] = known[: base + 1][:, sel, :]
+        base = min(H, Nr)
+        P[: base + 1] = prev[: base + 1][:, sel, :]
         known_hi = base
         for i in range(L + 1):
             target = min(1 << (i + 1), Nr)
@@ -145,7 +135,7 @@ def _sp_level_tables(g: Graph, k: int, plan: SamplePlan, strategy: str = "naive"
             s_lo, s_hi = 1 << i, (1 << i) + half_hi
             sub = w_data[s_lo - w_off : s_hi - w_off + 1]
             lo = known_hi + 1
-            conv = _conv(P[: (1 << i) + 1], 0, sub, s_lo, lo, target, strategy, one_split)
+            conv = _conv(P[: (1 << i) + 1], 0, sub, s_lo, lo, target, strategy)
             np.minimum(P[lo : target + 1], conv, out=P[lo : target + 1])
             np.minimum.accumulate(P[known_hi : target + 1], axis=0, out=P[known_hi : target + 1])
             known_hi = target
@@ -247,10 +237,12 @@ def all_pairs_allhops(g: Graph, plan: SamplePlan) -> AllHopsTable:
     K_k = ceil((3/2)^k) (`sampling.geometric_ladder`): splits
     d_{<=h-g}(u, x) + d_{<=g}(x, v) through the round's x, sampled for
     stretch K_{k-1}, contribute candidates, and the stagnation value
-    d_{<=h-1}(u, v) closes the short-path case.  Once two consecutive hop
-    slices are identical the table has stabilized and the remaining hops
-    are copies (the one-step recurrence is a function of the previous slice
-    alone).
+    d_{<=h-1}(u, v) closes the short-path case.  A round whose sample is
+    all of V runs Bellman-Ford from K_{k-1} instead: the rounds before it
+    sampled V too, so the table is exact, and through V the splits give
+    d_{<=h} itself.  Once two consecutive hop slices are identical the
+    table has stabilized and the remaining hops are copies (the one-step
+    recurrence is a function of the previous slice alone).
     """
     n = g.n
     require_no_neg_cycle(g)
@@ -258,12 +250,17 @@ def all_pairs_allhops(g: Graph, plan: SamplePlan) -> AllHopsTable:
     HH = max(1, n - 1)
     le = np.full((HH + 1, n, n), INF)
     le[:2] = _bf_multi(g, range(n), 1, with_exact=False).le
+    edges = g.in_edges()
     rng = np.random.default_rng(plan.seed)
     ks = geometric_ladder(n)
     for K_prev, K_new in zip(ks, ks[1:]):
         if np.array_equal(le[K_prev], le[K_prev - 1]):
             le[K_prev + 1 :] = le[K_prev]
             break
+        # Drawn even when it is all of V, so later rounds draw the same.
         sample = round_sample(rng, n, level_size(n, plan.C, K_prev), plan.pinned)
-        extend_hops(le[: K_new + 1], le[: K_prev + 1], np.arange(n), sample, sample)
+        if len(sample) == n:
+            relax_hops(le[: K_new + 1], K_prev, edges)
+        else:
+            extend_hops(le[: K_new + 1], le[: K_prev + 1], np.arange(n), sample, sample)
     return AllHopsTable(tuple(range(n)), HH, le, None)

@@ -385,8 +385,8 @@ def _library(**entry_points):
     loop's arguments and runs the numpy reference, unless replaced."""
     from allhops import minplus
 
-    def conv_window(a, b, out, la, R, K, lb, C, lo, hi, one_split):
-        out[:] = minplus.conv_window_numpy(a, b, lo, hi, one_split=bool(one_split))
+    def conv_window(a, b, out, la, R, K, lb, C, lo, hi):
+        out[:] = minplus.conv_window_numpy(a, b, lo, hi)
 
     def relax(rows, out, R, n, tails, ws, heads, starts, nh, m):
         minplus.relax_numpy(rows.reshape(R, n), (tails, ws, heads, starts), out.reshape(R, n))
@@ -402,41 +402,54 @@ def _library(**entry_points):
 
 def test_selftest_fails_on_a_wrong_kernel(capsys, monkeypatch):
     """A compiled kernel that disagrees with the numpy reference fails the
-    kernel suite, also where the polynomial strategy cannot see it: this
-    one is off by one only when it takes one split per output hop."""
+    kernel suite, also where nothing else can see it: this one is off by
+    one only on windows that start past hop 0.  The polynomial strategy
+    never asks for one, and at the selftest's sizes every split set of the
+    solvers and oracles is all of V or starts at hop 0."""
     from allhops import minplus
 
-    def wrong_one_split(a, b, out, la, R, K, lb, C, lo, hi, one_split):
-        out[:] = minplus.conv_window_numpy(a, b, lo, hi, one_split=bool(one_split))
-        if one_split:
+    def wrong_past_hop_0(a, b, out, la, R, K, lb, C, lo, hi):
+        out[:] = minplus.conv_window_numpy(a, b, lo, hi)
+        if lo > 0:
             out[out < np.inf] += 1
 
     monkeypatch.setattr(minplus, "_BACKEND", "c")
-    monkeypatch.setattr(minplus, "_kernel", _library(conv_window=wrong_one_split))
+    monkeypatch.setattr(minplus, "_kernel", _library(conv_window=wrong_past_hop_0))
     code, out, err = run_cli(capsys, "selftest")
     assert code == 3 and "selftest suite(s) failed" in err
     assert "selftest kernel equivalence: FAILED" in out
+    assert out.count("FAILED") == 1
 
 
-def _relax_off_by_one(rows, out, R, n, *edges):
-    _library().relax(rows, out, R, n, *edges)
-    out[out < np.inf] -= 1
+def _relax_off_by(delta):
+    def relax(rows, out, R, n, *edges):
+        _library().relax(rows, out, R, n, *edges)
+        out[out < np.inf] += delta
+
+    return relax
 
 
-def _relax_hops_off_by_one(out, L, R, n, k0, exact, *edges):
-    _library().relax_hops(out, L, R, n, k0, exact, *edges)
-    later = out.reshape(L, -1)[k0 + 1 :]
-    later[later < np.inf] -= 1
+def _relax_hops_off_by(delta):
+    def relax_hops(out, L, R, n, k0, exact, *edges):
+        _library().relax_hops(out, L, R, n, k0, exact, *edges)
+        later = out.reshape(L, -1)[k0 + 1 :]
+        later[later < np.inf] += delta
+
+    return relax_hops
 
 
 @pytest.mark.parametrize(
-    "entry_point", [{"relax": _relax_off_by_one}, {"relax_hops": _relax_hops_off_by_one}],
-    ids=["relax", "relax_hops"],
+    "entry_point",
+    [{"relax": _relax_off_by(-1)}, {"relax_hops": _relax_hops_off_by(-1)},
+     {"relax": _relax_off_by(1)}, {"relax_hops": _relax_hops_off_by(1)}],
+    ids=["relax", "relax_hops", "relax-too-high", "relax_hops-too-high"],
 )
 def test_selftest_fails_on_a_wrong_relax(capsys, monkeypatch, entry_point):
-    """A compiled Bellman-Ford hop that is one too low on its finite
-    entries fails the kernel suite.  (Too low, not too high: a table that
-    rises along the hop axis stops the oracle suite first, with exit 2.)"""
+    """A compiled Bellman-Ford hop that is one off on its finite entries
+    fails the kernel suite and exits 3.  One too high makes the oracle
+    tables rise along the hop axis, which `LevelOracle` refuses with a
+    ValueError; the oracle suite counts that as its own failure, so it is
+    not a precondition violation (exit 2)."""
     from allhops import minplus
 
     monkeypatch.setattr(minplus, "_BACKEND", "c")

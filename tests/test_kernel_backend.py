@@ -58,10 +58,8 @@ def _stacks():
 def _assert_reference_outputs():
     for a, b in _stacks():
         top = len(a) + len(b)
-        for one_split in (False, True):
-            got = minplus.conv_window(a, b, -1, top, one_split=one_split)
-            want = minplus.conv_window_numpy(a, b, -1, top, one_split=one_split)
-            assert np.array_equal(got, want)
+        got = minplus.conv_window(a, b, -1, top)
+        assert np.array_equal(got, minplus.conv_window_numpy(a, b, -1, top))
     g = gen_random_graph(12, 40, 5, 8)  # negative cycles allowed
     got = apah_brute(g), apah_brute(g, with_exact=False)  # both relax_hops modes
     backend, minplus._BACKEND = minplus._BACKEND, "numpy"
@@ -137,9 +135,8 @@ assert minplus._compiled_kernel() is not None, "kernel not loaded"
 a = np.arange(24.0).reshape(2, 3, 4) - 9
 b = np.arange(40.0).reshape(2, 4, 5) % 7 - 3
 a[0, 1] = np.inf
-for s in (False, True):
-    got = minplus.conv_window(a, b, -1, 3, one_split=s)
-    assert np.array_equal(got, minplus.conv_window_numpy(a, b, -1, 3, one_split=s))
+got = minplus.conv_window(a, b, -1, 3)
+assert np.array_equal(got, minplus.conv_window_numpy(a, b, -1, 3))
 g = gen_random_graph(12, 40, 5, 8)
 got = apah_brute(g)
 want = np.full(got.le.shape, np.inf)

@@ -235,11 +235,9 @@ def test_conv_window_non_contiguous_inputs():
     b3 = _stack(rng, 6, 14, 5)[::2, ::2]  # (3, 7, 5)
     assert not (a3.flags.c_contiguous or b3.flags.c_contiguous)
     for lo, hi in ((0, 5), (-1, 7), (2, 3)):
-        for one_split, brute in ((False, _brute_window), (True, _brute_one_split)):
-            got = conv_window(a3, b3, lo, hi, one_split=one_split)
-            assert np.array_equal(got, brute(a3, b3, lo, hi)), (lo, hi, one_split)
-            want = conv_window(a3.copy(), b3.copy(), lo, hi, one_split=one_split)
-            assert np.array_equal(got, want), (lo, hi, one_split)
+        got = conv_window(a3, b3, lo, hi)
+        assert np.array_equal(got, _brute_window(a3, b3, lo, hi)), (lo, hi)
+        assert np.array_equal(got, conv_window(a3.copy(), b3.copy(), lo, hi)), (lo, hi)
 
 
 def test_conv_window_inf_rows_and_negative_entries():
@@ -258,77 +256,12 @@ def test_conv_window_inf_rows_and_negative_entries():
     assert (got[np.isfinite(got)] < 0).any()
 
 
-@pytest.mark.parametrize("one_split", [False, True])
-def test_conv_window_empty_window(one_split):
+def test_conv_window_empty_window():
     rng = np.random.default_rng(13)
     a3, b3 = _stack(rng, 3, 2, 4), _stack(rng, 2, 4, 3)
     for lo, hi in ((3, 2), (0, -1), (10, 0)):
-        out = conv_window(a3, b3, lo, hi, one_split=one_split)
+        out = conv_window(a3, b3, lo, hi)
         assert out.shape == (0, 2, 3)
-
-
-def _brute_one_split(a3, b3, lo, hi):
-    """Hops lo..hi from the single pair x = min(la-1, z), y = z - x."""
-    la, R, K = a3.shape
-    lb, _, C = b3.shape
-    want = np.full((hi - lo + 1, R, C), INF)
-    if not (R and K and C):
-        return want
-    for z in range(max(lo, 0), min(hi, la + lb - 2) + 1):
-        x = min(la - 1, z)
-        want[z - lo] = brute_minplus(a3[x].tolist(), b3[z - x].tolist())
-    return want
-
-
-def _prefix_stacks(g, a0, la, b0, lb, rows, cols):
-    """d_{<=a0..a0+la-1}(rows, V) and d_{<=b0..b0+lb-1}(V, cols): exact
-    prefix tables whose inner index is every vertex."""
-    le = apah_brute(g, max(1, a0 + la + b0 + lb), with_exact=False).le
-    return le[a0 : a0 + la][:, rows], le[b0 : b0 + lb][:, :, cols]
-
-
-@pytest.mark.parametrize("n,m,a0,la,b0,lb,R,C", [
-    (6, 10, 0, 3, 0, 3, 6, 6), (7, 9, 2, 4, 1, 2, 3, 5), (5, 12, 1, 1, 3, 4, 1, 5),
-    (8, 8, 3, 3, 2, 5, 4, 1), (6, 14, 2, 5, 0, 1, 1, 1), (5, 4, 1, 4, 4, 3, 2, 3),
-])
-@pytest.mark.parametrize("chunk", [None, 1])
-def test_conv_window_one_split_on_exact_prefix_tables(monkeypatch, n, m, a0, la, b0, lb, R, C,
-                                                      chunk):
-    """On exact prefix tables over all of V, one split per output hop equals
-    every split, in every window (z below la-1, past la+lb-2, offsets a0,
-    b0 nonzero); chunk=1 takes the product one row at a time."""
-    if chunk:
-        monkeypatch.setattr(minplus, "_CHUNK_CELLS", chunk)
-    g = gen_random_graph(n, m, 6, 10 * n + m, require_no_neg_cycle=True)
-    assert min(w for _, _, w in g.edges) < 0
-    rng = np.random.default_rng(m)
-    rows = np.sort(rng.choice(n, R, replace=False))
-    cols = np.sort(rng.choice(n, C, replace=False))
-    a3, b3 = _prefix_stacks(g, a0, la, b0, lb, rows, cols)
-    assert np.isinf(b3).any()
-    top = la + lb - 1
-    for lo in range(-1, top + 1):
-        for hi in range(lo, top + 1):
-            one = conv_window(a3, b3, lo, hi, one_split=True)
-            assert np.array_equal(one, conv_window(a3, b3, lo, hi)), (lo, hi)
-            assert np.array_equal(one, _brute_window(a3, b3, lo, hi)), (lo, hi)
-
-
-@settings(max_examples=40, deadline=None)
-@given(st.data())
-def test_conv_window_one_split_property(data):
-    n = data.draw(st.integers(1, 6))
-    m = data.draw(st.integers(0, n * (n - 1)))
-    g = gen_random_graph(n, m, 5, data.draw(st.integers(0, 999)), require_no_neg_cycle=True)
-    a0, b0 = data.draw(st.integers(0, 3)), data.draw(st.integers(0, 3))
-    la, lb = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 4))
-    rows = sorted(data.draw(st.sets(st.integers(0, n - 1), min_size=1)))
-    cols = sorted(data.draw(st.sets(st.integers(0, n - 1), min_size=1)))
-    a3, b3 = _prefix_stacks(g, a0, la, b0, lb, rows, cols)
-    lo = data.draw(st.integers(-2, la + lb))
-    hi = data.draw(st.integers(lo, la + lb + 1))
-    one = conv_window(a3, b3, lo, hi, one_split=True)
-    assert np.array_equal(one, _brute_window(a3, b3, lo, hi))
 
 
 def test_matseq_window_polynomial_equals_naive():
@@ -360,8 +293,6 @@ def test_conv_window_property(data):
 
     a3, b3 = stack(la, R, K), stack(lb, K, C)
     assert np.array_equal(conv_window(a3, b3, lo, hi), _brute_window(a3, b3, lo, hi))
-    one = conv_window(a3, b3, lo, hi, one_split=True)
-    assert np.array_equal(one, _brute_one_split(a3, b3, lo, hi))
 
 
 def test_matseq_polynomial_bound_violation():

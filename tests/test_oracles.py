@@ -350,8 +350,9 @@ def test_sampled_level_oracles_exact():
 
 def test_build_relaxations_count_every_bellman_ford_level():
     """m per row and hop that Bellman-Ford ran, in each direction, on the
-    direct levels: every mn level, level 0 of mpp and bounded's levels up
-    to kstar.  A level starts from the highest level below whose sample
+    direct levels: every mn level, the levels of mpp and bounded that start
+    from a table over V (mpp's levels 0-4 here) and bounded's levels up to
+    kstar.  A level starts from the highest level below whose sample
     contains its own, at that level's budget K, or else from the root, the
     hop-0 identity over V (K = 0).  It runs only the rows that hop K+1
     changes: on exact tables, the rows no edge relaxes are the unchanged
@@ -378,7 +379,8 @@ def test_build_relaxations_count_every_bellman_ford_level():
     assert mn.counters.relaxations == bf_cost(mn, range(len(mn.ks)))
     assert {1, 2} <= starts
     mpp = build_oracle_mpp(g, plan)
-    assert mpp.counters.relaxations == bf_cost(mpp, [0])
+    assert [s.size for s in mpp.samples[:5]] == [g.n] * 4 + [30]
+    assert mpp.counters.relaxations == bf_cost(mpp, range(5))
     bounded = build_oracle_bounded(g, plan, kstar=6)
     assert bounded.ks[:5] == [1, 2, 3, 4, 6] and bounded.ks[5] > 6
     assert bounded.counters.relaxations == bf_cost(bounded, range(5))

@@ -67,6 +67,28 @@ def test_single_pair_polynomial_strategy_route(f4):
     assert np.array_equal(naive, poly)
 
 
+@pytest.mark.parametrize("strategy", ["naive", "polynomial"])
+def test_single_pair_strategies_convolve_through_a_sampled_level(monkeypatch, strategy):
+    """At C = 1 and k = 3 on a 10-vertex chain DAG the ladder holds
+    [10, 10, 5, 3] vertices, so level 3 splits at the 5 of level 2 and
+    runs the paper's convolutions; both strategies are exact there.  (At
+    C = 1 that holds only with some probability: seeds 0 and 5 miss the
+    9-hop walk.)"""
+    inner = []
+    conv = solvers._conv
+
+    def conv_spy(a3, *args):
+        inner.append(a3.shape[2])
+        return conv(a3, *args)
+
+    monkeypatch.setattr(solvers, "_conv", conv_spy)
+    g = graph_from_edges(10, [(i, i + 1, -1) for i in range(9)] + [(0, 5, 1), (2, 9, 3)])
+    brute = apah_brute(g, with_exact=False).le
+    got = single_pair_allhops(g, 0, 9, 3, SamplePlan(C=1.0, seed=1), strategy)
+    assert np.array_equal(got, brute[1:, 0, 9])
+    assert inner and all(size < g.n for size in inner)
+
+
 def test_single_pair_deterministic():
     g, _, _ = _random_case(7)
     a = single_pair_allhops(g, 0, 1, 3, SamplePlan(seed=42))
@@ -227,16 +249,16 @@ def _chain_dag(seed):
 @pytest.mark.parametrize("seed", _CHAIN_SEEDS)
 def test_sampled_split_sets_on_long_hop_chains(monkeypatch, seed):
     """At C = 1 (sp, ss) and C = 2 (all pairs), some ladder level or round
-    splits at a sample smaller than V, so the kernel takes every split
-    there; one split per hop would miss the shortest walks.  The spies
-    record, for each ladder convolution and round extension, whether its
-    split set was all of V."""
+    splits at a sample smaller than V, where the convolution, not
+    Bellman-Ford, has to find the shortest walks.  The spies record, for
+    each ladder convolution and round extension, whether its split set was
+    all of V."""
     flags = []
     conv, extend = solvers._conv, solvers.extend_hops
 
-    def conv_spy(*args):
-        flags.append(args[-1])  # one_split
-        return conv(*args)
+    def conv_spy(a3, *args):
+        flags.append(a3.shape[2] == n)  # the split set is a3's inner index
+        return conv(a3, *args)
 
     def extend_spy(out, table, rows, mid_rows, mid_cols):
         flags.append(len(mid_cols) == table.shape[2])
@@ -264,18 +286,23 @@ def test_sampled_split_sets_on_long_hop_chains(monkeypatch, seed):
 def test_all_pairs_rounds_pinned(monkeypatch):
     """The exact rounds (K_prev, K_new, sample) of all pairs at C = 1.  The
     table of a chain does not show its samples, so a drifted round shows
-    only here."""
+    only here.  A round whose sample is all of V runs Bellman-Ford."""
     rounds = []
-    extend = solvers.extend_hops
+    extend, relax_hops = solvers.extend_hops, solvers.relax_hops
+    every = list(range(40))
 
     def extend_spy(out, table, rows, mid_rows, mid_cols):
         rounds.append((table.shape[0] - 1, out.shape[0] - 1, mid_cols.tolist()))
         return extend(out, table, rows, mid_rows, mid_cols)
 
+    def relax_hops_spy(out, k0, edges):
+        rounds.append((k0, out.shape[0] - 1, every))
+        return relax_hops(out, k0, edges)
+
     monkeypatch.setattr(solvers, "extend_hops", extend_spy)
+    monkeypatch.setattr(solvers, "relax_hops", relax_hops_spy)
     g = graph_from_edges(40, [(i, i + 1, 1) for i in range(39)])
     all_pairs_allhops(g, SamplePlan(C=1.0, seed=0))
-    every = list(range(40))
     assert rounds == [
         (1, 2, every),
         (2, 3, every),

@@ -1,0 +1,99 @@
+"""Print one sha256 over the solvers' and oracles' outputs on a fixed set of
+seeded graphs, so that two checkouts can be compared for bit-identity.
+
+The graphs come from the library's own generators: sparse and dense
+random graphs (`gen_random_graph`), chain DAGs (`graph_from_edges` on a
+seeded Hamiltonian path plus heavier forward chords) and a tree gadget
+(`build_tree_gadget`).  Each is run under the plans C = 1 and C = 4, seeds
+0 and 1.  The hash covers, in a fixed order, every single-pair table (k =
+1..3, the `naive` strategy, and the `polynomial` one on the small chain),
+the single-source tables (k = 2, 3), the all-pairs table and the `mn`,
+`mpp` and `bounded` snapshot bytes.
+
+    PYTHONPATH=src python3 tools/digest.py
+"""
+
+from __future__ import annotations
+
+import hashlib
+import sys
+
+import numpy as np
+
+from allhops import (
+    SamplePlan,
+    all_pairs_allhops,
+    build_oracle_bounded,
+    build_oracle_mn,
+    build_oracle_mpp,
+    build_tree_gadget,
+    gen_random_graph,
+    graph_from_edges,
+    save_oracle,
+    single_pair_allhops,
+    single_source_allhops,
+)
+
+
+def _chain(n: int, seed: int):
+    """A path of weight -1 per edge through a random vertex order, plus n
+    forward chords heavier than the segment they skip: d_<=h keeps
+    improving up to h = n - 1."""
+    rng = np.random.default_rng(seed)
+    order = rng.permutation(n)
+    edges = [(order[i], order[i + 1], -1) for i in range(n - 1)]
+    pairs = set()
+    while len(pairs) < n:
+        i, j = sorted(rng.integers(0, n, size=2).tolist())
+        if j > i + 1:
+            pairs.add((i, j))
+    edges += [(order[i], order[j], rng.integers(0, 2 * n)) for i, j in sorted(pairs)]
+    return graph_from_edges(n, edges, 2 * n)
+
+
+def _graphs():
+    """(name, graph, strategies) in a fixed order."""
+    yield "tree", build_tree_gadget(4).graph, ("naive",)
+    yield "chain10", _chain(10, 3), ("naive", "polynomial")
+    for seed in (0, 1):
+        sparse = gen_random_graph(48, 192, 8, seed, require_no_neg_cycle=True)
+        yield f"sparse{seed}", sparse, ("naive",)
+        yield f"chain{seed}", _chain(40, seed), ("naive",)
+    yield "dense", gen_random_graph(32, 496, 8, 0, require_no_neg_cycle=True), ("naive",)
+
+
+def _outputs():
+    """(label, array or bytes) for every output the digest covers."""
+    for name, g, strategies in _graphs():
+        n = g.n
+        for C in (1.0, 4.0):
+            for seed in (0, 1):
+                plan = SamplePlan(C=C, seed=seed)
+                key = f"{name} C={C} seed={seed}"
+                for s, t in ((0, n - 1), (n // 2, 1)):
+                    for k in (1, 2, 3):
+                        for strategy in strategies:
+                            got = single_pair_allhops(g, s, t, k, plan, strategy)
+                            yield f"{key} sp {s} {t} k={k} {strategy}", got
+                for k in (2, 3):
+                    yield f"{key} ss k={k}", single_source_allhops(g, n // 3, k, plan).le
+                yield f"{key} ap", all_pairs_allhops(g, plan).le
+                for build in (build_oracle_mn, build_oracle_mpp, build_oracle_bounded):
+                    yield f"{key} {build.__name__}", save_oracle(build(g, plan))
+
+
+def digest() -> str:
+    h = hashlib.sha256()
+    for label, out in _outputs():
+        h.update(label.encode())
+        h.update(out if isinstance(out, bytes) else np.ascontiguousarray(out).tobytes())
+    return h.hexdigest()
+
+
+def main() -> int:
+    sys.stdout.write(digest() + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
