@@ -1,0 +1,310 @@
+"""The one compiled library: its C source, its build and cache, its backend
+switch and its silent fallback.
+
+Entry points (each the compiled twin of a numpy or Python body that is its
+reference in the tests and its fallback):
+
+* `conv_window` — the windowed min-plus convolution of `minplus.conv_window`;
+* `relax`, `relax_hops` — the Bellman-Ford hop of `minplus.relax` and
+  `minplus.relax_hops`; they check every edge index against the rows before
+  the first write and return 1, having written nothing, when one is past them;
+* `render_records` — a block of `(u, v, h, d)` or `(h, d)` records as tsv or
+  json-lines text, for `records.emit`; it returns -1 - r when the r-th
+  distance is neither +inf nor an exact integer.
+
+Every array goes in as a `c_void_p` address (`a.ctypes.data`) and every size
+as a plain integer: ctypes' `ndpointer` conversion cost more than the C work
+of a small call.  So the callers check shapes, dtypes and contiguity before
+they pass an address, and keep each array alive through the call.
+
+The library is built with the system C compiler on the first call of
+`library()`, never at import, and loaded with ctypes.  It is cached per user
+under $XDG_CACHE_HOME/allhops (default ~/.cache/allhops, else a private
+directory in the temp dir), keyed by the sha256 of the source, the compiler,
+the flags and the CPU.  Whenever it cannot be built or loaded, `library()` is
+None and the callers run their numpy or Python bodies.
+"""
+
+from __future__ import annotations
+
+import ctypes
+import importlib
+import os
+import shutil
+import tempfile
+
+# "c": `library()` builds or loads the C library below; "numpy": it is None,
+# so every caller runs its numpy or Python body.
+_BACKEND = "c"
+_CC = "cc"
+# No -ffast-math: it lets the compiler assume that no value is infinite, and
+# +inf is the no-path value.  -march=native ties the build to this CPU, so
+# the cache key holds the CPU's feature flags.
+_CFLAGS = ("-O3", "-march=native", "-shared", "-fPIC")
+_C_SOURCE = r"""
+#include <math.h>
+#include <stdint.h>
+#include <string.h>
+
+/* out[z-lo] = min(out[z-lo], min over x+y=z of a[x] (x) b[y]), z in [lo, hi].
+   a is (la,R,K), b is (lb,K,C), out is (hi-lo+1,R,C), all C-contiguous. */
+void conv_window(const double *restrict a, const double *restrict b,
+                 double *restrict out, int64_t la, int64_t R, int64_t K,
+                 int64_t lb, int64_t C, int64_t lo, int64_t hi)
+{
+    for (int64_t z = lo; z <= hi; z++) {
+        const int64_t x0 = z - lb + 1 > 0 ? z - lb + 1 : 0;
+        const int64_t x1 = z < la - 1 ? z : la - 1;
+        for (int64_t r = 0; r < R; r++) {
+            double *restrict o = out + ((z - lo) * R + r) * C;
+            for (int64_t x = x0; x <= x1; x++) {
+                const double *ar = a + (x * R + r) * K;
+                const double *by = b + (z - x) * K * C;
+                for (int64_t k = 0; k < K; k++) {
+                    const double s0 = ar[k];
+                    if (s0 == INFINITY)  /* inf + b never lowers a minimum */
+                        continue;
+                    const double *bk = by + k * C;
+                    for (int64_t c = 0; c < C; c++) {
+                        const double s = s0 + bk[c];
+                        o[c] = s < o[c] ? s : o[c];
+                    }
+                }
+            }
+        }
+    }
+}
+
+/* Whether an edge list indexes past (R,n) rows or past itself: a tail or
+   head outside [0, n), or a start outside [0, m]. */
+static int bad_edges(const int64_t *tails, const int64_t *heads, const int64_t *starts,
+                     int64_t nh, int64_t m, int64_t n)
+{
+    for (int64_t e = 0; e < m; e++)
+        if (tails[e] < 0 || tails[e] >= n)
+            return 1;
+    for (int64_t j = 0; j < nh; j++)
+        if (heads[j] < 0 || heads[j] >= n || starts[j] < 0 || starts[j] > m)
+            return 1;
+    return 0;
+}
+
+/* One Bellman-Ford hop of one row: dst[heads[j]] gets the minimum over the
+   edges e of head j (starts[j] up to starts[j+1], the last up to m) of
+   src[tails[e]] + ws[e], or the minimum of that and dst[heads[j]] when
+   keep is set.  The other entries of dst are left as they are. */
+static void relax_row(const double *restrict src, double *restrict dst,
+                      const int64_t *restrict tails, const double *restrict ws,
+                      const int64_t *restrict heads, const int64_t *restrict starts,
+                      int64_t nh, int64_t m, int keep)
+{
+    for (int64_t j = 0; j < nh; j++) {
+        const int64_t e1 = j + 1 < nh ? starts[j + 1] : m;
+        double best = keep ? dst[heads[j]] : INFINITY;
+        for (int64_t e = starts[j]; e < e1; e++) {
+            const double s = src[tails[e]] + ws[e];
+            best = s < best ? s : best;
+        }
+        dst[heads[j]] = best;
+    }
+}
+
+/* rows and out are (R,n) and do not overlap. */
+int relax(const double *restrict rows, double *restrict out, int64_t R, int64_t n,
+          const int64_t *tails, const double *ws, const int64_t *heads,
+          const int64_t *starts, int64_t nh, int64_t m)
+{
+    if (bad_edges(tails, heads, starts, nh, m, n))
+        return 1;
+    for (int64_t r = 0; r < R; r++)
+        relax_row(rows + r * n, out + r * n, tails, ws, heads, starts, nh, m, 0);
+    return 0;
+}
+
+/* out is (L,R,n): for h = k0+1..L-1, out[h] = one hop from out[h-1] if
+   exact is set, else the minimum of that and out[h-1]. */
+int relax_hops(double *out, int64_t L, int64_t R, int64_t n, int64_t k0, int exact,
+               const int64_t *tails, const double *ws, const int64_t *heads,
+               const int64_t *starts, int64_t nh, int64_t m)
+{
+    if (bad_edges(tails, heads, starts, nh, m, n))
+        return 1;
+    for (int64_t h = k0 + 1; h < L; h++) {
+        const double *prev = out + (h - 1) * R * n;
+        double *cur = out + h * R * n;
+        if (exact)
+            for (int64_t i = 0; i < R * n; i++)
+                cur[i] = INFINITY;
+        else
+            memcpy(cur, prev, (size_t)(R * n) * sizeof(double));
+        for (int64_t r = 0; r < R; r++)
+            relax_row(prev + r * n, cur + r * n, tails, ws, heads, starts, nh, m, !exact);
+    }
+    return 0;
+}
+
+static char *put_int(char *p, int64_t x)
+{
+    char digits[20];
+    int i = 0;
+    uint64_t u = x < 0 ? 0 - (uint64_t)x : (uint64_t)x;
+    do {
+        digits[i++] = (char)('0' + u % 10);
+        u /= 10;
+    } while (u);
+    if (x < 0)
+        *p++ = '-';
+    while (i)
+        *p++ = digits[--i];
+    return p;
+}
+
+/* Records lo..hi-1 of a block into buf; returns the number of bytes written.
+   keys is (nk,ld) int64, nk <= 8, and d is (ld,) float64.  lits holds nk+3
+   NUL-terminated pieces: the text before each key and before d, the line end,
+   and the text of +inf.  A record is piece 0, key 0, ..., piece nk, d, piece
+   nk+1.  Keys print in decimal (at most 20 bytes), d as its integer (at most
+   17 bytes), so buf must hold hi-lo times the pieces' lengths plus 20 nk plus
+   the larger of 17 and the length of +inf's text.  Returns -1 - (r - lo) at
+   the first d[r] that is neither +inf nor an integer of magnitude <= 2^53. */
+int64_t render_records(char *restrict buf, const int64_t *keys, int64_t ld, int64_t nk,
+                       const double *d, int64_t lo, int64_t hi, const char *lits)
+{
+    const char *lit[11];
+    size_t len[11];
+    for (int64_t i = 0; i < nk + 3; i++) {
+        lit[i] = lits;
+        len[i] = strlen(lits);
+        lits += len[i] + 1;
+    }
+    char *p = buf;
+    for (int64_t r = lo; r < hi; r++) {
+        for (int64_t i = 0; i < nk; i++) {
+            memcpy(p, lit[i], len[i]);
+            p = put_int(p + len[i], keys[i * ld + r]);
+        }
+        memcpy(p, lit[nk], len[nk]);
+        p += len[nk];
+        const double x = d[r];
+        if (x == INFINITY) {
+            memcpy(p, lit[nk + 2], len[nk + 2]);
+            p += len[nk + 2];
+        } else if (fabs(x) <= 9007199254740992.0 && x == (double)(int64_t)x) {
+            p = put_int(p, (int64_t)x);
+        } else {  /* NaN, -inf, a fraction or past 2^53 */
+            return -1 - (r - lo);
+        }
+        memcpy(p, lit[nk + 1], len[nk + 1]);
+        p += len[nk + 1];
+    }
+    return p - buf;
+}
+"""
+
+_lib = None  # the loaded library; False once building or loading failed
+
+
+def library():
+    """The C library, built and loaded on the first call; None on the numpy
+    backend or when that fails, for whatever reason (no compiler, no
+    writable cache, a failed compile or load), so that the caller runs its
+    numpy or Python body."""
+    global _lib
+    if _BACKEND != "c":
+        return None
+    if _lib is None:
+        try:
+            _lib = _load()
+        except OSError:
+            _lib = False
+    return _lib or None
+
+
+def _load():
+    if os.name != "posix":
+        raise OSError("the compiled library is built on POSIX systems only")
+    cc = shutil.which(_CC)
+    if cc is None:
+        raise FileNotFoundError(f"no C compiler {_CC!r}")
+    st = os.stat(cc)
+    ident = [_C_SOURCE, os.path.realpath(cc), str(st.st_size), str(st.st_mtime_ns),
+             *_CFLAGS, os.uname().machine, _cpu_flags()]
+    key = _sha256("\0".join(ident).encode("utf-8", "surrogateescape"))[:32]
+    path = os.path.join(_cache_dir(), f"native-{key}.so")
+    try:
+        lib = ctypes.CDLL(path)
+    except OSError:  # not built yet, or a damaged file: build it (again)
+        _compile(cc, path)
+        lib = ctypes.CDLL(path)
+    P, I = ctypes.c_void_p, ctypes.c_int64
+    edges = [P, P, P, P, I, I]  # tails, ws, heads, starts, nh, m
+    for name, argtypes, restype in (
+        ("conv_window", [P, P, P] + [I] * 7, None),
+        ("relax", [P, P, I, I] + edges, ctypes.c_int),
+        ("relax_hops", [P, I, I, I, I, ctypes.c_int] + edges, ctypes.c_int),
+        ("render_records", [P, P, I, I, P, I, I, ctypes.c_char_p], I),
+    ):
+        fn = getattr(lib, name)
+        fn.argtypes, fn.restype = argtypes, restype
+    return lib
+
+
+def _compile(cc: str, path: str) -> None:
+    """Build the library into a private temp directory next to `path`, then
+    move it into place, so that concurrent builds never expose a partial file.
+    A failed build is an OSError, like every other way the backend fails."""
+    import subprocess  # only on a cold cache: it adds ~0.6 MB to every process
+
+    with tempfile.TemporaryDirectory(dir=os.path.dirname(path)) as tmp:
+        src, lib = os.path.join(tmp, "native.c"), os.path.join(tmp, "native.so")
+        with open(src, "w") as f:
+            f.write(_C_SOURCE)
+        try:
+            subprocess.run([cc, *_CFLAGS, "-o", lib, src], check=True, capture_output=True,
+                           timeout=120)
+        except subprocess.SubprocessError as e:
+            raise OSError(f"building the compiled library failed: {e}") from e
+        os.replace(lib, path)
+
+
+def _cache_dir() -> str:
+    """The first usable of $XDG_CACHE_HOME/allhops (default ~/.cache/allhops)
+    and <tempdir>/allhops-<uid>, made if missing.  A directory is usable when
+    it is an absolute path, ours and writable by nobody else, because a
+    library loaded from it runs as us."""
+    base = os.environ.get("XDG_CACHE_HOME") or os.path.join(os.path.expanduser("~"), ".cache")
+    uid = os.getuid()
+    for d in (os.path.join(base, "allhops"),
+              os.path.join(tempfile.gettempdir(), f"allhops-{uid}")):
+        if not os.path.isabs(d):
+            continue
+        try:
+            os.makedirs(d, mode=0o700, exist_ok=True)
+            st = os.stat(d)
+        except OSError:
+            continue
+        if st.st_uid == uid and not st.st_mode & 0o022 and os.access(d, os.W_OK):
+            return d
+    raise PermissionError("no usable cache directory for the compiled library")
+
+
+def _sha256(data: bytes) -> str:
+    """Hex sha256 from the interpreter's own module where it has one
+    (`_sha2` from Python 3.12, `_sha256` before): hashlib loads OpenSSL,
+    which added ~4 MB to the resident set of a CLI run."""
+    for name in ("_sha2", "_sha256"):
+        try:
+            return importlib.import_module(name).sha256(data).hexdigest()
+        except ImportError:
+            continue
+    import hashlib
+
+    return hashlib.sha256(data).hexdigest()
+
+
+def _cpu_flags() -> str:
+    try:
+        with open("/proc/cpuinfo") as f:
+            return next((line for line in f if line.startswith(("flags", "Features"))), "")
+    except OSError:
+        return ""

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import reductions
+from . import records, reductions
 from .baselines import apah_brute, bellman_ford_allhops
 from .graph import (
     GenerationError,
@@ -56,13 +56,10 @@ from .solvers import (
     single_pair_allhops,
     single_source_allhops,
 )
+from .records import VerificationError
 
 
 class UsageError(ValueError):
-    pass
-
-
-class VerificationError(RuntimeError):
     pass
 
 
@@ -156,38 +153,6 @@ def _write(path: str | None, text: str) -> None:
         sys.stdout.write(text)
 
 
-# Rows rendered into one string per write.  256-row chunks render ~10%
-# faster but measured up to 4 MB more peak RSS than per-row writing on
-# n=48 tables (2-core x86 VM); at 64 rows the peak matched.
-_CHUNK_ROWS = 64
-
-_RECORD_LINE = {
-    ("tsv", ("u", "v", "h", "d")): "{}\t{}\t{}\t{}\n",
-    ("tsv", ("h", "d")): "{}\t{}\n",
-    ("json-lines", ("u", "v", "h", "d")): '{{"u": {}, "v": {}, "h": {}, "d": {}}}\n',
-    ("json-lines", ("h", "d")): '{{"h": {}, "d": {}}}\n',
-}
-
-
-def _emit_records(args, blocks, fields) -> None:
-    """Write records given as blocks of equal-length columns: an integer
-    array per field before `d`, then the float64 distances `d`."""
-    out = sys.stdout
-    line = _RECORD_LINE[args.format, fields]
-    inf = "inf" if args.format == "tsv" else '"inf"'
-    if args.format == "tsv" and len(fields) == 4:
-        out.write("# u v h d\n")
-    for *keys, d in blocks:
-        for lo in range(0, len(d), _CHUNK_ROWS):
-            part = d[lo : lo + _CHUNK_ROWS]
-            unreachable = part == np.inf
-            dtext = np.where(unreachable, 0, part).astype(np.int64).tolist()
-            for i in np.flatnonzero(unreachable).tolist():
-                dtext[i] = inf
-            cols = [k[lo : lo + _CHUNK_ROWS].tolist() for k in keys]
-            out.write("".join(map(line.format, *cols, dtext)))
-
-
 def _check_max_hop(max_hop: int | None) -> None:
     if max_hop is not None and max_hop < 1:
         raise UsageError("--max-hop must be >= 1")
@@ -197,15 +162,6 @@ def _hop_range(n: int, max_hop: int | None) -> range:
     _check_max_hop(max_hop)
     top = n - 1 if max_hop is None else max_hop
     return range(1, max(top, 0) + 1)
-
-
-def _table_block(le: np.ndarray, u: int, hops: range):
-    """Columns (u, v, h, d) of source u's records, v-major, from its
-    (hop, v) table; hops past the table's last repeat that hop."""
-    n = le.shape[1]
-    h = np.arange(hops.start, hops.stop)
-    d = le[np.minimum(h, le.shape[0] - 1)].T.ravel()
-    return np.full(d.size, u), np.repeat(np.arange(n), h.size), np.tile(h, n), d
 
 
 def _cmd_gen(args) -> None:
@@ -238,30 +194,30 @@ def _cmd_single_pair(args) -> None:
     vals = _solve(args, lambda plan: single_pair_allhops(g, args.s, args.t, args.k, plan, strategy))
     hops = _hop_range(g.n, args.max_hop)
     h = np.arange(hops.start, hops.stop)
-    blocks = [(h, vals[np.minimum(h, len(vals)) - 1])] if len(vals) else []
-    _emit_records(args, blocks, ("h", "d"))
+    blocks = [(h[None], vals[np.minimum(h, len(vals)) - 1])] if len(vals) else []
+    records.emit(args.format, blocks, ("h", "d"))
 
 
 def _cmd_single_source(args) -> None:
     g = _read_graph(args.graph)
     le = _solve(args, lambda plan: single_source_allhops(g, args.s, args.k, plan, args.split).le)
-    block = _table_block(le[:, 0, :], args.s, _hop_range(g.n, args.max_hop))
-    _emit_records(args, [block], ("u", "v", "h", "d"))
+    block = records.table_block(le[:, 0, :], args.s, _hop_range(g.n, args.max_hop))
+    records.emit(args.format, [block], ("u", "v", "h", "d"))
 
 
 def _cmd_bf(args) -> None:
     g = _read_graph(args.graph)
     hops = _hop_range(g.n, args.max_hop)
     row = bellman_ford_allhops(g, args.s, max(hops.stop - 1, 1))
-    _emit_records(args, [_table_block(row.le, args.s, hops)], ("u", "v", "h", "d"))
+    records.emit(args.format, [records.table_block(row.le, args.s, hops)], ("u", "v", "h", "d"))
 
 
 def _cmd_all_pairs(args) -> None:
     g = _read_graph(args.graph)
     le = _solve(args, lambda plan: all_pairs_allhops(g, plan).le)
     hops = _hop_range(g.n, args.max_hop)
-    blocks = (_table_block(le[:, u, :], u, hops) for u in range(g.n))
-    _emit_records(args, blocks, ("u", "v", "h", "d"))
+    blocks = (records.table_block(le[:, u, :], u, hops) for u in range(g.n))
+    records.emit(args.format, blocks, ("u", "v", "h", "d"))
 
 
 # --kind: the oracle builder, given the graph and the parsed arguments
@@ -297,8 +253,9 @@ def _cmd_oracle_query(args) -> None:
             raise ParseError(f"line {lineno}: non-integer field") from None
         queries.append((u, v, h))
         dists.append(oracle.query(u, v, h))
-    block = (*np.array(queries, dtype=np.int64).reshape(-1, 3).T, np.array(dists, dtype=np.float64))
-    _emit_records(args, [block], ("u", "v", "h", "d"))
+    keys = np.array(queries, dtype=np.int64).reshape(-1, 3).T.copy()
+    block = (keys, np.array(dists, dtype=np.float64))
+    records.emit(args.format, [block], ("u", "v", "h", "d"))
 
 
 def _read_matrix_lines(lines, rows, cols, what):
@@ -470,6 +427,8 @@ def _selftest_kernels(rng: np.random.Generator) -> bool:
             relax_hops(got, 1, edges, exact=exact)
             relax_hops_numpy(want, 1, edges, exact=exact)
             ok &= np.array_equal(got, want)
+        # the active record renderer against the Python one
+        ok &= records.renderers_agree(rng)
     return ok
 
 

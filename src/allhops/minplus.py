@@ -27,18 +27,14 @@ of V x V tables, and a level built from many such hops is slower for it.
 
 `conv_window`, `relax` and `relax_hops` each have two backends with the
 same bits, because every sum is an exact integer in float64.  The compiled
-ones are entry points of one C library: a fused loop per output row for
-`conv_window` (`s = a + b; o = s < o ? s : o` straight into the output,
-skipping +inf left entries), and for the hop a loop over each row's heads
-and their in-edges, in the order `Graph.in_edges` gives them.  The library
-is built with the system C compiler on the first kernel call, never at
-import, and loaded with ctypes.  It is cached per user under
-$XDG_CACHE_HOME/allhops (default ~/.cache/allhops, else a private
-directory in the temp dir), keyed by the sha256 of the source, the
-compiler, the flags and the CPU.  Whenever it cannot be built or loaded,
-the kernels silently run `conv_window_numpy`, `relax_numpy` and
-`relax_hops_numpy`, the numpy bodies that are also the references the
-tests compare against.
+ones are entry points of the one C library in `_native`: a fused loop per
+output row for `conv_window` (`s = a + b; o = s < o ? s : o` straight into
+the output, skipping +inf left entries), and for the hop a loop over each
+row's heads and their in-edges, in the order `Graph.in_edges` gives them.
+The wrappers here check shapes and dtypes and pass addresses; whenever the
+library cannot be built or loaded, they silently run `conv_window_numpy`,
+`relax_numpy` and `relax_hops_numpy`, the numpy bodies that are also the
+references the tests compare against.
 
 `matseq_convolution` additionally has a `polynomial` strategy that encodes
 entries as bivariate boolean polynomials (x-degree = hop index, y-degree =
@@ -49,14 +45,9 @@ the window.  Strategies must agree entry-for-entry.
 
 from __future__ import annotations
 
-import ctypes
-import importlib
-import os
-import shutil
-import tempfile
-
 import numpy as np
 
+from . import _native
 from .matrices import DistMatrix, MatrixSeq
 from .values import INF
 
@@ -88,11 +79,11 @@ def conv_window(a3: np.ndarray, b3: np.ndarray, lo: int, hi: int) -> np.ndarray:
 
     An output hop that no (x, y) pair reaches is +inf; a window with
     hi < lo is empty.  Runs the compiled loop when it builds and loads
-    (see `_compiled_kernel`), else `conv_window_numpy`; both give the same
-    bits, because every sum is an exact integer, so the evaluation order
-    cannot change a value.
+    (see `_native`), else `conv_window_numpy`; both give the same bits,
+    because every sum is an exact integer, so the evaluation order cannot
+    change a value.
     """
-    lib = _compiled_kernel() if _BACKEND == "c" else None
+    lib = _native.library()
     if lib is None:
         return conv_window_numpy(a3, b3, lo, hi)
     out = _window_out(a3, b3, lo, hi)
@@ -101,7 +92,7 @@ def conv_window(a3: np.ndarray, b3: np.ndarray, lo: int, hi: int) -> np.ndarray:
         lb, _, C = b3.shape
         a = np.ascontiguousarray(a3, dtype=np.float64)
         b = np.ascontiguousarray(b3, dtype=np.float64)
-        lib.conv_window(a, b, out, la, R, K, lb, C, lo, hi)
+        lib.conv_window(a.ctypes.data, b.ctypes.data, out.ctypes.data, la, R, K, lb, C, lo, hi)
     return out
 
 
@@ -151,208 +142,6 @@ def conv_window_numpy(a3: np.ndarray, b3: np.ndarray, lo: int, hi: int) -> np.nd
     return out
 
 
-# ---------------------------------------------------------------------------
-# compiled backend
-
-# "c": `conv_window`, `relax` and `relax_hops` run the C loops below, built
-# on first use, or their numpy bodies when no C library can be built or
-# loaded; "numpy": always the numpy bodies.
-_BACKEND = "c"
-_CC = "cc"
-# No -ffast-math: it lets the compiler assume that no value is infinite, and
-# +inf is the no-path value.  -march=native ties the build to this CPU, so
-# the cache key holds the CPU's feature flags.
-_CFLAGS = ("-O3", "-march=native", "-shared", "-fPIC")
-_C_SOURCE = r"""
-#include <math.h>
-#include <stdint.h>
-#include <string.h>
-
-/* out[z-lo] = min(out[z-lo], min over x+y=z of a[x] (x) b[y]), z in [lo, hi].
-   a is (la,R,K), b is (lb,K,C), out is (hi-lo+1,R,C), all C-contiguous. */
-void conv_window(const double *restrict a, const double *restrict b,
-                 double *restrict out, int64_t la, int64_t R, int64_t K,
-                 int64_t lb, int64_t C, int64_t lo, int64_t hi)
-{
-    for (int64_t z = lo; z <= hi; z++) {
-        const int64_t x0 = z - lb + 1 > 0 ? z - lb + 1 : 0;
-        const int64_t x1 = z < la - 1 ? z : la - 1;
-        for (int64_t r = 0; r < R; r++) {
-            double *restrict o = out + ((z - lo) * R + r) * C;
-            for (int64_t x = x0; x <= x1; x++) {
-                const double *ar = a + (x * R + r) * K;
-                const double *by = b + (z - x) * K * C;
-                for (int64_t k = 0; k < K; k++) {
-                    const double s0 = ar[k];
-                    if (s0 == INFINITY)  /* inf + b never lowers a minimum */
-                        continue;
-                    const double *bk = by + k * C;
-                    for (int64_t c = 0; c < C; c++) {
-                        const double s = s0 + bk[c];
-                        o[c] = s < o[c] ? s : o[c];
-                    }
-                }
-            }
-        }
-    }
-}
-
-/* One Bellman-Ford hop of one row: dst[heads[j]] gets the minimum over the
-   edges e of head j (starts[j] up to starts[j+1], the last up to m) of
-   src[tails[e]] + ws[e], or the minimum of that and dst[heads[j]] when
-   keep is set.  The other entries of dst are left as they are. */
-static void relax_row(const double *restrict src, double *restrict dst,
-                      const int64_t *restrict tails, const double *restrict ws,
-                      const int64_t *restrict heads, const int64_t *restrict starts,
-                      int64_t nh, int64_t m, int keep)
-{
-    for (int64_t j = 0; j < nh; j++) {
-        const int64_t e1 = j + 1 < nh ? starts[j + 1] : m;
-        double best = keep ? dst[heads[j]] : INFINITY;
-        for (int64_t e = starts[j]; e < e1; e++) {
-            const double s = src[tails[e]] + ws[e];
-            best = s < best ? s : best;
-        }
-        dst[heads[j]] = best;
-    }
-}
-
-/* rows and out are (R,n) and do not overlap. */
-void relax(const double *restrict rows, double *restrict out, int64_t R, int64_t n,
-           const int64_t *tails, const double *ws, const int64_t *heads,
-           const int64_t *starts, int64_t nh, int64_t m)
-{
-    for (int64_t r = 0; r < R; r++)
-        relax_row(rows + r * n, out + r * n, tails, ws, heads, starts, nh, m, 0);
-}
-
-/* out is (L,R,n): for h = k0+1..L-1, out[h] = one hop from out[h-1] if
-   exact is set, else the minimum of that and out[h-1]. */
-void relax_hops(double *out, int64_t L, int64_t R, int64_t n, int64_t k0, int exact,
-                const int64_t *tails, const double *ws, const int64_t *heads,
-                const int64_t *starts, int64_t nh, int64_t m)
-{
-    for (int64_t h = k0 + 1; h < L; h++) {
-        const double *prev = out + (h - 1) * R * n;
-        double *cur = out + h * R * n;
-        if (exact)
-            for (int64_t i = 0; i < R * n; i++)
-                cur[i] = INFINITY;
-        else
-            memcpy(cur, prev, (size_t)(R * n) * sizeof(double));
-        for (int64_t r = 0; r < R; r++)
-            relax_row(prev + r * n, cur + r * n, tails, ws, heads, starts, nh, m, !exact);
-    }
-}
-"""
-
-_kernel = None  # the loaded C library; False once building or loading failed
-
-
-def _compiled_kernel():
-    """The C library, with its entry points `conv_window`, `relax` and
-    `relax_hops`, built and loaded on the first call; None when that fails,
-    for whatever reason (no compiler, no writable cache, a failed compile or
-    load), so that the caller runs its numpy body."""
-    global _kernel
-    if _kernel is None:
-        try:
-            _kernel = _load_kernel()
-        except OSError:
-            _kernel = False
-    return _kernel or None
-
-
-def _load_kernel():
-    if os.name != "posix":
-        raise OSError("the compiled kernel is built on POSIX systems only")
-    cc = shutil.which(_CC)
-    if cc is None:
-        raise FileNotFoundError(f"no C compiler {_CC!r}")
-    st = os.stat(cc)
-    ident = [_C_SOURCE, os.path.realpath(cc), str(st.st_size), str(st.st_mtime_ns),
-             *_CFLAGS, os.uname().machine, _cpu_flags()]
-    key = _sha256("\0".join(ident).encode("utf-8", "surrogateescape"))[:32]
-    path = os.path.join(_cache_dir(), f"minplus-{key}.so")
-    try:
-        lib = ctypes.CDLL(path)
-    except OSError:  # not built yet, or a damaged file: build it (again)
-        _compile(cc, path)
-        lib = ctypes.CDLL(path)
-    f64 = np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS")
-    i64 = np.ctypeslib.ndpointer(np.int64, flags="C_CONTIGUOUS")
-    edges = [i64, f64, i64, i64] + [ctypes.c_int64] * 2  # tails, ws, heads, starts, nh, m
-    for name, argtypes in (
-        ("conv_window", [f64, f64, f64] + [ctypes.c_int64] * 7),
-        ("relax", [f64, f64] + [ctypes.c_int64] * 2 + edges),
-        ("relax_hops", [f64] + [ctypes.c_int64] * 4 + [ctypes.c_int] + edges),
-    ):
-        fn = getattr(lib, name)
-        fn.argtypes, fn.restype = argtypes, None
-    return lib
-
-
-def _compile(cc: str, path: str) -> None:
-    """Build the library into a private temp directory next to `path`, then
-    move it into place, so that concurrent builds never expose a partial file.
-    A failed build is an OSError, like every other way the backend fails."""
-    import subprocess  # only on a cold cache: it adds ~0.6 MB to every process
-
-    with tempfile.TemporaryDirectory(dir=os.path.dirname(path)) as tmp:
-        src, lib = os.path.join(tmp, "minplus.c"), os.path.join(tmp, "minplus.so")
-        with open(src, "w") as f:
-            f.write(_C_SOURCE)
-        try:
-            subprocess.run([cc, *_CFLAGS, "-o", lib, src], check=True, capture_output=True,
-                           timeout=120)
-        except subprocess.SubprocessError as e:
-            raise OSError(f"building the compiled kernel failed: {e}") from e
-        os.replace(lib, path)
-
-
-def _cache_dir() -> str:
-    """The first usable of $XDG_CACHE_HOME/allhops (default ~/.cache/allhops)
-    and <tempdir>/allhops-<uid>, made if missing.  A directory is usable when
-    it is an absolute path, ours and writable by nobody else, because a
-    library loaded from it runs as us."""
-    base = os.environ.get("XDG_CACHE_HOME") or os.path.join(os.path.expanduser("~"), ".cache")
-    uid = os.getuid()
-    for d in (os.path.join(base, "allhops"),
-              os.path.join(tempfile.gettempdir(), f"allhops-{uid}")):
-        if not os.path.isabs(d):
-            continue
-        try:
-            os.makedirs(d, mode=0o700, exist_ok=True)
-            st = os.stat(d)
-        except OSError:
-            continue
-        if st.st_uid == uid and not st.st_mode & 0o022 and os.access(d, os.W_OK):
-            return d
-    raise PermissionError("no usable cache directory for the compiled kernel")
-
-
-def _sha256(data: bytes) -> str:
-    """Hex sha256 from the interpreter's own module where it has one
-    (`_sha2` from Python 3.12, `_sha256` before): hashlib loads OpenSSL,
-    which added ~4 MB to the resident set of a CLI run."""
-    for name in ("_sha2", "_sha256"):
-        try:
-            return importlib.import_module(name).sha256(data).hexdigest()
-        except ImportError:
-            continue
-    import hashlib
-
-    return hashlib.sha256(data).hexdigest()
-
-
-def _cpu_flags() -> str:
-    try:
-        with open("/proc/cpuinfo") as f:
-            return next((line for line in f if line.startswith(("flags", "Features"))), "")
-    except OSError:
-        return ""
-
-
 def extend_hops(
     out: np.ndarray,
     table: np.ndarray,
@@ -389,18 +178,20 @@ def relax(rows: np.ndarray, edges, out: np.ndarray) -> np.ndarray:
 
     Into an all-+inf `out` this writes the min-plus product of `rows` with
     the sparse weight matrix: exact-hop rows d_{h-1} give d_h.  Runs the
-    compiled loop when the library loads (see `_compiled_kernel`), else
-    `relax_numpy`; both give the same bits, as for `conv_window`."""
+    compiled loop when the library loads (see `_native`), else
+    `relax_numpy`; both give the same bits, as for `conv_window`.  An edge
+    index past the rows is an IndexError on both."""
     lib = _relax_lib(out)
     if lib is None or rows.shape != out.shape:
         return relax_numpy(rows, edges, out)
     n = out.shape[-1]
-    args = _edge_args(edges, n)
+    e = _edge_arrays(edges)
     o = np.ascontiguousarray(out)
     src = np.ascontiguousarray(rows, dtype=np.float64)
     if np.may_share_memory(src, o):
         src = src.copy()
-    lib.relax(src, o, o.size // n, n, *args)
+    if lib.relax(src.ctypes.data, o.ctypes.data, o.size // n, n, *_edge_args(e)):
+        raise IndexError("edge arrays do not fit the rows")
     if o is not out:
         out[...] = o
     return out
@@ -420,9 +211,10 @@ def relax_hops(out: np.ndarray, k0: int, edges, *, exact: bool = False) -> None:
     if lib is None:
         return relax_hops_numpy(out, k0, edges, exact=exact)
     L, n = len(out), out.shape[-1]
-    args = _edge_args(edges, n)
+    e = _edge_arrays(edges)
     o = np.ascontiguousarray(out)
-    lib.relax_hops(o, L, o.size // (L * n), n, k0, bool(exact), *args)
+    if lib.relax_hops(o.ctypes.data, L, o.size // (L * n), n, k0, bool(exact), *_edge_args(e)):
+        raise IndexError("edge arrays do not fit the rows")
     if o is not out:
         out[...] = o
 
@@ -430,29 +222,30 @@ def relax_hops(out: np.ndarray, k0: int, edges, *, exact: bool = False) -> None:
 def _relax_lib(out: np.ndarray):
     """The compiled library where the C loops can take `out` (a nonempty
     float64 array), else None."""
-    if _BACKEND != "c" or out.dtype != np.float64 or not out.size:
+    if out.dtype != np.float64 or not out.size:
         return None
-    return _compiled_kernel()
+    return _native.library()
 
 
-def _edge_args(edges, n: int) -> tuple:
+def _edge_arrays(edges) -> tuple:
     """`Graph.in_edges()` as the C loops take it: C-contiguous int64 and
-    float64 arrays (the graph's own, not copies), the number of heads and of
-    edges.  Every index the loops follow is checked to lie inside the rows
-    and the edge list."""
+    float64 arrays (the graph's own, not copies) of matching lengths.  The
+    loops check every index they follow themselves."""
     tails, ws, heads, starts = (
         np.ascontiguousarray(a, dtype=t)
         for a, t in zip(edges, (np.int64, np.float64, np.int64, np.int64))
     )
-    nh, m = len(heads), len(tails)
-    fits = len(ws) == m and len(starts) == nh
-    if fits and m:
-        fits = 0 <= tails.min() and tails.max() < n
-    if fits and nh:
-        fits = 0 <= heads.min() and heads.max() < n and 0 <= starts.min() and starts.max() <= m
-    if not fits:
+    if len(ws) != len(tails) or len(starts) != len(heads):
         raise IndexError("edge arrays do not fit the rows")
-    return tails, ws, heads, starts, nh, m
+    return tails, ws, heads, starts
+
+
+def _edge_args(e: tuple) -> tuple:
+    """The C loops' edge arguments from `_edge_arrays`, which the caller
+    keeps alive through the call: four addresses, the heads and the edges."""
+    tails, ws, heads, starts = e
+    return (tails.ctypes.data, ws.ctypes.data, heads.ctypes.data, starts.ctypes.data,
+            len(heads), len(tails))
 
 
 def relax_numpy(rows: np.ndarray, edges, out: np.ndarray) -> np.ndarray:

@@ -10,7 +10,7 @@ F3_TEXT = "2 2\n0 1 -2\n1 0 1\n"
 
 @pytest.fixture(autouse=True, scope="session")
 def _kernel_cache(tmp_path_factory):
-    """Build the compiled min-plus kernel into the test run's temp dir, not
+    """Build the compiled library into the test run's temp dir, not
     the user's cache, here and in the processes the tests start."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setenv("XDG_CACHE_HOME", str(tmp_path_factory.mktemp("xdg-cache")))

@@ -14,7 +14,7 @@ from allhops import (
     gen_random_graph,
     graph_from_edges,
 )
-from allhops import minplus
+from allhops import _native
 
 from _brute import brute_bellman_ford
 from test_graph import graphs
@@ -28,7 +28,7 @@ BACKEND = "c"
 
 @pytest.fixture(autouse=True)
 def backend(request, monkeypatch):
-    monkeypatch.setattr(minplus, "_BACKEND", request.module.BACKEND)
+    monkeypatch.setattr(_native, "_BACKEND", request.module.BACKEND)
 
 
 def test_bf_f1(f1):

@@ -1,3 +1,4 @@
+import ctypes
 import hashlib
 import io
 import json
@@ -380,24 +381,47 @@ def test_selftest_runs_green(capsys):
     assert lines and all(l.endswith("ok") for l in lines)
 
 
+def _view(addr, dtype, *shape):
+    """The array of `shape` at an address a C entry point receives."""
+    ctype = np.ctypeslib.as_ctypes_type(np.dtype(dtype))
+    return np.ctypeslib.as_array(ctypes.cast(addr, ctypes.POINTER(ctype)), shape)
+
+
+def _edges(tails, ws, heads, starts, nh, m):
+    return (_view(tails, np.int64, m), _view(ws, np.float64, m), _view(heads, np.int64, nh),
+            _view(starts, np.int64, nh))
+
+
 def _library(**entry_points):
     """A stand-in for the compiled library: each entry point takes the C
-    loop's arguments and runs the numpy reference, unless replaced."""
-    from allhops import minplus
+    function's arguments (addresses and integers) and runs the numpy or
+    Python reference, unless replaced."""
+    from allhops import minplus, records
 
     def conv_window(a, b, out, la, R, K, lb, C, lo, hi):
-        out[:] = minplus.conv_window_numpy(a, b, lo, hi)
+        a, b = _view(a, np.float64, la, R, K), _view(b, np.float64, lb, K, C)
+        _view(out, np.float64, hi - lo + 1, R, C)[:] = minplus.conv_window_numpy(a, b, lo, hi)
 
-    def relax(rows, out, R, n, tails, ws, heads, starts, nh, m):
-        minplus.relax_numpy(rows.reshape(R, n), (tails, ws, heads, starts), out.reshape(R, n))
+    def relax(rows, out, R, n, *edges):
+        minplus.relax_numpy(_view(rows, np.float64, R, n), _edges(*edges),
+                            _view(out, np.float64, R, n))
 
-    def relax_hops(out, L, R, n, k0, exact, tails, ws, heads, starts, nh, m):
-        minplus.relax_hops_numpy(out.reshape(L, R, n), k0, (tails, ws, heads, starts),
+    def relax_hops(out, L, R, n, k0, exact, *edges):
+        minplus.relax_hops_numpy(_view(out, np.float64, L, R, n), k0, _edges(*edges),
                                  exact=bool(exact))
 
-    return types.SimpleNamespace(
-        **{"conv_window": conv_window, "relax": relax, "relax_hops": relax_hops, **entry_points}
-    )
+    def render_records(buf, keys, ld, nk, d, lo, hi, lits):
+        *pieces, inf, _ = lits.decode("ascii").split("\0")
+        line = "{}".join(p.replace("{", "{{").replace("}", "}}") for p in pieces)
+        text = records.render_python(line, inf, _view(keys, np.int64, nk, ld),
+                                     _view(d, np.float64, ld), lo, hi).encode("ascii")
+        ctypes.memmove(buf, text, len(text))
+        return len(text)
+
+    return types.SimpleNamespace(**{
+        "conv_window": conv_window, "relax": relax, "relax_hops": relax_hops,
+        "render_records": render_records, **entry_points,
+    })
 
 
 def test_selftest_fails_on_a_wrong_kernel(capsys, monkeypatch):
@@ -406,15 +430,17 @@ def test_selftest_fails_on_a_wrong_kernel(capsys, monkeypatch):
     one only on windows that start past hop 0.  The polynomial strategy
     never asks for one, and at the selftest's sizes every split set of the
     solvers and oracles is all of V or starts at hop 0."""
-    from allhops import minplus
+    from allhops import _native, minplus
 
     def wrong_past_hop_0(a, b, out, la, R, K, lb, C, lo, hi):
+        a, b = _view(a, np.float64, la, R, K), _view(b, np.float64, lb, K, C)
+        out = _view(out, np.float64, hi - lo + 1, R, C)
         out[:] = minplus.conv_window_numpy(a, b, lo, hi)
         if lo > 0:
             out[out < np.inf] += 1
 
-    monkeypatch.setattr(minplus, "_BACKEND", "c")
-    monkeypatch.setattr(minplus, "_kernel", _library(conv_window=wrong_past_hop_0))
+    monkeypatch.setattr(_native, "_BACKEND", "c")
+    monkeypatch.setattr(_native, "_lib", _library(conv_window=wrong_past_hop_0))
     code, out, err = run_cli(capsys, "selftest")
     assert code == 3 and "selftest suite(s) failed" in err
     assert "selftest kernel equivalence: FAILED" in out
@@ -424,6 +450,7 @@ def test_selftest_fails_on_a_wrong_kernel(capsys, monkeypatch):
 def _relax_off_by(delta):
     def relax(rows, out, R, n, *edges):
         _library().relax(rows, out, R, n, *edges)
+        out = _view(out, np.float64, R, n)
         out[out < np.inf] += delta
 
     return relax
@@ -432,7 +459,7 @@ def _relax_off_by(delta):
 def _relax_hops_off_by(delta):
     def relax_hops(out, L, R, n, k0, exact, *edges):
         _library().relax_hops(out, L, R, n, k0, exact, *edges)
-        later = out.reshape(L, -1)[k0 + 1 :]
+        later = _view(out, np.float64, L, R * n)[k0 + 1 :]
         later[later < np.inf] += delta
 
     return relax_hops
@@ -450,13 +477,36 @@ def test_selftest_fails_on_a_wrong_relax(capsys, monkeypatch, entry_point):
     tables rise along the hop axis, which `LevelOracle` refuses with a
     ValueError; the oracle suite counts that as its own failure, so it is
     not a precondition violation (exit 2)."""
-    from allhops import minplus
+    from allhops import _native
 
-    monkeypatch.setattr(minplus, "_BACKEND", "c")
-    monkeypatch.setattr(minplus, "_kernel", _library(**entry_point))
+    monkeypatch.setattr(_native, "_BACKEND", "c")
+    monkeypatch.setattr(_native, "_lib", _library(**entry_point))
     code, out, err = run_cli(capsys, "selftest")
     assert code == 3 and "selftest suite(s) failed" in err
     assert "selftest kernel equivalence: FAILED" in out
+
+
+def _render_one_digit_off(buf, keys, ld, nk, d, lo, hi, lits):
+    """The right records, but for their first digit, one higher (9 to 0)."""
+    size = _library().render_records(buf, keys, ld, nk, d, lo, hi, lits)
+    text = (ctypes.c_char * size).from_address(buf)
+    i = next((i for i in range(size) if text[i].isdigit()), None)
+    if i is not None:
+        text[i] = b"%d" % ((int(text[i]) + 1) % 10)
+    return size
+
+
+def test_selftest_fails_on_a_wrong_renderer(capsys, monkeypatch):
+    """A compiled record renderer one digit off fails the kernel suite, and
+    only it, since the other suites render no records."""
+    from allhops import _native
+
+    monkeypatch.setattr(_native, "_BACKEND", "c")
+    monkeypatch.setattr(_native, "_lib", _library(render_records=_render_one_digit_off))
+    code, out, err = run_cli(capsys, "selftest")
+    assert code == 3 and "selftest suite(s) failed" in err
+    assert "selftest kernel equivalence: FAILED" in out
+    assert out.count("FAILED") == 1
 
 
 # Record output (`u v h d` tables, oracle answers, `h d` pairs) pinned byte
@@ -587,9 +637,35 @@ class _ClosedPipe(io.StringIO):
         raise BrokenPipeError(32, "Broken pipe")
 
 
-def test_broken_pipe_exits_zero_silently(monkeypatch, tmp_path, f1_path):
+@pytest.mark.parametrize("fmt", ["tsv", "json-lines"])
+@pytest.mark.parametrize("backend", ["c", "numpy"])
+def test_broken_pipe_exits_zero_silently(monkeypatch, tmp_path, f1_path, backend, fmt):
+    from allhops import _native
+
+    monkeypatch.setattr(_native, "_BACKEND", backend)
     err = io.StringIO()
     monkeypatch.setattr(sys, "stdout", _ClosedPipe())
     monkeypatch.setattr(sys, "stderr", err)
-    assert main(["all-pairs", "--graph", f1_path]) == 0
+    assert main(["--format", fmt, "all-pairs", "--graph", f1_path]) == 0
     assert err.getvalue() == ""
+
+
+@pytest.mark.parametrize("value", [2.5, np.nan, -np.inf, 2.0**53 + 2, -(2.0**53) - 2])
+@pytest.mark.parametrize("fmt", ["tsv", "json-lines"])
+@pytest.mark.parametrize("backend", ["c", "numpy"])
+def test_inexact_distance_is_a_verification_failure(capsys, monkeypatch, f1_path, backend,
+                                                   fmt, value):
+    """A distance that is not an exact integer (a fraction, NaN, -inf, past
+    2^53) is never printed rounded: exit 3, and its record is not written."""
+    from allhops import _native, cli
+
+    def solver(g, plan):
+        le = np.zeros((g.n, g.n, g.n))
+        le[1, 2, 0] = value
+        return types.SimpleNamespace(le=le)
+
+    monkeypatch.setattr(_native, "_BACKEND", backend)
+    monkeypatch.setattr(cli, "all_pairs_allhops", solver)
+    code, out, err = run_cli(capsys, "--format", fmt, "all-pairs", "--graph", f1_path)
+    assert code == 3 and err == f"allhops: distance {value!r} is not an exact integer\n"
+    assert all(line.endswith(("\t0", ": 0}")) for line in out.splitlines()[1:])

@@ -14,7 +14,7 @@ from allhops import (
     square_matrix,
     tropical_identity,
 )
-from allhops import minplus
+from allhops import _native, minplus
 from allhops.matrices import matrix_seq
 from allhops.minplus import conv_window, extend_hops
 
@@ -29,7 +29,7 @@ BACKEND = "c"
 
 @pytest.fixture(autouse=True)
 def backend(request, monkeypatch):
-    monkeypatch.setattr(minplus, "_BACKEND", request.module.BACKEND)
+    monkeypatch.setattr(_native, "_BACKEND", request.module.BACKEND)
 
 
 def _mat(vals):
