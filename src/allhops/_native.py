@@ -10,7 +10,10 @@ reference in the tests and its fallback):
   the first write and return 1, having written nothing, when one is past them;
 * `render_records` — a block of `(u, v, h, d)` or `(h, d)` records as tsv or
   json-lines text, for `records.emit`; it returns -1 - r when the r-th
-  distance is neither +inf nor an exact integer.
+  distance is neither +inf nor an exact integer;
+* `level_scan`, `level_scan_many` — the split scan of `LevelOracle.query`
+  over every level of one query, or of many into an array, with the
+  additions it made added to an int64 out-cell.
 
 Every array goes in as a `c_void_p` address (`a.ctypes.data`) and every size
 as a plain integer: ctypes' `ndpointer` conversion cost more than the C work
@@ -143,6 +146,56 @@ int relax_hops(double *out, int64_t L, int64_t R, int64_t n, int64_t k0, int exa
     return 0;
 }
 
+/* One query of `LevelOracle.query` for u != v: the minimum over the levels
+   j with K_{j-1} <= h that are not skipped, and over a in [lo, hi],
+   hi = min(h, K_j, tb_j), lo = max(0, min(h - tf_j, hi)), of
+   bwd_j[a][s][u] + fwd_j[min(h - a, tf_j)][s][v] over the |S_j| rows s.
+   lv is (7,L) int64, one column per level: the fwd and bwd addresses, K_j,
+   |S_j|, tf_j, tb_j and the skip flag (a copy level or an empty sample);
+   each table is (K_j+1,|S_j|,n) float64.  Adds the number of additions,
+   the sum of (hi - lo + 1) |S_j|, to *adds. */
+double level_scan(const int64_t *lv, int64_t L, int64_t n, int64_t *adds,
+                  int64_t u, int64_t v, int64_t h)
+{
+    const int64_t *ks = lv + 2 * L, *size = lv + 3 * L, *tf = lv + 4 * L,
+                  *tb = lv + 5 * L, *skip = lv + 6 * L;
+    double best = INFINITY;
+    int64_t count = 0;
+    for (int64_t j = 0; j < L; j++) {
+        if (j && ks[j - 1] > h)
+            break;
+        if (skip[j])
+            continue;
+        const int64_t S = size[j];
+        int64_t hi = h < ks[j] ? h : ks[j];
+        hi = hi < tb[j] ? hi : tb[j];
+        int64_t lo = h - tf[j] < hi ? h - tf[j] : hi;
+        lo = lo > 0 ? lo : 0;
+        const double *fwd = (const double *)(intptr_t)lv[j];
+        const double *bwd = (const double *)(intptr_t)lv[L + j];
+        for (int64_t a = lo; a <= hi; a++) {
+            const int64_t fa = h - a < tf[j] ? h - a : tf[j];
+            const double *to_s = bwd + a * S * n + u, *from_s = fwd + fa * S * n + v;
+            for (int64_t s = 0; s < S; s++) {
+                const double x = to_s[s * n] + from_s[s * n];
+                best = x < best ? x : best;
+            }
+        }
+        count += (hi - lo + 1) * S;
+    }
+    *adds += count;
+    return best;
+}
+
+/* level_scan over `count` queries into out, 0 where u == v. */
+void level_scan_many(const int64_t *lv, int64_t L, int64_t n, int64_t *adds,
+                     const int64_t *u, const int64_t *v, const int64_t *h, int64_t count,
+                     double *out)
+{
+    for (int64_t i = 0; i < count; i++)
+        out[i] = u[i] == v[i] ? 0.0 : level_scan(lv, L, n, adds, u[i], v[i], h[i]);
+}
+
 static char *put_int(char *p, int64_t x)
 {
     char digits[20];
@@ -243,6 +296,8 @@ def _load():
         ("relax", [P, P, I, I] + edges, ctypes.c_int),
         ("relax_hops", [P, I, I, I, I, ctypes.c_int] + edges, ctypes.c_int),
         ("render_records", [P, P, I, I, P, I, I, ctypes.c_char_p], I),
+        ("level_scan", [P, I, I, P, I, I, I], ctypes.c_double),
+        ("level_scan_many", [P, I, I, P, P, P, P, I, P], None),
     ):
         fn = getattr(lib, name)
         fn.argtypes, fn.restype = argtypes, restype

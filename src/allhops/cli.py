@@ -49,6 +49,7 @@ from .oracles import (
     build_oracle_powers,
     load_oracle,
     save_oracle,
+    scans_agree,
 )
 from .sampling import SamplePlan
 from .solvers import (
@@ -239,23 +240,32 @@ def _cmd_oracle_build(args) -> None:
 def _cmd_oracle_query(args) -> None:
     oracle = load_oracle(Path(args.oracle).read_bytes())
     text = sys.stdin.read() if args.queries == "-" else Path(args.queries).read_text()
-    queries, dists = [], []
+    queries, bad_line = [], None
     for lineno, line in enumerate(text.split("\n"), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
         parts = line.split()
         if len(parts) != 3:
-            raise ParseError(f"line {lineno}: expected `u v h`")
+            bad_line = ParseError(f"line {lineno}: expected `u v h`")
+            break
         try:
-            u, v, h = (int(x) for x in parts)
+            queries.append(tuple(int(x) for x in parts))
         except ValueError:
-            raise ParseError(f"line {lineno}: non-integer field") from None
-        queries.append((u, v, h))
-        dists.append(oracle.query(u, v, h))
-    keys = np.array(queries, dtype=np.int64).reshape(-1, 3).T.copy()
-    block = (keys, np.array(dists, dtype=np.float64))
-    records.emit(args.format, [block], ("u", "v", "h", "d"))
+            bad_line = ParseError(f"line {lineno}: non-integer field")
+            break
+    # The lines above a bad one are answered first, so that the first bad
+    # line, whether unparsable or a refused query, is the one reported.
+    try:
+        keys = np.array(queries, dtype=np.int64).reshape(-1, 3).T.copy()
+    except OverflowError:  # a field past int64 is out of range: let `query` say how
+        for q in queries:
+            oracle.query(*q)
+        raise
+    dists = oracle.query_many(*keys)
+    if bad_line is not None:
+        raise bad_line
+    records.emit(args.format, [(keys, dists)], ("u", "v", "h", "d"))
 
 
 def _read_matrix_lines(lines, rows, cols, what):
@@ -429,6 +439,21 @@ def _selftest_kernels(rng: np.random.Generator) -> bool:
             ok &= np.array_equal(got, want)
         # the active record renderer against the Python one
         ok &= records.renderers_agree(rng)
+    return ok & _selftest_scans(rng)
+
+
+def _selftest_scans(rng: np.random.Generator) -> bool:
+    """The active level scan against the Python one, on every query of one
+    small oracle of each sampled kind, built and loaded.  At C = 1 the
+    upper levels are sampled, and levels above the graph's last change
+    repeat the one below (copy levels)."""
+    n = int(rng.integers(10, 14))
+    g = gen_random_graph(n, 2 * n, 4, int(rng.integers(1 << 30)), require_no_neg_cycle=True)
+    plan = SamplePlan(C=1.0, seed=int(rng.integers(1 << 30)))
+    ok = True
+    for build in (build_oracle_mn, build_oracle_mpp, build_oracle_bounded):
+        oracle = build(g, plan)
+        ok &= scans_agree(oracle) and scans_agree(load_oracle(save_oracle(oracle)))
     return ok
 
 

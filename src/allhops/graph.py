@@ -29,6 +29,33 @@ class NegativeCycleError(ValueError):
     """The input graph violates the no-negative-cycle precondition."""
 
 
+class InEdges(tuple):
+    """(tails, weights, heads, starts), the edges grouped by head as
+    `Graph.in_edges()` returns them, with `c_args`: the four arrays'
+    addresses, the number of heads and the number of edges, as the
+    compiled Bellman-Ford hop takes them, taken once.  The arrays are made
+    C-contiguous, int64 but for the float64 weights (copies only where
+    they are not), and this tuple keeps them alive.  Weights and tails of
+    unequal lengths, or starts and heads, are an IndexError."""
+
+    c_args: tuple
+
+    def __new__(cls, arrays):
+        tails, ws, heads, starts = (
+            np.ascontiguousarray(a, dtype=t)
+            for a, t in zip(arrays, (np.int64, np.float64, np.int64, np.int64))
+        )
+        if len(ws) != len(tails) or len(starts) != len(heads):
+            raise IndexError("edge arrays of unequal lengths")
+        self = super().__new__(cls, (tails, ws, heads, starts))
+        self.c_args = (*(a.ctypes.data for a in self), len(heads), len(tails))
+        return self
+
+    def __reduce__(self):
+        """Copies and pickles take the addresses of their own arrays."""
+        return InEdges, (tuple(self),)
+
+
 @dataclass(frozen=True)
 class Graph:
     n: int
@@ -64,20 +91,20 @@ class Graph:
         e = np.asarray(self.edges, dtype=np.int64)
         return e[:, 0], e[:, 1], e[:, 2].astype(np.float64)
 
-    def in_edges(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    def in_edges(self) -> InEdges:
         """(tails, weights, heads, starts): the edges sorted by head, with
         `heads` the distinct heads and `starts` where each head's edges
         begin, the layout `minplus.relax` reduces over.  Built once per
-        graph; the arrays are read-only and C-contiguous, int64 but for the
-        float64 weights."""
+        graph, with the addresses the compiled loops take; the arrays are
+        read-only and C-contiguous, int64 but for the float64 weights."""
         return self._in_edges
 
     @cached_property
-    def _in_edges(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    def _in_edges(self) -> InEdges:
         us, vs, ws = self.edge_arrays()
         order = np.argsort(vs, kind="stable")
         heads, starts = np.unique(vs[order], return_index=True)
-        arrays = (us[order], ws[order], heads, starts.astype(np.int64))
+        arrays = InEdges((us[order], ws[order], heads, starts.astype(np.int64)))
         for a in arrays:
             a.flags.writeable = False
         return arrays

@@ -48,6 +48,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import _native
+from .graph import InEdges
 from .matrices import DistMatrix, MatrixSeq
 from .values import INF
 
@@ -190,7 +191,7 @@ def relax(rows: np.ndarray, edges, out: np.ndarray) -> np.ndarray:
     src = np.ascontiguousarray(rows, dtype=np.float64)
     if np.may_share_memory(src, o):
         src = src.copy()
-    if lib.relax(src.ctypes.data, o.ctypes.data, o.size // n, n, *_edge_args(e)):
+    if lib.relax(src.ctypes.data, o.ctypes.data, o.size // n, n, *e.c_args):
         raise IndexError("edge arrays do not fit the rows")
     if o is not out:
         out[...] = o
@@ -213,7 +214,7 @@ def relax_hops(out: np.ndarray, k0: int, edges, *, exact: bool = False) -> None:
     L, n = len(out), out.shape[-1]
     e = _edge_arrays(edges)
     o = np.ascontiguousarray(out)
-    if lib.relax_hops(o.ctypes.data, L, o.size // (L * n), n, k0, bool(exact), *_edge_args(e)):
+    if lib.relax_hops(o.ctypes.data, L, o.size // (L * n), n, k0, bool(exact), *e.c_args):
         raise IndexError("edge arrays do not fit the rows")
     if o is not out:
         out[...] = o
@@ -227,25 +228,11 @@ def _relax_lib(out: np.ndarray):
     return _native.library()
 
 
-def _edge_arrays(edges) -> tuple:
-    """`Graph.in_edges()` as the C loops take it: C-contiguous int64 and
-    float64 arrays (the graph's own, not copies) of matching lengths.  The
-    loops check every index they follow themselves."""
-    tails, ws, heads, starts = (
-        np.ascontiguousarray(a, dtype=t)
-        for a, t in zip(edges, (np.int64, np.float64, np.int64, np.int64))
-    )
-    if len(ws) != len(tails) or len(starts) != len(heads):
-        raise IndexError("edge arrays do not fit the rows")
-    return tails, ws, heads, starts
-
-
-def _edge_args(e: tuple) -> tuple:
-    """The C loops' edge arguments from `_edge_arrays`, which the caller
-    keeps alive through the call: four addresses, the heads and the edges."""
-    tails, ws, heads, starts = e
-    return (tails.ctypes.data, ws.ctypes.data, heads.ctypes.data, starts.ctypes.data,
-            len(heads), len(tails))
+def _edge_arrays(edges) -> InEdges:
+    """Edges as the C loops take them: `Graph.in_edges()` itself, else an
+    `InEdges` of the four arrays.  The loops check every index they follow
+    themselves."""
+    return edges if isinstance(edges, InEdges) else InEdges(edges)
 
 
 def relax_numpy(rows: np.ndarray, edges, out: np.ndarray) -> np.ndarray:

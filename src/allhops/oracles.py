@@ -32,7 +32,14 @@ Five kinds share one query contract (d_{<=h}(u,v) for 1 <= h <= n-1):
   that does.  A query scans on each level only the splits up to the last
   hop at which its tables change, skipping levels that repeat the one
   below (`LevelOracle.query`).  Neither the copied rows nor the window
-  changes a stored byte or an answer.
+  changes a stored byte or an answer.  The scan runs compiled
+  (`_native.level_scan`, its arguments packed once per oracle) where the
+  library loads, else in Python (`LevelOracle._scan`, the reference);
+  `query_many` answers arrays of queries, in one C loop on a sampled
+  oracle and one lookup on a full table.
+  Every level over all of V holds exact d_{<=h}(V, V), so all of them are
+  read-only prefix views of one table, the top full level's, at build and
+  at load; a snapshot still writes each level out whole.
 
 Oracles are immutable after build; `query` only touches the work counters.
 A versioned binary snapshot (magic AHDO1) makes build and query separable
@@ -41,6 +48,7 @@ processes; int64 cells with the maximum value reserved for +inf.
 
 from __future__ import annotations
 
+import ctypes
 import io
 import math
 import struct
@@ -48,6 +56,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import _native
 from .baselines import apah_brute
 from .graph import Graph, ParseError, require_no_neg_cycle, reverse, weight_matrix
 from .matrices import identity_rows
@@ -84,6 +93,22 @@ def _check_query(n: int, u: int, v: int, h: int) -> None:
         raise ValueError(f"hop budget {h} outside [1, {n - 1}]")
 
 
+def _query_arrays(oracle, u, v, h, top: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """u, v and h broadcast to C-contiguous int64 arrays of one shape, all
+    checked at once: every vertex in [0, n) and every budget in [1, top].
+    At the first query that fails, `oracle.query` raises its own error."""
+    arrays = np.broadcast_arrays(*(np.asarray(x) for x in (u, v, h)))
+    if any(a.size and a.dtype.kind not in "biu" for a in arrays):
+        raise TypeError("query vertices and hop budgets must be integers")
+    u, v, h = (np.ascontiguousarray(a, dtype=np.int64) for a in arrays)
+    n = oracle.n
+    ok = (0 <= u) & (u < n) & (0 <= v) & (v < n) & (1 <= h) & (h <= top)
+    if not ok.all():
+        i = int(np.argmin(ok.ravel()))
+        oracle.query(int(u.flat[i]), int(v.flat[i]), int(h.flat[i]))
+    return u, v, h
+
+
 # ---------------------------------------------------------------------------
 # full-table oracles (powers / bf)
 
@@ -112,6 +137,13 @@ class FullTableOracle:
         if h > self.H and not self.stable:
             raise ValueError(f"hop budget {h} outside [1, {self.H}]")
         return self.le[min(h, self.H), u, v]
+
+    def query_many(self, u, v, h) -> np.ndarray:
+        """`query` over integer arrays of queries, broadcast together, as
+        one lookup; errors as in `LevelOracle.query_many`."""
+        top = self.n - 1 if self.stable else min(self.n - 1, self.H)
+        u, v, h = _query_arrays(self, u, v, h, top)
+        return self.le[np.minimum(h, self.H), u, v]
 
     def _snapshot(self):
         """(seed, C, kstar, [(budget, sample, arrays)]) as save_oracle writes it."""
@@ -180,18 +212,49 @@ class LevelOracle:
     tf: list[int] = field(init=False, repr=False)
     tb: list[int] = field(init=False, repr=False)
     copies: list[bool] = field(init=False, repr=False)
+    # The compiled scan's leading arguments and what they point at.
+    _scan_args: tuple = field(init=False, repr=False, compare=False)
+    _scan_keep: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         """tf[j] / tb[j]: the last hop at which level j's fwd / bwd table
         changes, so every later slice repeats it.  copies[j]: S_j <= S_{j-1}
         and level j is level j-1 with its last slice repeated.  Both rest on
         tables that do not increase along the hop axis, as every build makes
-        them; a table that does (a hand-edited snapshot) is a ValueError."""
-        if not all((t[1:] <= t[:-1]).all() for t in self.fwd + self.bwd):
+        them; a table that does (a hand-edited snapshot) is a ValueError, as
+        is one whose shape is not (K_j + 1, |S_j|, n)."""
+        tables = self.fwd + self.bwd
+        shapes = [(k + 1, s.size, self.n) for k, s in zip(self.ks, self.samples)] * 2
+        if len(tables) != len(shapes) or any(t.shape != s for t, s in zip(tables, shapes)):
+            raise ValueError("a level's table does not match its budget and sample")
+        if not all((t[1:] <= t[:-1]).all() for t in tables):
             raise ValueError("a level's table increases along the hop axis")
         self.tf = [_last_change(f) for f in self.fwd]
         self.tb = [_last_change(b) for b in self.bwd]
         self.copies = [j > 0 and self._repeats(j) for j in range(len(self.ks))]
+        self._pack_levels()
+
+    def _pack_levels(self) -> None:
+        """Take the compiled scan's arguments once per oracle: the (7, L)
+        int64 level array of `_native.level_scan` (table addresses, K_j,
+        |S_j|, tf_j, tb_j, skip flags), L, n and the address of the adds
+        out-cell.  The tables (contiguous float64: the oracle's own where
+        they are), the level array and the cell stay alive in `_scan_keep`."""
+        tables = [np.ascontiguousarray(t, dtype=np.float64) for t in self.fwd + self.bwd]
+        L = len(self.ks)
+        skip = [c or s.size == 0 for c, s in zip(self.copies, self.samples)]
+        columns = ([t.ctypes.data for t in tables[:L]], [t.ctypes.data for t in tables[L:]],
+                   self.ks, [s.size for s in self.samples], self.tf, self.tb, skip)
+        levels = np.array(columns, dtype=np.int64).reshape(7, L)
+        cell = ctypes.c_int64(0)
+        self._scan_keep = (levels, tables, cell)
+        self._scan_args = (levels.ctypes.data, L, self.n, ctypes.addressof(cell))
+
+    def __reduce__(self):
+        """Copies and pickles are built anew, so that their packed addresses
+        point at their own tables, never at this oracle's."""
+        return LevelOracle, (self.kind, self.n, self.seed, self.C, self.ks, self.samples,
+                             self.fwd, self.bwd, self.kstar, self.counters)
 
     def _repeats(self, j: int) -> bool:
         """Level j is level j-1 restricted to S_j, last slice repeated."""
@@ -222,10 +285,46 @@ class LevelOracle:
         constant and the bwd term only grows; a copy level's candidates are
         the level below's with the fwd hop cut at K_{j-1}.  So the answer
         equals the scan of every split a in [0, min(h, K_j)].
+
+        The scan runs compiled (`_native.level_scan`) when the library
+        loads, else in Python (`_scan`, its reference); both give the same
+        bits and count the same additions.
         """
         _check_query(self.n, u, v, h)
         if u == v:
             return 0.0
+        lib = _native.library()
+        if lib is None:
+            return self._scan(u, v, h)
+        best = lib.level_scan(*self._scan_args, u, v, h)
+        self._count_scanned()
+        return best
+
+    def query_many(self, u, v, h) -> np.ndarray:
+        """`query` over integer arrays of queries, broadcast together: the
+        answers as a float64 array, with the additions of one `query` per
+        query counted.  The first query that `query` refuses raises its
+        error, and then nothing is answered."""
+        u, v, h = _query_arrays(self, u, v, h, self.n - 1)
+        lib = _native.library()
+        if lib is None:
+            answers = [self.query(*q) for q in zip(u.flat, v.flat, h.flat)]
+            return np.array(answers, dtype=np.float64).reshape(u.shape)
+        out = np.empty(u.shape)
+        lib.level_scan_many(*self._scan_args, u.ctypes.data, v.ctypes.data, h.ctypes.data,
+                            u.size, out.ctypes.data)
+        self._count_scanned()
+        return out
+
+    def _count_scanned(self) -> None:
+        """Move the compiled scan's out-cell into the counters."""
+        cell = self._scan_keep[2]
+        self.counters.adds += cell.value
+        cell.value = 0
+
+    def _scan(self, u: int, v: int, h: int):
+        """The scan of `query` in Python, for u != v."""
+        h = int(h)  # an unsigned numpy h would wrap in h - tf
         best = INF
         for j, k in enumerate(self.ks):
             if j and self.ks[j - 1] > h:
@@ -245,6 +344,22 @@ class LevelOracle:
     def _snapshot(self):
         levels = zip(self.ks, self.samples, self.fwd, self.bwd)
         return self.seed, self.C, self.kstar, [(k, s, [f, b]) for k, s, f, b in levels]
+
+
+def scans_agree(oracle: LevelOracle) -> bool:
+    """Whether `query` and `query_many`, compiled when the library loads,
+    answer every query of `oracle` as the Python scan `_scan` does, and
+    count the same additions."""
+    n, counters = oracle.n, oracle.counters
+    u, v, h = (a.ravel() for a in np.mgrid[0:n, 0:n, 1:n])
+    queries = list(zip(u.tolist(), v.tolist(), h.tolist()))
+    runs = []
+    for answer in (lambda: [0.0 if a == b else oracle._scan(a, b, k) for a, b, k in queries],
+                   lambda: [oracle.query(*q) for q in queries],
+                   lambda: oracle.query_many(u, v, h).tolist()):
+        before = counters.adds
+        runs.append((answer(), counters.adds - before))
+    return runs[0] == runs[1] == runs[2]
 
 
 def _positions(below: np.ndarray, verts: np.ndarray) -> np.ndarray | None:
@@ -289,10 +404,10 @@ def _settled(rows: np.ndarray, edges) -> np.ndarray:
 
 def _level(
     n: int, k: int, verts: np.ndarray, built: list[tuple[np.ndarray, np.ndarray]],
-    direct: bool, edges,
+    direct: bool, edges, out: np.ndarray | None = None,
 ) -> tuple[np.ndarray, int]:
-    """d_{<=h}(S_j, V) for h = 0..k, and the number of Bellman-Ford
-    row-hops it ran.
+    """d_{<=h}(S_j, V) for h = 0..k, in `out` if given, and the number of
+    Bellman-Ford row-hops it ran.
 
     `built` holds (table, sample) pairs: the root, the hop-0 identity over
     V, then levels 0..j-1.  The rows start from the highest of them whose
@@ -300,14 +415,18 @@ def _level(
     stable are copied forward, and the live ones continue to k: by
     Bellman-Ford on a direct level or from a table over V, else by
     `extend_hops`, splitting at every vertex of S_{j-1} (nested samples
-    put S_j inside S_{j-1}, so the rows start from level j-1)."""
-    out = np.empty((k + 1, len(verts), n))
+    put S_j inside S_{j-1}, so the rows start from level j-1).  Where
+    `out` and the start are prefixes of one table (levels over V, see
+    `_build_levels`), the start's hops are already in place."""
+    if out is None:
+        out = np.empty((k + 1, len(verts), n))
     start, start_verts, sel = next(
         (t, s, sel) for t, s in reversed(built) if (sel := _positions(s, verts)) is not None
     )
     direct = direct or len(start_verts) == n
     k0 = start.shape[0] - 1
-    out[: k0 + 1] = start[:, sel]
+    if not np.may_share_memory(start, out):
+        out[: k0 + 1] = start[:, sel]
     live = ~_settled(out[k0], edges)
     out[k0 + 1 :, ~live] = out[k0, ~live]
     if live.any():
@@ -331,18 +450,28 @@ def _build_levels(
     K_j <= direct_upto is direct (Bellman-Ford); they come first, so a
     direct level starts from exact rows.  The counters tally m relaxations
     per row and hop that Bellman-Ford ran.  Only `bounded` records
-    direct_upto, as its crossover kstar."""
-    row_hops = 0
-    root = (identity_rows(range(g.n), g.n)[None], np.arange(g.n))
+    direct_upto, as its crossover kstar.
+
+    A level over all of V holds exact d_{<=h}(V, V) for h = 0..K_j, so
+    every such level is built as a prefix of one table, the top full
+    level's, each continuing the one below in place; they end as
+    read-only prefix views of it.  `load_oracle` shares them the same way."""
+    n, row_hops = g.n, 0
+    root = (identity_rows(range(n), n)[None], np.arange(n))
+    full_ks = [k for k, s in zip(ks, samples) if s.size == n]
 
     def tables(graph: Graph) -> list[np.ndarray]:
         nonlocal row_hops
         built, edges = [root], graph.in_edges()
+        top = np.empty((full_ks[-1] + 1, n, n)) if full_ks else None
         for j, k in enumerate(ks):
-            table, ran = _level(g.n, k, samples[j], built, k <= direct_upto, edges)
+            out = top[: k + 1] if samples[j].size == n else None
+            table, ran = _level(n, k, samples[j], built, k <= direct_upto, edges, out)
             built.append((table, samples[j]))
             row_hops += ran
-        return [table for table, _ in built[1:]]
+        if top is not None:
+            top.flags.writeable = False
+        return [top[: k + 1] if s.size == n else t for k, s, (t, _) in zip(ks, samples, built[1:])]
 
     kstar = direct_upto if kind == "bounded" else 0
     oracle = LevelOracle(
@@ -409,13 +538,14 @@ def save_oracle(oracle) -> bytes:
 
 
 class _Reader:
-    """Cursor over snapshot bytes; reading past the end is a ParseError."""
+    """Cursor over snapshot bytes, read as views, not copies; reading past
+    the end is a ParseError."""
 
     def __init__(self, data: bytes):
-        self.data = data
+        self.data = memoryview(data)
         self.pos = 0
 
-    def take(self, size: int) -> bytes:
+    def take(self, size: int) -> memoryview:
         if size > len(self.data) - self.pos:
             raise ParseError("truncated oracle snapshot")
         self.pos += size
@@ -430,7 +560,8 @@ class _Reader:
 
 def _read_level(r: _Reader, n: int, full: bool):
     """One level, checked against n: a sorted sample of distinct vertices
-    (all of V for a full table) and arrays of shape (budget+1, |S|, n).  A
+    (all of V for a full table) and arrays of shape (budget+1, |S|, n), as
+    int64 views of the snapshot's cells.  A
     sampled level's budget is at most max(1, n - 1), the most any build
     writes: an empty level holds no cells whatever its budget, yet
     `LevelOracle` allocates along its whole hop axis.  A full table's
@@ -455,8 +586,28 @@ def _read_level(r: _Reader, n: int, full: bool):
         shape = r.unpack(f"<{ndim}Q")
         if shape != (budget + 1, size, n):
             raise ParseError(f"oracle snapshot: array shape {shape} does not match its level")
-        arrays.append(from_int64(r.int64s(math.prod(shape)).reshape(shape)))
+        arrays.append(r.int64s(math.prod(shape)).reshape(shape))
     return budget, sample, arrays
+
+
+def _loaded_tables(
+    n: int, ks: list[int], samples: list[np.ndarray], cells: list[np.ndarray]
+) -> list[np.ndarray]:
+    """One direction's float64 tables from their snapshot cells.  As at
+    build, a level over all of V whose cells equal hops 0..K_j of the top
+    full level's is a read-only prefix view of that level's table."""
+    full = [j for j, s in enumerate(samples) if s.size == n]
+    if not full:
+        return [from_int64(c) for c in cells]
+    top_cells = cells[full[-1]]
+    top = from_int64(top_cells)
+    top.flags.writeable = False
+    return [
+        top[: k + 1]
+        if s.size == n and (c is top_cells or np.array_equal(c, top_cells[: k + 1]))
+        else from_int64(c)
+        for k, s, c in zip(ks, samples, cells)
+    ]
 
 
 def load_oracle(data: bytes):
@@ -479,10 +630,10 @@ def load_oracle(data: bytes):
     if ks != sorted(ks):
         raise ParseError("oracle snapshot: level budgets decrease")
     if full:
-        return FullTableOracle(kind, n, ks[0], levels[0][2][0])
+        return FullTableOracle(kind, n, ks[0], from_int64(levels[0][2][0]))
     samples = [sample for _, sample, _ in levels]
-    fwd = [arrays[0] for _, _, arrays in levels]
-    bwd = [arrays[1] for _, _, arrays in levels]
+    fwd, bwd = (_loaded_tables(n, ks, samples, [arrays[i] for _, _, arrays in levels])
+                for i in (0, 1))
     try:
         return LevelOracle(kind, n, seed, C, ks, samples, fwd, bwd, kstar)
     except ValueError as e:

@@ -1,4 +1,5 @@
 import ctypes
+import functools
 import hashlib
 import io
 import json
@@ -266,6 +267,28 @@ def test_undecodable_input_is_input_error(capsys, tmp_path, f1_path, what):
     assert (code, out) == (1, "") and err.startswith("allhops: ")
 
 
+@pytest.mark.parametrize("kind", ["bf", "mn"])
+@pytest.mark.parametrize("text, code, message", [
+    ("0 1 1\n0 1 9\nx y z\n", 2, "hop budget 9 outside [1, 2]"),
+    ("0 1 1\nx 1 1\n0 1 9\n", 1, "line 2: non-integer field"),
+    ("0 1 1\n# 1 2 3\n\n0 1\n0 1 0\n", 1, "line 4: expected `u v h`"),
+    ("0 1 99999999999999999999\n5 1 1\n", 2, "hop budget 99999999999999999999 outside"),
+    ("0 1 1\n5 1 99999999999999999999\n", 2, "query vertex out of range"),
+])
+def test_oracle_query_reports_the_first_bad_line(capsys, tmp_path, f1_path, kind, text, code,
+                                                 message):
+    """The whole query file is answered at once, yet the error is the first
+    bad line's, whether it does not parse or asks what `query` refuses,
+    also for a field past int64."""
+    snap, queries = str(tmp_path / "f1.ahdo"), tmp_path / "q.txt"
+    assert run_cli(capsys, "oracle", "build", "--kind", kind, "--graph", f1_path,
+                   "--out", snap)[0] == 0
+    queries.write_text(text)
+    got = run_cli(capsys, "oracle", "query", "--oracle", snap, "--queries", str(queries))
+    assert got[:2] == (code, "") and got[2].startswith(f"allhops: {message}")
+    assert got[2].count("\n") == 1
+
+
 def test_allocation_failure_is_precondition_error(capsys, monkeypatch, f1_path):
     """A table too large to allocate is exit 2 with one stderr line, as
     numpy raises it for a graph whose header is `100000 0`."""
@@ -392,6 +415,51 @@ def _edges(tails, ws, heads, starts, nh, m):
             _view(starts, np.int64, nh))
 
 
+@functools.lru_cache(maxsize=16)
+def _level_views(levels: bytes, n: int) -> dict:
+    """The fields of `_scanned_levels` for a level array's bytes: views at
+    its addresses, so they hold whatever the oracle there holds."""
+    fwd, bwd, ks, sizes, tf, tb, skip = np.frombuffer(levels, np.int64).reshape(7, -1).tolist()
+
+    def tables(addrs):
+        return [_view(a, np.float64, k + 1, s, n) if s else np.empty((k + 1, 0, n))
+                for a, k, s in zip(addrs, ks, sizes)]
+
+    return {"ks": ks, "samples": [np.empty(s) for s in sizes], "tf": tf, "tb": tb,
+            "copies": skip, "fwd": tables(fwd), "bwd": tables(bwd)}
+
+
+def _scanned_levels(lv, L, n, lower_sampled=False):
+    """The levels a compiled scan receives, as the LevelOracle fields that
+    its Python scan reads; with `lower_sampled`, the forward tables of the
+    levels that sample part of V are copies one lower."""
+    from allhops.oracles import WorkCounters
+
+    fields = dict(_level_views(ctypes.string_at(lv, 7 * 8 * L), n))
+    if lower_sampled:
+        fields["fwd"] = [t - 1 if 0 < t.shape[1] < n else t for t in fields["fwd"]]
+    return types.SimpleNamespace(**fields, counters=WorkCounters())
+
+
+def _scan_entry_points(lower_sampled=False):
+    """`level_scan` and `level_scan_many` on the Python scan."""
+    from allhops.oracles import LevelOracle
+
+    def level_scan(lv, L, n, adds, u, v, h):
+        levels = _scanned_levels(lv, L, n, lower_sampled)
+        best = LevelOracle._scan(levels, u, v, h)
+        ctypes.c_int64.from_address(adds).value += levels.counters.adds
+        return best
+
+    def level_scan_many(lv, L, n, adds, u, v, h, count, out):
+        u, v, h = (_view(a, np.int64, count) for a in (u, v, h))
+        _view(out, np.float64, count)[:] = [
+            0.0 if a == b else level_scan(lv, L, n, adds, a, b, k) for a, b, k in zip(u, v, h)
+        ]
+
+    return {"level_scan": level_scan, "level_scan_many": level_scan_many}
+
+
 def _library(**entry_points):
     """A stand-in for the compiled library: each entry point takes the C
     function's arguments (addresses and integers) and runs the numpy or
@@ -420,7 +488,7 @@ def _library(**entry_points):
 
     return types.SimpleNamespace(**{
         "conv_window": conv_window, "relax": relax, "relax_hops": relax_hops,
-        "render_records": render_records, **entry_points,
+        "render_records": render_records, **_scan_entry_points(), **entry_points,
     })
 
 
@@ -503,6 +571,20 @@ def test_selftest_fails_on_a_wrong_renderer(capsys, monkeypatch):
 
     monkeypatch.setattr(_native, "_BACKEND", "c")
     monkeypatch.setattr(_native, "_lib", _library(render_records=_render_one_digit_off))
+    code, out, err = run_cli(capsys, "selftest")
+    assert code == 3 and "selftest suite(s) failed" in err
+    assert "selftest kernel equivalence: FAILED" in out
+    assert out.count("FAILED") == 1
+
+
+def test_selftest_fails_on_a_wrong_scan(capsys, monkeypatch):
+    """A compiled level scan one too low on the levels that sample part of
+    V fails the kernel suite, and only it: at the oracle suites' C = 4
+    every such level repeats the one below, so their queries skip it."""
+    from allhops import _native
+
+    monkeypatch.setattr(_native, "_BACKEND", "c")
+    monkeypatch.setattr(_native, "_lib", _library(**_scan_entry_points(lower_sampled=True)))
     code, out, err = run_cli(capsys, "selftest")
     assert code == 3 and "selftest suite(s) failed" in err
     assert "selftest kernel equivalence: FAILED" in out

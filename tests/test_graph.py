@@ -1,3 +1,6 @@
+import copy
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -134,6 +137,17 @@ def test_in_edges_built_once_and_read_only(edges):
         assert a.dtype == dtype and a.flags.c_contiguous
         with pytest.raises(ValueError, match="read-only"):
             a[...] = 0
+
+
+@pytest.mark.parametrize("clone", [copy.copy, copy.deepcopy, lambda g: pickle.loads(pickle.dumps(g))])
+def test_copied_in_edges_carry_their_own_addresses(clone):
+    """A copied or unpickled graph's edge addresses are those of its own
+    arrays, also where the original had built them before it was copied."""
+    g = graph_from_edges(4, [(0, 1, 2), (1, 2, -1), (3, 2, 5), (2, 0, 1)])
+    g.in_edges()
+    for edges in (clone(g).in_edges(), clone(g.in_edges())):
+        assert edges.c_args == (*(a.ctypes.data for a in edges), 3, 4)
+        assert all(np.array_equal(a, b) for a, b in zip(edges, g.in_edges()))
 
 
 def test_weight_matrix_f1(f1):

@@ -1,10 +1,15 @@
+import copy
+import gc
 import hashlib
+import pickle
 import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from allhops import oracles
+from allhops import _native, oracles
 from allhops.cli import main
 
 from allhops import (
@@ -517,6 +522,141 @@ def test_query_window_on_random_monotone_tables():
         copies += sum(o.copies)
         _assert_answers(o, [None] + [_full_scan(o, h) for h in range(1, o.n)])
     assert copies > 0
+
+
+@st.composite
+def _scan_cases(draw):
+    """A LevelOracle, sometimes reloaded from its snapshot: built by a drawn
+    kind from a small random graph at C = 1 or 4 (sampled levels, copy
+    levels), or random monotone tables (`_random_level_oracle`: copy
+    levels, empty samples, budgets from 0 and below n - 1, so that some h
+    is past every budget)."""
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    n = draw(st.integers(2, 12))
+    if draw(st.booleans()):
+        g = gen_random_graph(n, min(2 * n, n * (n - 1)), 4, seed, require_no_neg_cycle=True)
+        build = draw(st.sampled_from([build_oracle_mn, build_oracle_mpp, build_oracle_bounded]))
+        o = build(g, SamplePlan(C=draw(st.sampled_from([1.0, 4.0])), seed=seed))
+    else:
+        o = _random_level_oracle(rng, n)
+    if draw(st.booleans()) and o.ks[-1] <= max(1, n - 1):  # as a snapshot may hold
+        o = load_oracle(save_oracle(o))
+    return o
+
+
+@settings(max_examples=120, deadline=None)
+@given(o=_scan_cases(), backend=st.sampled_from(["c", "numpy"]),
+       as_int=st.sampled_from([int, np.int64, np.int32, np.uint16]))
+def test_compiled_scan_equals_the_python_scan(o, backend, as_int):
+    """`query` (the compiled scan on the C backend) gives the Python scan's
+    answers and additions on every query, u == v among them, with Python
+    or numpy integers; `query_many` gives `query`'s, in any shape."""
+    n = o.n
+    queries = [(u, v, h) for u in range(n) for v in range(n) for h in range(1, n)]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_native, "_BACKEND", backend)
+        o.counters.reset()
+        want = [0.0 if u == v else o._scan(u, v, h) for u, v, h in queries]
+        want_adds = o.counters.adds
+        o.counters.reset()
+        got = [o.query(as_int(u), as_int(v), as_int(h)) for u, v, h in queries]
+        assert got == want and o.counters.adds == want_adds
+        o.counters.reset()
+        u, v, h = (np.array(a, dtype=as_int).reshape(n, n, n - 1) for a in zip(*queries))
+        many = o.query_many(u, v, h)
+        assert many.shape == (n, n, n - 1) and many.dtype == np.float64
+        assert many.ravel().tolist() == want and o.counters.adds == want_adds
+        assert o.query_many([], [], []).shape == (0,)
+
+
+def test_query_many_refuses_the_first_bad_query_as_query_does():
+    """The first query that `query` refuses raises its error, nothing is
+    counted, and the budget past a full table's unstable cut is refused."""
+    g = gen_random_graph(12, 36, 4, 3, require_no_neg_cycle=True)
+    for o in (build_oracle_mn(g, PLAN), build_oracle_bf(g)):
+        o.counters.reset()
+        with pytest.raises(ValueError, match="hop budget 12 outside"):
+            o.query_many([0, 1, 2, 3], [1, 2, 3, 20], [2, 3, 12, 5])
+        with pytest.raises(ValueError, match="vertex out of range"):
+            o.query_many([0, -1], [1, 2], [1, 0])
+        with pytest.raises(TypeError, match="must be integers"):
+            o.query_many([0.5], [1], [1])
+        assert o.counters.adds == 0
+    cut = build_oracle_bf(_small_chain_dag(12, 0), 3)
+    assert not cut.stable
+    with pytest.raises(ValueError, match=r"hop budget 4 outside \[1, 3\]"):
+        cut.query_many([0, 0], [1, 1], [3, 4])
+
+
+@pytest.mark.parametrize("build", [build_oracle_mn, build_oracle_mpp, build_oracle_bounded])
+def test_full_levels_share_the_top_table(build):
+    """Every level over all of V holds hops 0..K_j of the top full level's
+    tables, built and loaded: a read-only prefix view of them, with the
+    cells and snapshot bytes that separate copies have."""
+    g = gen_random_graph(24, 72, 6, 1, require_no_neg_cycle=True)
+    o = build(g, SamplePlan(C=4.0, seed=2))
+    blob = save_oracle(o)
+    copied = LevelOracle(o.kind, o.n, o.seed, o.C, o.ks, o.samples,
+                         [t.copy() for t in o.fwd], [t.copy() for t in o.bwd], o.kstar)
+    assert save_oracle(copied) == blob
+    brute = apah_brute(g, with_exact=False).le
+    for x in (o, load_oracle(blob)):
+        full = [j for j, s in enumerate(x.samples) if s.size == x.n]
+        assert len(full) >= 3, x.kind
+        for tables in (x.fwd, x.bwd):
+            top = tables[full[-1]]
+            assert top.base is not None
+            for j in full:
+                t = tables[j]
+                assert t.base is top.base and t.ctypes.data == top.ctypes.data
+                assert t.flags.c_contiguous and not t.flags.writeable
+                with pytest.raises(ValueError, match="read-only"):
+                    t[...] = 0
+        for j in full:
+            hops = brute[: x.ks[j] + 1]
+            assert np.array_equal(x.fwd[j], hops), (x.kind, j)
+            assert np.array_equal(x.bwd[j], hops.transpose(0, 2, 1)), (x.kind, j)
+        assert x.storage_cells() == copied.storage_cells()
+        assert save_oracle(x) == blob
+
+
+def test_copies_and_pickles_scan_their_own_tables():
+    """A deep copy or an unpickled oracle answers from its own tables: not
+    from the original's, once those are overwritten or gone."""
+    g = gen_random_graph(16, 48, 4, 2, require_no_neg_cycle=True)
+    o = build_oracle_mn(g, SamplePlan(C=1.0, seed=1))
+    queries = [(u, v, h) for u in range(16) for v in range(16) for h in (1, 7, 15)]
+    o.query(0, 1, 3)
+    want = [o.query(*q) for q in queries]
+    copies = [copy.deepcopy(o), pickle.loads(pickle.dumps(o)), copy.copy(o)]
+    assert all(c.counters.adds == o.counters.adds for c in copies[:2])
+    writable = [t for t in o.fwd + o.bwd if t.flags.writeable]
+    assert writable
+    for t in writable:
+        t[...] = -1000
+    assert [o.query(*q) for q in queries] != want
+    for c in copies[:2]:
+        assert [c.query(*q) for q in queries] == want
+    del o, copies[2], t, writable
+    gc.collect()
+    for c in copies[:2]:
+        assert [c.query(*q) for q in queries] == want
+
+
+def test_loaded_full_level_that_differs_keeps_its_own_table():
+    """A snapshot whose lower full level is not a prefix of the top one
+    (hand-edited: one lower cell at its last hop) loads that level as its
+    own table, and answers from it."""
+    g = gen_random_graph(24, 72, 6, 1, require_no_neg_cycle=True)
+    o = build_oracle_mpp(g, SamplePlan(C=4.0, seed=2))
+    blob = save_oracle(o)
+    k0 = o.ks[0]
+    edited = load_oracle(_patch(blob, _cell_offset(blob, 0, 0, k0, 3, 7), "<q", -100))
+    assert edited.fwd[0][k0, 3, 7] == -100 and edited.fwd[1][k0, 3, 7] != -100
+    assert not np.shares_memory(edited.fwd[0], edited.fwd[1])
+    assert np.shares_memory(edited.bwd[0], edited.bwd[1])
+    assert edited.query(3, 7, k0) == -100
 
 
 def test_settled_rows_never_change_a_table():

@@ -8,7 +8,11 @@ seeded Hamiltonian path plus heavier forward chords) and a tree gadget
 0 and 1.  The hash covers, in a fixed order, every single-pair table (k =
 1..3, the `naive` strategy, and the `polynomial` one on the small chain),
 the single-source tables (k = 2, 3), the all-pairs table and the `mn`,
-`mpp` and `bounded` snapshot bytes.
+`mpp` and `bounded` snapshot bytes.  For each of those oracles, built and
+reloaded from its snapshot, it also covers the answers to a fixed set of
+queries, asked one `query` at a time and as one `query_many`, and the
+additions each way counted.  A checkout without `query_many` answers
+that set with one `query` per query.
 
     PYTHONPATH=src python3 tools/digest.py
 """
@@ -29,6 +33,7 @@ from allhops import (
     build_tree_gadget,
     gen_random_graph,
     graph_from_edges,
+    load_oracle,
     save_oracle,
     single_pair_allhops,
     single_source_allhops,
@@ -79,7 +84,33 @@ def _outputs():
                     yield f"{key} ss k={k}", single_source_allhops(g, n // 3, k, plan).le
                 yield f"{key} ap", all_pairs_allhops(g, plan).le
                 for build in (build_oracle_mn, build_oracle_mpp, build_oracle_bounded):
-                    yield f"{key} {build.__name__}", save_oracle(build(g, plan))
+                    oracle = build(g, plan)
+                    blob = save_oracle(oracle)
+                    yield f"{key} {build.__name__}", blob
+                    yield from _answers(f"{key} {build.__name__}", oracle, n)
+                    yield from _answers(f"{key} {build.__name__} loaded", load_oracle(blob), n)
+
+
+def _queries(n: int):
+    """128 fixed queries (u, v, h) over n vertices, u == v among them."""
+    rng = np.random.default_rng(n)
+    u, v = rng.integers(0, n, 128), rng.integers(0, n, 128)
+    v[::16] = u[::16]
+    return u, v, rng.integers(1, max(2, n), 128)
+
+
+def _answers(key: str, oracle, n: int):
+    """The answers to `_queries(n)` and the additions counted, by `query`
+    and by `query_many`."""
+    u, v, h = _queries(n)
+
+    def one_by_one(u, v, h):
+        return np.array([oracle.query(*q) for q in zip(u.tolist(), v.tolist(), h.tolist())])
+
+    for how, ask in (("query", one_by_one), ("query_many", getattr(oracle, "query_many", one_by_one))):
+        oracle.counters.reset()
+        yield f"{key} {how}", np.asarray(ask(u, v, h), dtype=np.float64)
+        yield f"{key} {how} adds", np.array([oracle.counters.adds], dtype=np.int64)
 
 
 def digest() -> str:
