@@ -31,6 +31,7 @@ from .oracles import (
     build_oracle_mn,
     build_oracle_mpp,
     build_oracle_powers,
+    dump_oracle,
     load_oracle,
     save_oracle,
 )

@@ -12,6 +12,7 @@ infinity renders as `inf` in tsv and as the string "inf" in json-lines.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -47,6 +48,7 @@ from .oracles import (
     build_oracle_mn,
     build_oracle_mpp,
     build_oracle_powers,
+    dump_oracle,
     load_oracle,
     save_oracle,
     scans_agree,
@@ -76,7 +78,10 @@ def _command(sub, name: str, run) -> _Parser:
     return parser
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The one parser of this process; every subcommand sets `run`, its
+    handler, as a default of the namespace that `parse_args` makes."""
     p = _Parser(prog="allhops", description=__doc__)
     p.add_argument("--format", choices=("tsv", "json-lines"), default="tsv")
     sub = p.add_subparsers(dest="cmd", required=True)
@@ -232,9 +237,12 @@ _ORACLE_BUILDERS = {
 
 
 def _cmd_oracle_build(args) -> None:
+    """Build, then open --out and stream the snapshot into it, so a build
+    that fails leaves --out as it was."""
     _check_max_hop(args.max_hop)
     oracle = _ORACLE_BUILDERS[args.kind](_read_graph(args.graph), args)
-    Path(args.out).write_bytes(save_oracle(oracle))
+    with open(args.out, "wb") as f:
+        dump_oracle(oracle, f)
 
 
 def _cmd_oracle_query(args) -> None:
@@ -488,7 +496,11 @@ def _cmd_selftest(args) -> None:
 
 
 def main(argv=None) -> int:
-    """Run one command; every failure is one stderr line and an exit code."""
+    """Run one command; every failure is one stderr line and an exit code.
+
+    main may be called any number of times in one process: the parser is
+    built once (the module docstring above is its --help description), and
+    each call parses into a fresh namespace, so nothing carries over."""
     try:
         args = _build_parser().parse_args(argv)
         args.run(args)

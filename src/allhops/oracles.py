@@ -43,7 +43,11 @@ Five kinds share one query contract (d_{<=h}(u,v) for 1 <= h <= n-1):
 
 Oracles are immutable after build; `query` only touches the work counters.
 A versioned binary snapshot (magic AHDO1) makes build and query separable
-processes; int64 cells with the maximum value reserved for +inf.
+processes; int64 cells with the maximum value reserved for +inf.  As with
+`pickle.dump` and `dumps`, `dump_oracle` streams one into a binary file
+and `save_oracle` returns its bytes, through the one writer.  `LevelOracle`
+refuses a seed outside [0, 2^64) and a crossover outside int64, so no
+write fails half-way on a header field it cannot pack.
 """
 
 from __future__ import annotations
@@ -222,7 +226,12 @@ class LevelOracle:
         and level j is level j-1 with its last slice repeated.  Both rest on
         tables that do not increase along the hop axis, as every build makes
         them; a table that does (a hand-edited snapshot) is a ValueError, as
-        is one whose shape is not (K_j + 1, |S_j|, n)."""
+        is one whose shape is not (K_j + 1, |S_j|, n), and so are a seed
+        and a crossover that the snapshot header cannot hold."""
+        if not 0 <= self.seed < 2**64:
+            raise ValueError(f"seed {self.seed} outside [0, 2**64)")
+        if not -(2**63) <= self.kstar < 2**63:
+            raise ValueError(f"crossover kstar {self.kstar} outside the 64-bit integer range")
         tables = self.fwd + self.bwd
         shapes = [(k + 1, s.size, self.n) for k, s in zip(self.ks, self.samples)] * 2
         if len(tables) != len(shapes) or any(t.shape != s for t, s in zip(tables, shapes)):
@@ -515,25 +524,32 @@ def build_oracle_bounded(
 # (Q each) and int64 cells.  A full table is one level over all of V.
 
 
-def _pack_arrays(buf: io.BytesIO, arrays) -> None:
-    buf.write(struct.pack("<I", len(arrays)))
+def _pack_arrays(f, arrays) -> None:
+    """Each array's header, then its int64 cells through the buffer
+    protocol, with no bytes copy."""
+    f.write(struct.pack("<I", len(arrays)))
     for a in arrays:
-        a = np.ascontiguousarray(a)
-        buf.write(struct.pack("<I", a.ndim))
-        buf.write(struct.pack(f"<{a.ndim}Q", *a.shape))
-        buf.write(to_int64(a.astype(np.float64) if a.dtype != np.float64 else a).tobytes())
+        f.write(struct.pack("<I", a.ndim))
+        f.write(struct.pack(f"<{a.ndim}Q", *a.shape))
+        f.write(to_int64(a.astype(np.float64, copy=False)))
+
+
+def dump_oracle(oracle, f) -> None:
+    """Write the AHDO1 snapshot of `oracle` to the binary file `f`."""
+    seed, C, kstar, levels = oracle._snapshot()
+    f.write(MAGIC)
+    header = (KINDS.index(oracle.kind), oracle.n, seed, C, kstar, len(levels))
+    f.write(struct.pack("<BIQdqI", *header))
+    for budget, sample, arrays in levels:
+        f.write(struct.pack("<II", budget, sample.size))
+        f.write(sample.astype("<i8"))
+        _pack_arrays(f, arrays)
 
 
 def save_oracle(oracle) -> bytes:
-    seed, C, kstar, levels = oracle._snapshot()
+    """The AHDO1 snapshot of `oracle`, as `dump_oracle` writes it."""
     buf = io.BytesIO()
-    buf.write(MAGIC)
-    header = (KINDS.index(oracle.kind), oracle.n, seed, C, kstar, len(levels))
-    buf.write(struct.pack("<BIQdqI", *header))
-    for budget, sample, arrays in levels:
-        buf.write(struct.pack("<II", budget, sample.size))
-        buf.write(sample.astype("<i8").tobytes())
-        _pack_arrays(buf, arrays)
+    dump_oracle(oracle, buf)
     return buf.getvalue()
 
 

@@ -21,7 +21,8 @@ import numpy as np
 
 @dataclass(frozen=True)
 class SamplePlan:
-    """Oversampling constant C, seed and vertices pinned into every level.
+    """Oversampling constant C (finite, >= 1), seed and vertices pinned into
+    every level.
 
     A solver is exact when every sampled split set hits each stretch of q
     consecutive vertices on the shortest paths its level relies on.  A
@@ -50,8 +51,8 @@ class SamplePlan:
     pinned: frozenset[int] = field(default_factory=frozenset)
 
     def __post_init__(self):
-        if self.C < 1:
-            raise ValueError("oversampling constant C must be >= 1")
+        if not (math.isfinite(self.C) and self.C >= 1):
+            raise ValueError("oversampling constant C must be finite and >= 1")
         object.__setattr__(self, "pinned", frozenset(int(v) for v in self.pinned))
 
     def with_pins(self, extra) -> "SamplePlan":
@@ -70,8 +71,10 @@ class SampleHierarchy:
 
 def level_size(n: int, C: float, q: float) -> int:
     """min(n, ceil(C * n * ln n / q)): a uniform draw of this many vertices
-    misses a fixed stretch of q of them with probability at most n^-C."""
-    return min(n, math.ceil(C * n * math.log(n) / q))
+    misses a fixed stretch of q of them with probability at most n^-C.  A
+    size of n or more (+inf too, where a huge C overflows) is all of V."""
+    size = C * n * math.log(n) / q
+    return n if size >= n else math.ceil(size)
 
 
 def geometric_ladder(n: int) -> list[int]:

@@ -12,11 +12,13 @@ import pytest
 
 from allhops import (
     SamplePlan,
+    apah_brute,
     build_oracle_bf,
     build_oracle_bounded,
     build_oracle_mn,
     build_oracle_mpp,
     build_oracle_powers,
+    load_oracle,
     parse_graph,
     save_oracle,
 )
@@ -25,6 +27,7 @@ from allhops.oracles import KINDS
 
 F1 = "3 3\n0 1 1\n1 2 1\n0 2 10\n"
 F3 = "2 2\n0 1 -2\n1 0 1\n"
+F1_M = F1.replace("3 3", "3 3 M", 1)  # with declared_M, for the bounded oracle
 
 
 def run_cli(capsys, *argv):
@@ -119,6 +122,49 @@ def test_format_duality(capsys, f1_path):
     assert [(int(h), d) for h, d in tsv_records] == [
         (rec["h"], str(rec["d"])) for rec in json_records
     ]
+
+
+def test_parser_is_built_once_per_process():
+    from allhops.cli import _build_parser
+
+    assert _build_parser() is _build_parser()
+
+
+def _help(argv):
+    with pytest.raises(SystemExit) as stop:
+        main(argv)
+    return stop.value.code
+
+
+@pytest.mark.parametrize("before, cmd, after, code, out, err", [
+    (["--format", "json-lines"], "single-pair", ["--max-hop", "1"], 0, '{"h": 1, "d": 10}\n', ""),
+    ([], "single-pair", ["--strategy", "polynomial", "--C", "2"], 0, "1\t10\n2\t2\n", ""),
+    ([], "single-pair", ["--max-hop", "0"], 1, "", "allhops: --max-hop must be >= 1\n"),
+    ([], "single-pair", ["--s", "x"], 1, "", "allhops: argument --s: invalid int value: 'x'\n"),
+    ([], "frobnicate", [], 1, "", None),
+])
+def test_one_call_carries_nothing_to_the_next(capsys, f1_path, before, cmd, after, code, out,
+                                              err):
+    """main parses every call with the one cached parser into a fresh
+    namespace: after a call with --format, other flags or a usage error
+    (exit 1), a call with none of them prints the default tsv."""
+    argv = ["--graph", f1_path, "--s", "0", "--t", "2"]
+    got = run_cli(capsys, *before, cmd, *argv, *after)
+    assert got[:2] == (code, out)
+    assert got[2] == err if err is not None else got[2].startswith("allhops: ")
+    assert run_cli(capsys, "single-pair", *argv) == (0, "1\t10\n2\t2\n", "")
+
+
+def test_help_then_a_call(capsys, f1_path):
+    """--help prints usage and raises SystemExit(0), as argparse does; the
+    calls after it, and a second --help, behave as in a fresh process."""
+    for argv in (["--help"], ["oracle", "build", "--help"]):
+        assert _help(argv) == 0
+        help_text = capsys.readouterr().out
+        assert help_text.startswith("usage: allhops")
+        assert run_cli(capsys, "check", "--graph", f1_path) == (0, "no negative cycle\n", "")
+        assert _help(argv) == 0
+        assert capsys.readouterr().out == help_text
 
 
 def test_infinity_rendering(capsys, tmp_path):
@@ -338,6 +384,66 @@ def test_oracle_build_every_kind_matches_the_library(capsys, tmp_path, kind):
         "bounded": lambda: build_oracle_bounded(g, plan, 1),
     }[kind]()
     assert snap.read_bytes() == save_oracle(want)
+
+
+@pytest.mark.parametrize("graph, argv, code, message", [
+    (F3, ["--kind", "mn"], 2, "graph has a negative cycle"),
+    (F1, ["--kind", "mpp", "--max-hop", "0"], 1, "--max-hop must be >= 1"),
+    (F1, ["--kind", "bf", "--mem-cap", "8"], 2, "full table needs"),
+    (F1_M, ["--kind", "mpp", "--seed", str(2**70)], 2, f"seed {2**70} outside [0, 2**64)"),
+    (F1_M, ["--kind", "bounded", "--kstar", str(2**63)], 2, "crossover kstar"),
+], ids=["negative-cycle", "max-hop-0", "mem-cap", "seed-past-64-bits", "kstar-past-int64"])
+def test_failed_oracle_build_leaves_out_untouched(capsys, tmp_path, graph, argv, code, message):
+    """--out is opened only once the oracle is built, so a build that fails,
+    on its input, a flag, its memory cap or a seed or crossover that the
+    snapshot header cannot hold, writes nothing there: one stderr line."""
+    path, snap = tmp_path / "g.el", tmp_path / "g.ahdo"
+    path.write_text(graph)
+    snap.write_bytes(b"an earlier snapshot")
+    got = run_cli(capsys, "oracle", "build", "--graph", str(path), "--out", str(snap), *argv)
+    assert got[:2] == (code, "") and got[2].startswith(f"allhops: {message}")
+    assert got[2].count("\n") == 1
+    assert snap.read_bytes() == b"an earlier snapshot"
+
+
+@pytest.mark.parametrize("kind", ["mpp", "bounded"])
+def test_oracle_build_takes_every_64_bit_seed(capsys, tmp_path, kind):
+    """The largest seed the snapshot header holds builds and loads."""
+    graph, snap = tmp_path / "g.el", tmp_path / "g.ahdo"
+    graph.write_text(F1_M)
+    seed = 2**64 - 1
+    assert run_cli(capsys, "oracle", "build", "--kind", kind, "--graph", str(graph),
+                   "--seed", str(seed), "--out", str(snap)) == (0, "", "")
+    plan = SamplePlan(seed=seed)
+    built = (build_oracle_mpp if kind == "mpp" else build_oracle_bounded)(parse_graph(F1_M), plan)
+    assert snap.read_bytes() == save_oracle(built)
+    assert load_oracle(snap.read_bytes()).seed == seed
+
+
+@pytest.mark.parametrize("C", ["nan", "inf", "-inf", "0.5"])
+def test_c_outside_its_range_is_refused(capsys, tmp_path, f1_path, C):
+    """A NaN or infinite --C is refused as one below 1 is, with the
+    schedule's own message, not the float conversion's."""
+    out = tmp_path / "o.ahdo"
+    for argv in (["all-pairs", "--graph", f1_path],
+                 ["oracle", "build", "--kind", "mn", "--graph", f1_path, "--out", str(out)]):
+        got = run_cli(capsys, *argv, f"--C={C}")
+        assert got == (2, "", "allhops: oversampling constant C must be finite and >= 1\n")
+    assert not out.exists()
+
+
+def test_huge_c_samples_all_of_v(capsys, tmp_path):
+    """A finite C so large that C·n·ln n overflows samples every vertex, as
+    the schedule's min(n, ·) says: the tables are apah_brute's."""
+    graph = tmp_path / "g.el"
+    graph.write_text(_large_graph())
+    g = parse_graph(graph.read_bytes())
+    brute = apah_brute(g, with_exact=False).le
+    code, out, _ = run_cli(capsys, "all-pairs", "--graph", str(graph), "--C", "1e308")
+    rows = np.array([line.split("\t") for line in out.splitlines()[1:]], dtype=float)
+    u, v, h = rows[:, :3].astype(np.int64).T
+    assert code == 0 and len(rows) == g.n * g.n * (g.n - 1)
+    assert np.array_equal(rows[:, 3], brute[h, u, v])
 
 
 @pytest.mark.parametrize("kind", ["powers", "bf"])

@@ -1,6 +1,7 @@
 import copy
 import gc
 import hashlib
+import io
 import pickle
 import struct
 
@@ -25,6 +26,7 @@ from allhops import (
     build_oracle_mpp,
     build_oracle_powers,
     build_tree_gadget,
+    dump_oracle,
     gen_random_graph,
     graph_from_edges,
     load_oracle,
@@ -261,6 +263,35 @@ def test_snapshot_golden_sha256():
     g = gen_random_graph(24, 72, 4, 2, require_no_neg_cycle=True)
     for name, o in _all_builders(g, SamplePlan(C=1.0, seed=5)).items():
         assert hashlib.sha256(save_oracle(o)).hexdigest() == GOLDEN_SNAPSHOTS[name], name
+
+
+def test_dump_oracle_streams_what_save_oracle_returns(tmp_path):
+    """One writer: `dump_oracle` into a BytesIO and into a file gives the
+    bytes of `save_oracle`, also from a table that is not C-ordered."""
+    g = gen_random_graph(24, 72, 4, 2, require_no_neg_cycle=True)
+    for name, o in _all_builders(g, SamplePlan(C=1.0, seed=5)).items():
+        buf, path = io.BytesIO(), tmp_path / name
+        dump_oracle(o, buf)
+        with open(path, "wb") as f:
+            dump_oracle(o, f)
+        assert buf.getvalue() == path.read_bytes() == save_oracle(o), name
+    o = build_oracle_bf(g)
+    fortran = oracles.FullTableOracle("bf", o.n, o.H, np.asfortranarray(o.le))
+    assert save_oracle(fortran) == save_oracle(o)
+
+
+def test_level_oracle_seed_fits_the_snapshot_header():
+    """A seed outside [0, 2^64) is refused where the oracle is made, so no
+    snapshot write fails on it; the largest one round-trips."""
+    o = build_oracle_mpp(gen_random_graph(8, 20, 3, 1, require_no_neg_cycle=True), PLAN)
+
+    def with_seed(seed):
+        return LevelOracle(o.kind, o.n, seed, o.C, o.ks, o.samples, o.fwd, o.bwd)
+
+    for seed in (2**64, -1):
+        with pytest.raises(ValueError, match=r"seed .* outside \[0, 2\*\*64\)"):
+            with_seed(seed)
+    assert load_oracle(save_oracle(with_seed(2**64 - 1))).seed == 2**64 - 1
 
 
 def _small_snapshot():

@@ -16,13 +16,29 @@ from allhops import (
     single_pair_allhops,
     single_source_allhops,
 )
+from allhops.sampling import level_size
 
 
 def test_plan_validation():
     with pytest.raises(ValueError):
         SamplePlan(C=0.5)
+    for C in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="oversampling constant C must be finite and >= 1"):
+            SamplePlan(C=C)
     plan = SamplePlan(pinned={3, 1})
     assert plan.with_pins({2}).pinned == {1, 2, 3}
+
+
+def test_level_size_is_min_of_n_and_the_ceiling():
+    """level_size is min(n, ceil(C·n·ln n / q)); a C so large that the
+    product overflows to +inf is all of V, not a float conversion error."""
+    for n in (1, 2, 17, 64):
+        for C in (1.0, 4.0, 7.5, 1e6, 1e300, 1e308):
+            for q in (1, 1.5, 8, n ** 0.5):
+                size = level_size(n, C, q)
+                exact = C * n * math.log(n) / q
+                assert size == (n if exact == math.inf else min(n, math.ceil(exact)))
+    assert level_size(64, 1e308, 1.0) == 64
 
 
 def test_shrinking_levels_nested_and_pinned():

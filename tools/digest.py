@@ -12,7 +12,9 @@ the single-source tables (k = 2, 3), the all-pairs table and the `mn`,
 reloaded from its snapshot, it also covers the answers to a fixed set of
 queries, asked one `query` at a time and as one `query_many`, and the
 additions each way counted.  A checkout without `query_many` answers
-that set with one `query` per query.
+that set with one `query` per query.  It also covers the snapshot file
+that `allhops oracle build` writes, through `cli.main` in this process,
+for every `--kind` under the same plan, from the graph rendered to a file.
 
     PYTHONPATH=src python3 tools/digest.py
 """
@@ -21,6 +23,8 @@ from __future__ import annotations
 
 import hashlib
 import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
 
@@ -34,10 +38,13 @@ from allhops import (
     gen_random_graph,
     graph_from_edges,
     load_oracle,
+    render_graph,
     save_oracle,
     single_pair_allhops,
     single_source_allhops,
 )
+from allhops.cli import main as cli_main
+from allhops.oracles import KINDS
 
 
 def _chain(n: int, seed: int):
@@ -67,10 +74,13 @@ def _graphs():
     yield "dense", gen_random_graph(32, 496, 8, 0, require_no_neg_cycle=True), ("naive",)
 
 
-def _outputs():
-    """(label, array or bytes) for every output the digest covers."""
+def _outputs(work: Path):
+    """(label, array or bytes) for every output the digest covers; the CLI
+    reads and writes its files in `work`."""
     for name, g, strategies in _graphs():
         n = g.n
+        graph = work / f"{name}.el"
+        graph.write_text(render_graph(g))
         for C in (1.0, 4.0):
             for seed in (0, 1):
                 plan = SamplePlan(C=C, seed=seed)
@@ -89,6 +99,19 @@ def _outputs():
                     yield f"{key} {build.__name__}", blob
                     yield from _answers(f"{key} {build.__name__}", oracle, n)
                     yield from _answers(f"{key} {build.__name__} loaded", load_oracle(blob), n)
+                yield from _cli_snapshots(key, graph, C, seed, work / "oracle.ahdo")
+
+
+def _cli_snapshots(key: str, graph: Path, C: float, seed: int, out: Path):
+    """The exit code and the snapshot bytes of `allhops oracle build` for
+    every kind, from the graph file under --C and --seed."""
+    for kind in KINDS:
+        argv = ["oracle", "build", "--kind", kind, "--graph", str(graph), "--out", str(out),
+                "--C", str(C), "--seed", str(seed)]
+        code = cli_main(argv)
+        yield f"{key} cli {kind} exit", np.array([code], dtype=np.int64)
+        yield f"{key} cli {kind}", out.read_bytes() if code == 0 else b""
+        out.unlink(missing_ok=True)
 
 
 def _queries(n: int):
@@ -115,9 +138,10 @@ def _answers(key: str, oracle, n: int):
 
 def digest() -> str:
     h = hashlib.sha256()
-    for label, out in _outputs():
-        h.update(label.encode())
-        h.update(out if isinstance(out, bytes) else np.ascontiguousarray(out).tobytes())
+    with tempfile.TemporaryDirectory() as work:
+        for label, out in _outputs(Path(work)):
+            h.update(label.encode())
+            h.update(out if isinstance(out, bytes) else np.ascontiguousarray(out).tobytes())
     return h.hexdigest()
 
 
