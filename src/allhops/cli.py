@@ -187,9 +187,12 @@ def _plan(args) -> SamplePlan:
 
 def _solve(args, solve) -> np.ndarray:
     """solve(plan) under --C and --seed; with --paranoid, the same values
-    again at twice C, or a VerificationError."""
+    again at twice C, or a VerificationError.  Twice a C above about 9e307
+    overflows, so the re-run takes the largest finite float instead; any C
+    that large already samples all of V."""
     values = solve(_plan(args))
-    if args.paranoid and not np.array_equal(values, solve(SamplePlan(C=2 * args.C, seed=args.seed))):
+    again = SamplePlan(C=min(2 * args.C, sys.float_info.max), seed=args.seed)
+    if args.paranoid and not np.array_equal(values, solve(again)):
         raise VerificationError("paranoid re-run with doubled C disagrees")
     return values
 
@@ -396,19 +399,45 @@ def _cmd_gadget(args) -> None:
         sys.stdout.write(f"verify ok{answer}\n")
 
 
-def _selftest_solvers(g, plan: SamplePlan, brute: np.ndarray, s: int, t: int, seed: int) -> bool:
+def _sampled_case(n: int, s: int, seed: int):
+    """(path, its d_<=h table, plan): the suites' case that splits through
+    a sample smaller than V.  The path has weight -1 per edge, so its
+    distances change at every hop.  The plan, at C = 1, pins every vertex
+    but one w != s, so each level it samples is V - w.  A shortest walk
+    can be taken simple and then meets w at most once, so V - w hits every
+    two consecutive vertices of it, and each split through it is exact,
+    whatever the seed."""
+    path = graph_from_edges(n, [(v, v + 1, -1) for v in range(n - 1)])
+    w = (s + 1 + seed % (n - 1)) % n
+    plan = SamplePlan(C=1.0, seed=seed, pinned=set(range(n)) - {w})
+    return path, apah_brute(path, with_exact=False).le, plan
+
+
+def _selftest_solvers(g, plan: SamplePlan, brute: np.ndarray, s: int, t: int, seed: int,
+                      sampled) -> bool:
+    """At the default C every split set is all of V, so the solvers run
+    Bellman-Ford; on the sampled case single-source splits through V - w
+    in the ladder's last level and in its combining step."""
     ok = np.array_equal(single_pair_allhops(g, s, t, 2, plan), brute[1:, s, t])
     ok &= np.array_equal(single_source_allhops(g, s, 2, plan).le[:, 0, :], brute[:, s, :])
+    path, path_brute, near = sampled
+    ok &= np.array_equal(single_source_allhops(path, s, 2, near).le[:, 0, :], path_brute[:, s, :])
     return ok & np.array_equal(all_pairs_allhops(g, SamplePlan(C=8.0, seed=seed)).le, brute)
 
 
-def _selftest_oracles(g, plan: SamplePlan, brute: np.ndarray) -> bool:
+def _selftest_oracles(g, plan: SamplePlan, brute: np.ndarray, sampled) -> bool:
+    """Every query of each kind.  At the default C each level that samples
+    part of V repeats the one below, and queries skip it; on the sampled
+    case no level of `mpp` over V - w does, because the path's distances
+    change at every hop."""
     oracles = (build_oracle_mn(g, plan), build_oracle_mpp(g, plan),
                build_oracle_bounded(g, plan), build_oracle_bf(g))
+    path, path_brute, near = sampled
+    cases = [(oracle, brute) for oracle in oracles] + [(build_oracle_mpp(path, near), path_brute)]
     n = g.n
     return all(
-        oracle.query(u, v, h) == brute[h, u, v]
-        for u in range(n) for v in range(n) for h in range(1, n) for oracle in oracles
+        oracle.query(u, v, h) == want[h, u, v]
+        for u in range(n) for v in range(n) for h in range(1, n) for oracle, want in cases
     )
 
 
@@ -487,8 +516,9 @@ def _cmd_selftest(args) -> None:
         brute = apah_brute(g, with_exact=False).le
         plan = SamplePlan(seed=seed + trial)
         s, t = trial % n, (3 * trial + 1) % n
-        suite(f"solvers n={n}", lambda: _selftest_solvers(g, plan, brute, s, t, seed))
-        suite(f"oracles n={n}", lambda: _selftest_oracles(g, plan, brute))
+        sampled = _sampled_case(n, s, seed)
+        suite(f"solvers n={n}", lambda: _selftest_solvers(g, plan, brute, s, t, seed, sampled))
+        suite(f"oracles n={n}", lambda: _selftest_oracles(g, plan, brute, sampled))
     suite("kernel equivalence", lambda: _selftest_kernels(np.random.default_rng(seed)))
 
     if failures:

@@ -7,11 +7,13 @@ deterministic):
 
 * single_pair_allhops  - shrinking hierarchy, windowed self-convolutions
   of hop-indexed matrix sequences plus doubling prefix extensions, or
-  Bellman-Ford on a level whose parent is all of V.
+  Bellman-Ford on a level whose parent is all of V; one Bellman-Ford from
+  s where that level is the last.
 * single_source_allhops - growing hierarchy; per level either repeated
   pinned-target single-pair solves or prefix tables by Bellman-Ford from
   the previous level's sample, combined with the previous level by one
-  min-plus convolution.
+  min-plus convolution, which a level whose previous sample is all of V
+  skips while the rows are exact.
 * all_pairs_allhops   - geometric rounds extending every pair's sequence
   by min-plus convolution through the round's sample plus a stagnation
   candidate; the hop extension is `minplus.extend_hops`, the same kernel
@@ -34,12 +36,17 @@ Internally everything runs on raw float64 stacks.  One rule holds
 wherever a split set is all of V: the ladder levels whose parent is V
 (level 0 counted as such) and the all-pairs rounds whose sample is V run
 Bellman-Ford (`minplus.relax_hops`), because through V the split of exact
-prefix tables is d_{<=a} (x) d_{<=b} = d_{<=a+b}.  The convolutions of
-the ladder's other levels (which the single-source solver also runs), of
-the single-source combining step and of the all-pairs rounds through a
-sample are the windowed kernel `minplus.conv_window`, asked for exactly
-the output hops the caller reads.  The ladder's `polynomial` strategy goes
-through `matseq_convolution` instead; both take every split.
+prefix tables is d_{<=a} (x) d_{<=b} = d_{<=a+b}.  The solvers read only
+the rows they return: where the ladder's last level runs Bellman-Ford,
+its rows are Bellman-Ford from their own vertices, so the pointwise
+solvers run it from s alone and build no ladder; and a single-source
+combining step through V leaves exact rows as they are.  The
+convolutions of the ladder's other levels, of the single-source
+combining step through a sample (and through V after one) and of the
+all-pairs rounds through a sample are the windowed kernel
+`minplus.conv_window`, asked for exactly the output hops the caller
+reads.  The ladder's `polynomial` strategy goes through
+`matseq_convolution` instead; both take every split.
 """
 
 from __future__ import annotations
@@ -145,6 +152,14 @@ def _sp_level_tables(g: Graph, k: int, plan: SamplePlan, strategy: str = "naive"
     return levels, tables
 
 
+def _ladder_ends_in_bf(n: int, k: int, plan: SamplePlan) -> bool:
+    """Whether the ladder's last level runs Bellman-Ford: its parent S_{k-1}
+    is all of V (always at k = 1, since S_0 = V).  Each row of that level's
+    table is then Bellman-Ford from the row's own vertex, so a caller that
+    reads rows R can run Bellman-Ford from R alone and build no ladder."""
+    return len(shrinking_hierarchy(n, k, plan).levels[k - 1]) == n
+
+
 def single_pair_allhops(
     g: Graph, s: int, t: int, k: int, plan: SamplePlan, strategy: str = "naive"
 ) -> np.ndarray:
@@ -155,7 +170,10 @@ def single_pair_allhops(
     if k < 1:
         raise ValueError("level count must be >= 1")
     require_no_neg_cycle(g)
-    levels, tables = _sp_level_tables(g, k, plan.with_pins({s, t}), strategy)
+    plan = plan.with_pins({s, t})
+    if _ladder_ends_in_bf(n, k, plan):
+        return _bf_multi(g, [s], max(1, n - 1), with_exact=False).le[1:n, 0, t].copy()
+    levels, tables = _sp_level_tables(g, k, plan, strategy)
     final_verts, final = levels[-1], tables[-1]
     si = int(np.searchsorted(final_verts, s))
     ti = int(np.searchsorted(final_verts, t))
@@ -175,7 +193,10 @@ def single_source_allhops(
     Levels r <= split run the pinned-target single-pair solver for every
     vertex of S_r (one shared hierarchy build per level: with identical
     plans the per-target solves compute identical tables, so the rows are
-    read from a single build).  Level r > split runs Bellman-Ford from
+    read from a single build).  That reduces to one Bellman-Ford from s,
+    restricted to S_split, wherever the ladder's last level runs
+    Bellman-Ford: at k = 1, or when the ladder's S_{k-1}, pinned with
+    S_split, is all of V.  Level r > split runs Bellman-Ford from
     S_{r-1} for the prefix table d_{<=h'}(S_{r-1}, S_r), h' = 0..H1 with
     H1 = n^(1-(r-1)/k), and sets, for every hop j,
 
@@ -191,6 +212,12 @@ def single_source_allhops(
     that stretch (see `SamplePlan`), and the split there is exact.  The
     table never increases in j, because each split of j is also a split
     of j + 1 with one more hop allowed on the right.
+
+    Where S_{r-1} is V and cur_{r-1} is exact by construction (from
+    Bellman-Ford, through V at every level since), the split at x = v,
+    h' = 0 is cur_{r-1} itself and no candidate is lower, so the level
+    keeps cur as it is.  After a level through a sample, cur may miss a
+    walk, and a level through V keeps its convolution, which can lower it.
     """
     n = g.n
     if not (0 <= s < n):
@@ -211,14 +238,23 @@ def single_source_allhops(
     # Levels below `split` are computed by the self-contained first
     # algorithm and never read again, so the ladder runs once, at r = split,
     # for every vertex of S_split.  Its last level's budget is
-    # min(n, ceil(n^(k/k))) = n >= HH.
-    sp_levels, sp_tables = _sp_level_tables(g, k, plan.with_pins(levels[split].tolist()))
-    fv, ft = sp_levels[-1], sp_tables[-1]
-    si = int(np.searchsorted(fv, s))
-    pos = np.searchsorted(fv, levels[split])
-    cur = np.ascontiguousarray(ft[: HH + 1, si, pos])  # (HH+1, |S_r|): d_{<=h}(s, S_r)
+    # min(n, ceil(n^(k/k))) = n >= HH.  `exact`: cur is d_{<=h}(s, S_r) by
+    # construction, from Bellman-Ford and combining steps through V only.
+    sp_plan = plan.with_pins(levels[split].tolist())
+    exact = _ladder_ends_in_bf(n, k, sp_plan)
+    if exact:
+        cur = _bf_multi(g, [s], HH, with_exact=False).le[:, 0, levels[split]]
+    else:
+        sp_levels, sp_tables = _sp_level_tables(g, k, sp_plan)
+        fv, ft = sp_levels[-1], sp_tables[-1]
+        si = int(np.searchsorted(fv, s))
+        pos = np.searchsorted(fv, levels[split])
+        cur = np.ascontiguousarray(ft[: HH + 1, si, pos])  # (HH+1, |S_r|): d_{<=h}(s, S_r)
     for r in range(split + 1, k + 1):
         verts, prev_verts = levels[r], levels[r - 1]
+        if exact and len(prev_verts) == n:
+            continue  # S_r = S_{r-1} = V, and the split at x = v, h' = 0 is cur
+        exact = False
         # d_{<=h'}(S_{r-1}, S_r) for h' = 0..H1, transposed to put S_r on
         # the left; one convolution with cur over S_{r-1} gives every hop.
         T = _bf_multi(g, prev_verts, hier.budgets[r - 1], with_exact=False).le[:, :, verts]

@@ -238,6 +238,19 @@ def test_paranoid_reruns_at_twice_c(capsys, monkeypatch, f1_path, cmd, solver):
     assert (code, out) == (3, "") and err == "allhops: paranoid re-run with doubled C disagrees\n"
 
 
+@pytest.mark.parametrize("cmd", [
+    ["single-pair", "--s", "0", "--t", "2"], ["single-source", "--s", "0"], ["all-pairs"],
+])
+def test_paranoid_at_a_huge_c(capsys, f1_path, cmd):
+    """Twice a finite --C above about 9e307 overflows to +inf, which no plan
+    takes; --paranoid re-runs at the largest finite float instead, and
+    prints what the same call without --paranoid prints."""
+    argv = [*cmd[:1], "--graph", f1_path, *cmd[1:], "--C", "1e308"]
+    code, plain, _ = run_cli(capsys, *argv)
+    assert code == 0 and plain
+    assert run_cli(capsys, *argv, "--paranoid") == (0, plain, "")
+
+
 def test_max_hop(capsys, f1_path):
     _, out, _ = run_cli(capsys, "single-pair", "--graph", f1_path, "--s", "0", "--t", "2",
                         "--max-hop", "1")
@@ -600,10 +613,12 @@ def _library(**entry_points):
 
 def test_selftest_fails_on_a_wrong_kernel(capsys, monkeypatch):
     """A compiled kernel that disagrees with the numpy reference fails the
-    kernel suite, also where nothing else can see it: this one is off by
-    one only on windows that start past hop 0.  The polynomial strategy
-    never asks for one, and at the selftest's sizes every split set of the
-    solvers and oracles is all of V or starts at hop 0."""
+    kernel suite: this one is off by one only on windows that start past
+    hop 0, which the polynomial strategy never asks for, and the solvers
+    and oracles ask for only where they split through a sample.  The other
+    suites fail where their case over V minus one vertex reads such a
+    window: with the default seed, the oracle suites at n = 10, 14, 18 and
+    the solver suites at n = 14, 18, so 6 suites in all."""
     from allhops import _native, minplus
 
     def wrong_past_hop_0(a, b, out, la, R, K, lb, C, lo, hi):
@@ -618,7 +633,7 @@ def test_selftest_fails_on_a_wrong_kernel(capsys, monkeypatch):
     code, out, err = run_cli(capsys, "selftest")
     assert code == 3 and "selftest suite(s) failed" in err
     assert "selftest kernel equivalence: FAILED" in out
-    assert out.count("FAILED") == 1
+    assert out.count("FAILED") == 6
 
 
 def _relax_off_by(delta):
@@ -685,8 +700,10 @@ def test_selftest_fails_on_a_wrong_renderer(capsys, monkeypatch):
 
 def test_selftest_fails_on_a_wrong_scan(capsys, monkeypatch):
     """A compiled level scan one too low on the levels that sample part of
-    V fails the kernel suite, and only it: at the oracle suites' C = 4
-    every such level repeats the one below, so their queries skip it."""
+    V fails the kernel suite and the four oracle suites.  At the oracle
+    suites' C = 4 every such level repeats the one below, so their queries
+    skip it; their case over V minus one vertex has such levels that do
+    not.  The solver suites scan no oracle."""
     from allhops import _native
 
     monkeypatch.setattr(_native, "_BACKEND", "c")
@@ -694,7 +711,8 @@ def test_selftest_fails_on_a_wrong_scan(capsys, monkeypatch):
     code, out, err = run_cli(capsys, "selftest")
     assert code == 3 and "selftest suite(s) failed" in err
     assert "selftest kernel equivalence: FAILED" in out
-    assert out.count("FAILED") == 1
+    assert out.count("FAILED") == 5
+    assert all(f"selftest oracles n={n}: FAILED" in out for n in (6, 10, 14, 18))
 
 
 # Record output (`u v h d` tables, oracle answers, `h d` pairs) pinned byte

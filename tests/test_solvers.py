@@ -229,12 +229,13 @@ def test_all_pairs_deterministic_and_rejects_cycle(f3):
 _CHAIN_SEEDS = (0, 1, 4, 5, 6, 7, 8, 9, 10, 11, 12, 14)
 
 
-def _chain_dag(seed):
+def _chain_dag(seed, n=None):
     """A Hamiltonian path of weight -1 per edge through a random order, plus
     n forward chords heavier than the segment they skip, so d_<=h(s, t)
-    keeps improving up to h = n - 1."""
+    keeps improving up to h = n - 1.  n is drawn from [40, 60] unless given."""
     rng = np.random.default_rng(seed)
-    n = int(rng.integers(40, 61))
+    drawn = int(rng.integers(40, 61))
+    n = drawn if n is None else n
     order = rng.permutation(n)
     edges = [(int(order[i]), int(order[i + 1]), -1) for i in range(n - 1)]
     pairs = set()
@@ -315,3 +316,95 @@ def test_all_pairs_rounds_pinned(monkeypatch):
         (18, 26, [2, 6, 10, 14, 17, 24, 28, 35, 37]),
         (26, 39, [5, 16, 21, 29, 33, 37]),
     ]
+
+
+# ---------------------------------------------------------------------------
+# one Bellman-Ford from s where the ladder's last level runs Bellman-Ford
+
+
+def _spy_solver_calls(monkeypatch):
+    """Record the sources of every `_bf_multi` call and the shapes of every
+    `conv_window` call the solvers make (the ladder's through `_conv`)."""
+    calls = {"bf": [], "conv": []}
+    bf, conv = solvers._bf_multi, solvers.conv_window
+
+    def bf_spy(g, sources, L, with_exact):
+        calls["bf"].append(tuple(int(v) for v in sources))
+        return bf(g, sources, L, with_exact)
+
+    def conv_spy(a3, b3, lo, hi):
+        calls["conv"].append((a3.shape, b3.shape))
+        return conv(a3, b3, lo, hi)
+
+    monkeypatch.setattr(solvers, "_bf_multi", bf_spy)
+    monkeypatch.setattr(solvers, "conv_window", conv_spy)
+    return calls
+
+
+def test_solve_sparse_shape_runs_one_bellman_ford_from_s(monkeypatch):
+    """On the benchmark's sparse shape (n = 64, m = 256, C = 4) every split
+    set of single-source k = 2 and of single-pair k = 2, 3 that the ladder's
+    last level or a combining step would split at is all of V.  So each
+    call is one Bellman-Ford from s and no convolution."""
+    calls = _spy_solver_calls(monkeypatch)
+    g = gen_random_graph(64, 256, 8, 0, require_no_neg_cycle=True)
+    brute = apah_brute(g, with_exact=False).le
+    plan = SamplePlan(C=4.0, seed=0)
+    s, t = 5, 60
+    runs = [
+        (lambda: single_source_allhops(g, s, 2, plan).le[:, 0], brute[:, s]),
+        (lambda: single_pair_allhops(g, s, t, 2, plan), brute[1:, s, t]),
+        (lambda: single_pair_allhops(g, s, t, 3, plan), brute[1:, s, t]),
+    ]
+    for run, want in runs:
+        calls["bf"].clear()
+        assert np.array_equal(run(), want)
+        assert calls["bf"] == [(s,)] and calls["conv"] == []
+
+
+@pytest.mark.parametrize("C,k,split", [(1.0, 3, 1), (4.0, 2, 0)])
+def test_combining_step_through_v_convolves_after_a_sampled_one(monkeypatch, C, k, split):
+    """Once a combining step has split at a sample smaller than V, cur may
+    be too high, and a later step through V can lower it, so that step
+    keeps its convolution.  At C = 4, k = 2, split = 0 the ladder's last
+    level runs Bellman-Ford, so cur starts exact; at C = 1, k = 3 it
+    starts from the ladder's convolutions.  The combining steps are the
+    convolutions with one output column."""
+    calls = _spy_solver_calls(monkeypatch)
+    g, order, _ = _chain_dag(0, 50)
+    n, s = g.n, int(order[0])
+    plan = SamplePlan(C=C, seed=0)
+    levels = solvers.growing_hierarchy(n, k, plan.with_pins({s})).levels
+    got = single_source_allhops(g, s, k, plan, split)
+    assert np.array_equal(got.le[:, 0], apah_brute(g, with_exact=False).le[:, s])
+    sizes = [len(levels[r - 1]) for r in range(split + 1, k + 1)]
+    assert sizes[0] < n and sizes[-1] == n
+    assert [a3[2] for a3, b3 in calls["conv"] if b3[2] == 1] == sizes
+
+
+def _family(kind, n, seed):
+    """(graph, s, t): a sparse or dense random graph with the pair (0, n-1),
+    or a chain DAG with the pair at the ends of its path."""
+    if kind == "chain":
+        g, order, _ = _chain_dag(seed, n)
+        return g, int(order[0]), int(order[-1])
+    m = 4 * n if kind == "sparse" else n * (n - 1) // 2
+    return gen_random_graph(n, m, 8, seed, require_no_neg_cycle=True), 0, n - 1
+
+
+@pytest.mark.parametrize("kind", ["sparse", "dense", "chain"])
+@pytest.mark.parametrize("n", [40, 64, 96])
+def test_pointwise_solvers_match_brute_at_every_split(kind, n):
+    """Single-pair at k = 1..3 and single-source at every split of k = 1..3,
+    against Bellman-Ford from every vertex, at C = 1 and 4.  Seed 11 is
+    the first where C = 1 is exact on all nine graphs: each of seeds 0-10
+    misses a walk on some chain."""
+    g, s, t = _family(kind, n, 11)
+    brute = apah_brute(g, with_exact=False).le
+    for C in (1.0, 4.0):
+        plan = SamplePlan(C=C, seed=11)
+        for k in (1, 2, 3):
+            assert np.array_equal(single_pair_allhops(g, s, t, k, plan), brute[1:, s, t]), (C, k)
+            for split in range(k + 1):
+                got = single_source_allhops(g, s, k, plan, split)
+                assert np.array_equal(got.le[:, 0], brute[:, s]), (C, k, split)

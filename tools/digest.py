@@ -7,14 +7,15 @@ seeded Hamiltonian path plus heavier forward chords) and a tree gadget
 (`build_tree_gadget`).  Each is run under the plans C = 1 and C = 4, seeds
 0 and 1.  The hash covers, in a fixed order, every single-pair table (k =
 1..3, the `naive` strategy, and the `polynomial` one on the small chain),
-the single-source tables (k = 2, 3), the all-pairs table and the `mn`,
-`mpp` and `bounded` snapshot bytes.  For each of those oracles, built and
-reloaded from its snapshot, it also covers the answers to a fixed set of
-queries, asked one `query` at a time and as one `query_many`, and the
-additions each way counted.  A checkout without `query_many` answers
-that set with one `query` per query.  It also covers the snapshot file
-that `allhops oracle build` writes, through `cli.main` in this process,
-for every `--kind` under the same plan, from the graph rendered to a file.
+the single-source tables (k = 1..3, at every split 0..k), the all-pairs
+table and the `mn`, `mpp` and `bounded` snapshot bytes.  For each of
+those oracles, built and reloaded from its snapshot, it also covers the
+answers to a fixed set of queries, asked one `query` at a time and as
+one `query_many`, and the additions each way counted.  A checkout
+without `query_many` answers that set with one `query` per query.  It
+also covers the snapshot file that `allhops oracle build` writes,
+through `cli.main` in this process, for every `--kind` under the same
+plan, from the graph rendered to a file.
 
     PYTHONPATH=src python3 tools/digest.py
 """
@@ -90,8 +91,10 @@ def _outputs(work: Path):
                         for strategy in strategies:
                             got = single_pair_allhops(g, s, t, k, plan, strategy)
                             yield f"{key} sp {s} {t} k={k} {strategy}", got
-                for k in (2, 3):
-                    yield f"{key} ss k={k}", single_source_allhops(g, n // 3, k, plan).le
+                for k in (1, 2, 3):
+                    for split in range(k + 1):
+                        got = single_source_allhops(g, n // 3, k, plan, split)
+                        yield f"{key} ss k={k} split={split}", got.le
                 yield f"{key} ap", all_pairs_allhops(g, plan).le
                 for build in (build_oracle_mn, build_oracle_mpp, build_oracle_bounded):
                     oracle = build(g, plan)
