@@ -7,7 +7,10 @@ reference in the tests and its fallback):
 * `conv_window` — the windowed min-plus convolution of `minplus.conv_window`;
 * `relax`, `relax_hops` — the Bellman-Ford hop of `minplus.relax` and
   `minplus.relax_hops`; they check every edge index against the rows before
-  the first write and return 1, having written nothing, when one is past them;
+  the first write and return 1, having written nothing, when one is past them.
+  `relax_hops` runs vertex-major; in place at R = 1: each in-edge relaxes
+  every row in one vectorized loop, on a buffer it allocates once per call
+  and, when it cannot, returns 2, having written nothing;
 * `render_records` — a block of `(u, v, h, d)` or `(h, d)` records as tsv or
   json-lines text, for `records.emit`; it returns -1 - r when the r-th
   distance is neither +inf nor an exact integer;
@@ -47,6 +50,7 @@ _CFLAGS = ("-O3", "-march=native", "-shared", "-fPIC")
 _C_SOURCE = r"""
 #include <math.h>
 #include <stdint.h>
+#include <stdlib.h>
 #include <string.h>
 
 /* out[z-lo] = min(out[z-lo], min over x+y=z of a[x] (x) b[y]), z in [lo, hi].
@@ -124,25 +128,67 @@ int relax(const double *restrict rows, double *restrict out, int64_t R, int64_t 
     return 0;
 }
 
+/* dst (cols,rows) = the transpose of src (rows,cols), written in order:
+   the writes stream, and the reads revisit the same cache lines. */
+static void transpose(const double *restrict src, double *restrict dst,
+                      int64_t rows, int64_t cols)
+{
+    for (int64_t c = 0; c < cols; c++)
+        for (int64_t r = 0; r < rows; r++)
+            dst[c * rows + r] = src[r * cols + c];
+}
+
 /* out is (L,R,n): for h = k0+1..L-1, out[h] = one hop from out[h-1] if
-   exact is set, else the minimum of that and out[h-1]. */
+   exact is set, else the minimum of that and out[h-1].  Vertex-major; in
+   place at R = 1: the hops run on an (n,R) copy of the rows, where each
+   in-edge (x,v,w) relaxes all R rows of v in one contiguous loop, and each
+   hop is transposed back into out[h].  Every entry sees its edges in the
+   order relax_row takes them, so the bits are relax_row's.  Returns 1 on an
+   edge index past the rows and 2 when the (2,n,R) buffer cannot be
+   allocated, in both cases having written nothing. */
 int relax_hops(double *out, int64_t L, int64_t R, int64_t n, int64_t k0, int exact,
                const int64_t *tails, const double *ws, const int64_t *heads,
                const int64_t *starts, int64_t nh, int64_t m)
 {
     if (bad_edges(tails, heads, starts, nh, m, n))
         return 1;
+    const int64_t size = R * n;
+    if (!size || k0 + 1 >= L)
+        return 0;
+    double *buf = NULL;
+    if (R > 1) {
+        buf = malloc(2 * (size_t)size * sizeof(double));
+        if (!buf)
+            return 2;
+        transpose(out + k0 * size, buf, R, n);
+    }
     for (int64_t h = k0 + 1; h < L; h++) {
-        const double *prev = out + (h - 1) * R * n;
-        double *cur = out + h * R * n;
+        double *prev = buf ? buf + (h - k0 + 1) % 2 * size : out + (h - 1) * size;
+        double *cur = buf ? buf + (h - k0) % 2 * size : out + h * size;
         if (exact)
-            for (int64_t i = 0; i < R * n; i++)
+            for (int64_t i = 0; i < size; i++)
                 cur[i] = INFINITY;
         else
-            memcpy(cur, prev, (size_t)(R * n) * sizeof(double));
-        for (int64_t r = 0; r < R; r++)
-            relax_row(prev + r * n, cur + r * n, tails, ws, heads, starts, nh, m, !exact);
+            memcpy(cur, prev, (size_t)size * sizeof(double));
+        if (!buf) {
+            relax_row(prev, cur, tails, ws, heads, starts, nh, m, !exact);
+            continue;
+        }
+        for (int64_t j = 0; j < nh; j++) {
+            double *restrict d = cur + heads[j] * R;
+            const int64_t e1 = j + 1 < nh ? starts[j + 1] : m;
+            for (int64_t e = starts[j]; e < e1; e++) {
+                const double *restrict p = prev + tails[e] * R;
+                const double w = ws[e];
+                for (int64_t r = 0; r < R; r++) {
+                    const double s = p[r] + w;
+                    d[r] = s < d[r] ? s : d[r];
+                }
+            }
+        }
+        transpose(cur, out + h * size, n, R);
     }
+    free(buf);
     return 0;
 }
 

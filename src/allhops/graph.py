@@ -109,6 +109,12 @@ class Graph:
             a.flags.writeable = False
         return arrays
 
+    @cached_property
+    def _has_neg_cycle(self) -> bool:
+        """The verdict of `detect_negative_cycle`, searched for once: the
+        edges are an immutable tuple.  Copies and pickles carry it along."""
+        return _search_negative_cycle(self)
+
     def max_abs_weight(self) -> int:
         return max((abs(w) for _, _, w in self.edges), default=0)
 
@@ -201,8 +207,14 @@ def detect_negative_cycle(g: Graph) -> bool:
     """True iff some directed cycle has negative total weight.
 
     n rounds of Bellman-Ford relaxation from a virtual super-source
-    (all-zero initial labels), then one more improvement check.
+    (all-zero initial labels), then one more improvement check.  They run
+    on the first call for a graph; the verdict is cached on the graph, so
+    every later check of it, by any solver or oracle build, reads it.
     """
+    return g._has_neg_cycle
+
+
+def _search_negative_cycle(g: Graph) -> bool:
     if not g.edges:
         return False
     us, vs, ws = g.edge_arrays()

@@ -110,6 +110,16 @@ def shrinking_hierarchy(n: int, k: int, plan: SamplePlan) -> SampleHierarchy:
     return SampleHierarchy("shrinking", tuple(levels), _budgets(n, stretches))
 
 
+def shrinking_parent_is_v(n: int, k: int, plan: SamplePlan) -> bool:
+    """Whether S_{k-1}, the parent of the last level of
+    `shrinking_hierarchy(n, k, plan)`, is all of V, without drawing it.  A
+    nested level holds its pins and min(its size, its parent's size) in
+    all, and the sizes fall as the stretches grow, so S_{k-1} is V iff
+    k = 1, the pins are all of V, or its own size is n."""
+    pins = checked_pins(n, plan.pinned)
+    return k == 1 or pins.size == n or max(1, level_size(n, plan.C, n ** ((k - 1) / k))) >= n
+
+
 def growing_hierarchy(n: int, k: int, plan: SamplePlan) -> SampleHierarchy:
     """S_0 <= S_1 <= ... <= S_k = V for stretches q_r = n^(1-r/k), pinned
     vertices in every level, each level extending the previous with fresh

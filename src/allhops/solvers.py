@@ -37,13 +37,14 @@ wherever a split set is all of V: the ladder levels whose parent is V
 (level 0 counted as such) and the all-pairs rounds whose sample is V run
 Bellman-Ford (`minplus.relax_hops`), because through V the split of exact
 prefix tables is d_{<=a} (x) d_{<=b} = d_{<=a+b}.  The solvers read only
-the rows they return: where the ladder's last level runs Bellman-Ford,
-its rows are Bellman-Ford from their own vertices, so the pointwise
-solvers run it from s alone and build no ladder; and a single-source
-combining step through V leaves exact rows as they are.  The
-convolutions of the ladder's other levels, of the single-source
-combining step through a sample (and through V after one) and of the
-all-pairs rounds through a sample are the windowed kernel
+the rows they return: where the ladder's last level runs Bellman-Ford
+(its parent S_{k-1} is V, which `sampling.shrinking_parent_is_v` tells
+without drawing the ladder), its rows are Bellman-Ford from their own
+vertices, so the pointwise solvers run it from s alone and build no
+ladder; and a single-source combining step through V leaves exact rows
+as they are.  The convolutions of the ladder's other levels, of the
+single-source combining step through a sample (and through V after one)
+and of the all-pairs rounds through a sample are the windowed kernel
 `minplus.conv_window`, asked for exactly the output hops the caller
 reads.  The ladder's `polynomial` strategy goes through
 `matseq_convolution` instead; both take every split.
@@ -67,6 +68,7 @@ from .sampling import (
     level_size,
     round_sample,
     shrinking_hierarchy,
+    shrinking_parent_is_v,
 )
 from .values import INF
 
@@ -152,14 +154,6 @@ def _sp_level_tables(g: Graph, k: int, plan: SamplePlan, strategy: str = "naive"
     return levels, tables
 
 
-def _ladder_ends_in_bf(n: int, k: int, plan: SamplePlan) -> bool:
-    """Whether the ladder's last level runs Bellman-Ford: its parent S_{k-1}
-    is all of V (always at k = 1, since S_0 = V).  Each row of that level's
-    table is then Bellman-Ford from the row's own vertex, so a caller that
-    reads rows R can run Bellman-Ford from R alone and build no ladder."""
-    return len(shrinking_hierarchy(n, k, plan).levels[k - 1]) == n
-
-
 def single_pair_allhops(
     g: Graph, s: int, t: int, k: int, plan: SamplePlan, strategy: str = "naive"
 ) -> np.ndarray:
@@ -171,7 +165,7 @@ def single_pair_allhops(
         raise ValueError("level count must be >= 1")
     require_no_neg_cycle(g)
     plan = plan.with_pins({s, t})
-    if _ladder_ends_in_bf(n, k, plan):
+    if shrinking_parent_is_v(n, k, plan):  # the ladder ends in Bellman-Ford
         return _bf_multi(g, [s], max(1, n - 1), with_exact=False).le[1:n, 0, t].copy()
     levels, tables = _sp_level_tables(g, k, plan, strategy)
     final_verts, final = levels[-1], tables[-1]
@@ -241,7 +235,7 @@ def single_source_allhops(
     # min(n, ceil(n^(k/k))) = n >= HH.  `exact`: cur is d_{<=h}(s, S_r) by
     # construction, from Bellman-Ford and combining steps through V only.
     sp_plan = plan.with_pins(levels[split].tolist())
-    exact = _ladder_ends_in_bf(n, k, sp_plan)
+    exact = shrinking_parent_is_v(n, k, sp_plan)
     if exact:
         cur = _bf_multi(g, [s], HH, with_exact=False).le[:, 0, levels[split]]
     else:

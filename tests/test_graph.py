@@ -8,8 +8,14 @@ from hypothesis import strategies as st
 
 from allhops import (
     GenerationError,
+    NegativeCycleError,
     ParseError,
+    SamplePlan,
+    all_pairs_allhops,
     bellman_ford_allhops,
+    build_oracle_bounded,
+    build_oracle_mn,
+    build_oracle_mpp,
     detect_negative_cycle,
     gen_no_neg_cycle_graph,
     gen_random_graph,
@@ -17,8 +23,11 @@ from allhops import (
     parse_graph,
     render_graph,
     reverse,
+    single_pair_allhops,
+    single_source_allhops,
     weight_matrix,
 )
+from allhops import graph as graph_module
 from allhops.values import INF
 
 from _brute import brute_has_negative_cycle
@@ -178,6 +187,56 @@ def test_negative_cycle_examples(f1, f2, f3):
 @given(graphs(max_n=6, max_w=4))
 def test_negative_cycle_matches_enumeration(g):
     assert detect_negative_cycle(g) == brute_has_negative_cycle(g.n, g.edges)
+
+
+def _count_searches(monkeypatch):
+    """The graphs searched for a negative cycle from now on, in order."""
+    seen, real = [], graph_module._search_negative_cycle
+    monkeypatch.setattr(graph_module, "_search_negative_cycle", lambda g: seen.append(g) or real(g))
+    return seen
+
+
+_SOLVE_AND_BUILD = (
+    lambda g, plan: all_pairs_allhops(g, plan),
+    lambda g, plan: single_source_allhops(g, 0, 2, plan),
+    lambda g, plan: single_pair_allhops(g, 0, g.n - 1, 2, plan),
+    build_oracle_mn,
+    build_oracle_mpp,
+    build_oracle_bounded,
+)
+
+
+def test_negative_cycle_verdict_is_computed_once_per_graph(monkeypatch, f3):
+    """Every solver and sampled oracle build checks the graph, but the
+    search runs once per graph, also after `detect_negative_cycle`; a graph
+    with a negative cycle is refused by every call all the same."""
+    base = gen_random_graph(20, 60, 4, 1, require_no_neg_cycle=True)
+    g = graph_from_edges(base.n, base.edges, base.declared_M)  # not searched yet
+    seen = _count_searches(monkeypatch)
+    plan = SamplePlan(C=1.0, seed=0)
+    for call in _SOLVE_AND_BUILD:
+        call(g, plan)
+    assert not detect_negative_cycle(g)
+    assert len(seen) == 1 and seen[0] is g
+    bad = graph_from_edges(f3.n, f3.edges, declared_M=2)
+    assert detect_negative_cycle(bad)
+    for call in _SOLVE_AND_BUILD:
+        with pytest.raises(NegativeCycleError):
+            call(bad, plan)
+    assert len(seen) == 2 and seen[1] is bad
+
+
+@pytest.mark.parametrize("clone", [copy.copy, copy.deepcopy, lambda g: pickle.loads(pickle.dumps(g))])
+def test_copied_graph_keeps_the_negative_cycle_verdict(monkeypatch, f2, f3, clone):
+    """A copy of a checked graph reads the verdict it carries; a copy of an
+    unchecked one searches itself.  Either way the verdict is the same."""
+    seen = _count_searches(monkeypatch)
+    for g, cyclic in ((f2, False), (f3, True)):
+        fresh = clone(g)
+        assert detect_negative_cycle(fresh) is cyclic and seen[-1] is fresh
+        assert detect_negative_cycle(g) is cyclic
+        assert detect_negative_cycle(clone(g)) is cyclic
+    assert len(seen) == 4
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import types
 
 import numpy as np
 import pytest
@@ -205,20 +206,24 @@ def test_cache_reuse_and_truncated_library(cold, capsys, monkeypatch, graph_path
 def _hop_cases(draw):
     """A multigraph (self-loops, parallel edges, negative weights, heads
     without in-edges, possibly no edge at all) and (L, R, n) rows strewn with
-    +inf, R possibly 0, laid out either contiguously or as every other column
-    of a wider array filled with a sentinel."""
-    n = draw(st.integers(1, 6))
+    +inf, laid out either contiguously or as every other column of a wider
+    array filled with a sentinel.  R runs from 0 through 1 (the compiled
+    hops run in place) to past two vector widths of doubles and their
+    remainders.  The cells come from a drawn seed: drawn one by one, up to
+    1,200 of them would overrun hypothesis's buffer."""
+    n = draw(st.integers(1, 12))
     edges = draw(st.lists(
         st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), st.integers(-9, 9)),
         max_size=3 * n,
     ))
-    L, R = draw(st.integers(1, 5)), draw(st.integers(0, 3))
-    cells = draw(st.lists(st.one_of(st.integers(-20, 20), st.just(INF)),
-                          min_size=L * R * n, max_size=L * R * n))
+    L, R = draw(st.integers(1, 5)), draw(st.integers(0, 20))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    cells = rng.integers(-20, 21, size=(L, R, n)).astype(float)
+    cells[rng.random(cells.shape) < draw(st.sampled_from([0.0, 0.3, 0.9]))] = INF
     k0 = draw(st.integers(0, L - 1))
     stride = draw(st.sampled_from([1, 2]))
     base = np.full((L, R, stride * n), -99.0)
-    base[..., ::stride] = np.array(cells, dtype=float).reshape(L, R, n)
+    base[..., ::stride] = cells
     return graph_from_edges(n, edges).in_edges(), base, stride, k0, draw(st.booleans())
 
 
@@ -241,6 +246,40 @@ def test_compiled_relax_equals_numpy_bit_for_bit(case):
         minplus.relax_hops(got[..., ::stride], k0, edges, exact=exact)
         minplus.relax_hops_numpy(want[..., ::stride], k0, edges, exact=exact)
         assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("k0", [0, 5])
+@pytest.mark.parametrize("R", [1, 7, 8, 9, 64])
+def test_compiled_relax_hops_equals_numpy_at_vector_widths(R, k0):
+    """`relax_hops` on a sparse 64-vertex graph with negative cycles, with R
+    rows in place (R = 1) or vertex-major around the vector widths of
+    doubles, in both modes: the numpy reference's bits."""
+    rng = np.random.default_rng(R + k0)
+    for seed in (1, 2):
+        edges = gen_random_graph(64, 256, 8, seed).in_edges()
+        for exact in (False, True):
+            got = np.full((24, R, 64), INF)
+            got[: k0 + 1] = rng.integers(-20, 21, size=(k0 + 1, R, 64))
+            got[: k0 + 1][rng.random((k0 + 1, R, 64)) < 0.5] = INF
+            want = got.copy()
+            with _on_backend("c"):
+                if REAL_CC is not None:
+                    assert _native.library() is not None
+                minplus.relax_hops(got, k0, edges, exact=exact)
+            minplus.relax_hops_numpy(want, k0, edges, exact=exact)
+            assert got.tobytes() == want.tobytes()
+
+
+def test_relax_hops_out_of_memory_is_a_memory_error(monkeypatch):
+    """The compiled hop's code for a buffer it could not allocate (2) is a
+    MemoryError, not the IndexError of an edge past the rows (1)."""
+    monkeypatch.setattr(_native, "_BACKEND", "c")
+    monkeypatch.setattr(_native, "_lib", types.SimpleNamespace(relax_hops=lambda *args: 2))
+    edges = graph_from_edges(3, [(0, 1, 2)]).in_edges()
+    out = np.zeros((3, 2, 3))
+    with pytest.raises(MemoryError):
+        minplus.relax_hops(out, 0, edges)
+    assert not out.any()
 
 
 @pytest.mark.parametrize("backend", ["c", "numpy"])

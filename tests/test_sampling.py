@@ -16,7 +16,7 @@ from allhops import (
     single_pair_allhops,
     single_source_allhops,
 )
-from allhops.sampling import level_size
+from allhops.sampling import level_size, shrinking_parent_is_v
 
 
 def test_plan_validation():
@@ -39,6 +39,18 @@ def test_level_size_is_min_of_n_and_the_ceiling():
                 exact = C * n * math.log(n) / q
                 assert size == (n if exact == math.inf else min(n, math.ceil(exact)))
     assert level_size(64, 1e308, 1.0) == 64
+
+
+@pytest.mark.parametrize("C", [1.0, 2.0, 4.0, 1e308])
+def test_shrinking_parent_is_v_without_drawing(C):
+    """The rule agrees with the drawn hierarchy's S_{k-1} for every n up to
+    130, k up to 4, and 0 to 3 pins or every vertex pinned."""
+    for n in range(1, 131):
+        for pins in (*({(7 * i) % n for i in range(p)} for p in range(4)), range(n)):
+            plan = SamplePlan(C=C, seed=n, pinned=pins)
+            for k in range(1, 5):
+                want = len(shrinking_hierarchy(n, k, plan).levels[k - 1]) == n
+                assert shrinking_parent_is_v(n, k, plan) == want, (n, k, sorted(pins))
 
 
 def test_shrinking_levels_nested_and_pinned():
