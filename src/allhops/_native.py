@@ -5,6 +5,9 @@ Entry points (each the compiled twin of a numpy or Python body that is its
 reference in the tests and its fallback):
 
 * `conv_window` — the windowed min-plus convolution of `minplus.conv_window`;
+  where its right stack never increases in hops, it skips each split whose
+  left entry equals the one a hop below, which another split of the same
+  output hop beats;
 * `relax`, `relax_hops` — the Bellman-Ford hop of `minplus.relax` and
   `minplus.relax_hops`; they check every edge index against the rows before
   the first write and return 1, having written nothing, when one is past them.
@@ -54,11 +57,19 @@ _C_SOURCE = r"""
 #include <string.h>
 
 /* out[z-lo] = min(out[z-lo], min over x+y=z of a[x] (x) b[y]), z in [lo, hi].
-   a is (la,R,K), b is (lb,K,C), out is (hi-lo+1,R,C), all C-contiguous. */
+   a is (la,R,K), b is (lb,K,C), out is (hi-lo+1,R,C), all C-contiguous.
+   Where b never increases in hops, a split (x, y) with x > x0 and
+   a[x][r][k] == a[x-1][r][k] is skipped for that (r, k): the split
+   (x-1, y+1) of the same z is at most it in every column.  Following
+   such steps down ends at a split that runs, at x0 at the latest, so the
+   minimum keeps its bits. */
 void conv_window(const double *restrict a, const double *restrict b,
                  double *restrict out, int64_t la, int64_t R, int64_t K,
                  int64_t lb, int64_t C, int64_t lo, int64_t hi)
 {
+    int mono = la > 1;
+    for (int64_t i = K * C; mono && i < lb * K * C; i++)
+        mono = b[i] <= b[i - K * C];
     for (int64_t z = lo; z <= hi; z++) {
         const int64_t x0 = z - lb + 1 > 0 ? z - lb + 1 : 0;
         const int64_t x1 = z < la - 1 ? z : la - 1;
@@ -67,9 +78,12 @@ void conv_window(const double *restrict a, const double *restrict b,
             for (int64_t x = x0; x <= x1; x++) {
                 const double *ar = a + (x * R + r) * K;
                 const double *by = b + (z - x) * K * C;
+                const int skip = mono && x > x0;
                 for (int64_t k = 0; k < K; k++) {
                     const double s0 = ar[k];
                     if (s0 == INFINITY)  /* inf + b never lowers a minimum */
+                        continue;
+                    if (skip && s0 == ar[k - R * K])  /* (x-1, y+1) beats it */
                         continue;
                     const double *bk = by + k * C;
                     for (int64_t c = 0; c < C; c++) {

@@ -456,10 +456,13 @@ def _selftest_kernels(rng: np.random.Generator) -> bool:
         if matseq_convolution(A, B, "polynomial", M) != matseq_convolution(A, B, "naive"):
             ok = False
         # the active conv_window backend against the numpy reference, on
-        # windows past both ends of the output and inside it
-        for lo, hi in ((-1, 2 * length), (length - 1, length)):
-            got = conv_window(A.data, B.data, lo, hi)
-            ok &= np.array_equal(got, conv_window_numpy(A.data, B.data, lo, hi))
+        # windows past both ends of the output and inside it; on the
+        # running minima too, where the compiled loop skips splits
+        lows = [np.minimum.accumulate(seq.data, axis=0) for seq in (A, B)]
+        for a3, b3 in ((A.data, B.data), lows):
+            for lo, hi in ((-1, 2 * length), (length - 1, length)):
+                ok &= np.array_equal(conv_window(a3, b3, lo, hi),
+                                     conv_window_numpy(a3, b3, lo, hi))
         # the active relax and relax_hops against theirs, on a multigraph
         # with self-loops and negative weights, from rows strewn with +inf;
         # the compiled relax_hops runs one row in place, more vertex-major

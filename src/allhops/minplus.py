@@ -3,12 +3,14 @@ hop-indexed matrix sequences, the matrix product as its one-hop case, and
 the Bellman-Ford hop.
 
 `conv_window` computes out[z] = min over x + y = z of A[x] (x) B[y] for a
-requested window of output hops only, always over every split (x, y).  It
-serves `matseq_convolution` (optionally windowed), the single-pair ladder
-levels that split at a sampled parent, the single-source solver's
-combining step, `extend_hops`, the hop extension through a sample shared
-by the all-pairs rounds and the sampled oracles' level builds, and
-`mp_array`, the plain product under the `powers` oracle and
+requested window of output hops only.  The numpy body takes every split
+(x, y); the compiled one drops the splits that another split of the same
+hop beats (see `conv_window`), with the same bits.  It serves
+`matseq_convolution` (optionally windowed), the single-pair ladder levels
+that split at a sampled parent, the single-source solver's combining
+step, `extend_hops`, the hop extension through a sample shared by the
+all-pairs rounds and the sampled oracles' level builds, and `mp_array`,
+the plain product under the `powers` oracle and
 `baselines.allhops_from_powers`.
 
 The Bellman-Ford hop lives here too: `relax` is the min-plus product of
@@ -29,8 +31,9 @@ m = 8128, about 0.6 times one min-plus product of V x V tables
 same bits, because every sum is an exact integer in float64.  The compiled
 ones are entry points of the one C library in `_native`: a fused loop per
 output row for `conv_window` (`s = a + b; o = s < o ? s : o` straight into
-the output, skipping +inf left entries), and for the hop a loop over the
-heads and their in-edges, in the order `Graph.in_edges` gives them.
+the output, skipping +inf left entries and dominated splits), and for the
+hop a loop over the heads and their in-edges, in the order
+`Graph.in_edges` gives them.
 `relax_hops` runs it vertex-major; in place at R = 1: on an (n, R) copy
 of the rows, each in-edge relaxes every row in one vectorized loop, and
 each hop is transposed back into the table.  The wrappers here check
@@ -86,6 +89,13 @@ def conv_window(a3: np.ndarray, b3: np.ndarray, lo: int, hi: int) -> np.ndarray:
     (see `_native`), else `conv_window_numpy`; both give the same bits,
     because every sum is an exact integer, so the evaluation order cannot
     change a value.
+
+    Where b3 never increases in hops, the compiled loop skips the split
+    (x, y) for a left entry a3[x][r][k] equal to a3[x-1][r][k] (x above the
+    lowest x of the output hop): (x-1, y+1) is a split of the same hop, at
+    most as large in every column.  Such steps end at a split that runs,
+    so the minimum is the same.  It checks b3 once per call, stopping at
+    the first increase; where there is one, every split runs.
     """
     lib = _native.library()
     if lib is None:
@@ -164,15 +174,27 @@ def extend_hops(
 
     which is the windowed convolution of d_{<=.}(rows, X) with
     d_{<=.}(X, V) over hops [K+1, H], then a running minimum from hop K.
-    Its callers split at a sample: where X would be all of V, they run
-    `relax_hops` from hop K instead, which gives the same integers on an
-    exact table.
+    Both operands are prefix tables, so the compiled kernel skips every
+    split whose left entry repeats the hop below.  They are staged with
+    `take`, whose contiguous copies the kernel reads as they are; the rows
+    are taken only where `rows` is not the whole table.  Its callers split
+    at a sample: where X would be all of V, they run `relax_hops` from hop
+    K instead, which gives the same integers on an exact table.
     """
     K = table.shape[0] - 1
-    out[K + 1 :] = conv_window(
-        table[:, rows[:, None], mid_cols], table[:, mid_rows], K + 1, out.shape[0] - 1
-    )
-    np.minimum.accumulate(out[K:], axis=0, out=out[K:])
+    left = table.take(mid_cols, axis=2)
+    if not np.array_equal(rows, np.arange(table.shape[1])):
+        left = left.take(rows, axis=1)
+    out[K + 1 :] = conv_window(left, table.take(mid_rows, axis=1), K + 1, out.shape[0] - 1)
+    running_min(out[K:])
+
+
+def running_min(stack: np.ndarray) -> None:
+    """stack[h] = min(stack[h-1], stack[h]) for h >= 1, in place: one
+    `np.minimum` per hop, which runs several times faster than
+    `np.minimum.accumulate` along the hop axis of a (L, R, C) stack."""
+    for h in range(1, len(stack)):
+        np.minimum(stack[h - 1], stack[h], out=stack[h])
 
 
 def relax(rows: np.ndarray, edges, out: np.ndarray) -> np.ndarray:

@@ -147,12 +147,20 @@ def round_sample(
     rng: np.random.Generator, n: int, size: int, pinned=(), within: np.ndarray | None = None
 ) -> np.ndarray:
     """One sorted sample of `size` vertices (clamped), pinned first;
-    `within` restricts the pool (used for nested level draws)."""
+    `within` restricts the pool (used for nested level draws).  A sample
+    of all of V is still drawn, so that the generator moves on as for any
+    other, but it is returned as `arange(n)`."""
     pins = checked_pins(n, pinned)
-    pool = np.arange(n, dtype=np.int64) if within is None else np.asarray(within)
-    pool = np.setdiff1d(pool, pins)
+    if within is None:
+        free = np.ones(n, dtype=bool)
+        free[pins] = False
+        pool = np.flatnonzero(free)
+    else:
+        pool = np.setdiff1d(within, pins)
     count = min(size - pins.size, pool.size)
     if count <= 0:  # the pins fill the sample: no draw, so no RNG step
         return pins
-    drawn = pool[rng.choice(pool.size, size=count, replace=False)]
-    return np.sort(np.concatenate([pins, drawn]))
+    picks = rng.choice(pool.size, size=count, replace=False)
+    if pins.size + count == n:
+        return np.arange(n, dtype=np.int64)
+    return np.sort(np.concatenate([pins, pool[picks]]))

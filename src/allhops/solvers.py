@@ -47,7 +47,9 @@ single-source combining step through a sample (and through V after one)
 and of the all-pairs rounds through a sample are the windowed kernel
 `minplus.conv_window`, asked for exactly the output hops the caller
 reads.  The ladder's `polynomial` strategy goes through
-`matseq_convolution` instead; both take every split.
+`matseq_convolution` instead, which takes every split; the compiled
+kernel skips the splits of prefix tables that another split beats, with
+the same minimum.
 """
 
 from __future__ import annotations
@@ -59,7 +61,7 @@ import numpy as np
 from .baselines import AllHopsTable, _bf_multi
 from .graph import Graph, NegativeCycleError, require_no_neg_cycle
 from .matrices import MatrixSeq
-from .minplus import conv_window, extend_hops, matseq_convolution, relax_hops
+from .minplus import conv_window, extend_hops, matseq_convolution, relax_hops, running_min
 from .sampling import (
     SamplePlan,
     checked_pins,
@@ -146,7 +148,7 @@ def _sp_level_tables(g: Graph, k: int, plan: SamplePlan, strategy: str = "naive"
             lo = known_hi + 1
             conv = _conv(P[: (1 << i) + 1], 0, sub, s_lo, lo, target, strategy)
             np.minimum(P[lo : target + 1], conv, out=P[lo : target + 1])
-            np.minimum.accumulate(P[known_hi : target + 1], axis=0, out=P[known_hi : target + 1])
+            running_min(P[known_hi : target + 1])
             known_hi = target
 
         tables.append(P[:, :, sel])

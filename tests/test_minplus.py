@@ -203,6 +203,13 @@ def _stack(rng, length, rows, cols):
     return v
 
 
+def _monotone_stack(rng, length, rows, cols):
+    """A stack that never increases in hops, like a d_{<=h} table, with
+    runs of equal slices: the compiled loop skips splits on these."""
+    v = np.minimum.accumulate(_stack(rng, length, rows, cols), axis=0)
+    return v[np.sort(rng.integers(0, length, size=length))]
+
+
 @pytest.mark.parametrize("la,lb,R,K,C", [
     (3, 3, 2, 3, 2), (4, 2, 3, 2, 2), (1, 5, 2, 3, 3), (5, 1, 2, 2, 1),
     (3, 4, 1, 3, 2), (3, 2, 2, 3, 1), (2, 3, 1, 2, 1), (3, 3, 2, 0, 2),
@@ -222,6 +229,34 @@ def test_conv_window_matches_brute_every_window(monkeypatch, la, lb, R, K, C, ch
         for hi in range(lo, top + 1):
             got = conv_window(a3, b3, lo, hi)
             assert np.array_equal(got, _brute_window(a3, b3, lo, hi)), (lo, hi)
+
+
+@pytest.mark.parametrize("la,lb,R,K,C", [
+    (3, 3, 2, 3, 2), (4, 2, 3, 2, 2), (1, 5, 2, 3, 3), (5, 1, 2, 2, 1),
+    (6, 4, 2, 3, 3), (4, 7, 3, 2, 2), (8, 8, 2, 4, 5), (2, 2, 1, 1, 1),
+])
+@pytest.mark.parametrize("right", ["monotone", "random"])
+def test_conv_window_monotone_stacks_every_window(la, lb, R, K, C, right):
+    """A left stack that never increases in hops, with repeated slices,
+    against a right one that does not increase either (where the
+    compiled loop skips splits) or that does (where it must not)."""
+    rng = np.random.default_rng(la * 100 + lb * 10 + K)
+    for _ in range(3):
+        a3 = _monotone_stack(rng, la, R, K)
+        b3 = (_monotone_stack if right == "monotone" else _stack)(rng, lb, K, C)
+        top = la + lb - 1
+        for lo in range(-1, top + 1):
+            for hi in range(lo, top + 1):
+                got = conv_window(a3, b3, lo, hi)
+                assert np.array_equal(got, _brute_window(a3, b3, lo, hi)), (lo, hi)
+
+
+def test_conv_window_equal_left_hops_with_a_rising_right():
+    """a[1] == a[0], but b rises: the split (1, 0) of hop 1 gives 0, while
+    the split (0, 1) that would stand in for it gives 5."""
+    a3 = np.array([[[0.0]], [[0.0]]])
+    b3 = np.array([[[0.0]], [[5.0]]])
+    assert conv_window(a3, b3, 1, 1).tolist() == [[[0.0]]]
 
 
 def test_conv_window_non_contiguous_inputs():
@@ -285,11 +320,13 @@ def test_conv_window_property(data):
     R, K, C = (data.draw(st.integers(0, 3)) for _ in range(3))
     lo = data.draw(st.integers(-2, la + lb))
     hi = data.draw(st.integers(lo, la + lb + 1))
+    monotone = data.draw(st.booleans())
 
     def stack(length, rows, cols):
         cells = data.draw(st.lists(ENTRY, min_size=length * rows * cols,
                                    max_size=length * rows * cols))
-        return np.array(cells, dtype=float).reshape(length, rows, cols)
+        v = np.array(cells, dtype=float).reshape(length, rows, cols)
+        return np.minimum.accumulate(v, axis=0) if monotone else v
 
     a3, b3 = stack(la, R, K), stack(lb, K, C)
     assert np.array_equal(conv_window(a3, b3, lo, hi), _brute_window(a3, b3, lo, hi))

@@ -16,7 +16,7 @@ from allhops import (
     single_pair_allhops,
     single_source_allhops,
 )
-from allhops.sampling import level_size, shrinking_parent_is_v
+from allhops.sampling import checked_pins, level_size, round_sample, shrinking_parent_is_v
 
 
 def test_plan_validation():
@@ -155,3 +155,34 @@ _NO_DRAW_CASES = {
 def test_pin_out_of_range_when_nothing_is_drawn(case):
     with pytest.raises(ValueError, match="pinned vertex out of range"):
         _NO_DRAW_CASES[case]()
+
+
+def _round_sample_with_setdiff(rng, n, size, pinned=(), within=None):
+    """The earlier body of `round_sample`, which builds every pool with
+    `np.setdiff1d`: the reference for its draws and generator steps."""
+    pins = checked_pins(n, pinned)
+    pool = np.arange(n, dtype=np.int64) if within is None else np.asarray(within)
+    pool = np.setdiff1d(pool, pins)
+    count = min(size - pins.size, pool.size)
+    if count <= 0:
+        return pins
+    drawn = pool[rng.choice(pool.size, size=count, replace=False)]
+    return np.sort(np.concatenate([pins, drawn]))
+
+
+def test_round_sample_draws_as_the_setdiff_body():
+    """Every n up to 100, every size, 0-3 pins, from V and from a nested
+    pool: the same sample, and the generator left in the same state, so
+    every later draw is the same too."""
+    cases = np.random.default_rng(5)
+    for n in range(1, 101):
+        for size in range(1, n + 1):
+            pins = cases.choice(n, size=int(cases.integers(0, min(3, n) + 1)), replace=False)
+            parent = np.sort(cases.choice(n, size=int(cases.integers(1, n + 1)), replace=False))
+            for within in (None, parent):
+                seed = n * 1000 + size
+                new, old = np.random.default_rng(seed), np.random.default_rng(seed)
+                got = round_sample(new, n, size, pins, within)
+                want = _round_sample_with_setdiff(old, n, size, pins, within)
+                assert got.dtype == want.dtype and np.array_equal(got, want), (n, size, within)
+                assert new.bit_generator.state == old.bit_generator.state, (n, size, within)
