@@ -19,7 +19,11 @@ reference in the tests and its fallback):
   distance is neither +inf nor an exact integer;
 * `level_scan`, `level_scan_many` — the split scan of `LevelOracle.query`
   over every level of one query, or of many into an array, with the
-  additions it made added to an int64 out-cell.
+  additions it made added to an int64 out-cell;
+* `pack_cells`, `unpack_cells` — snapshot cells each way, float64 to int64
+  with INT64_MAX for +inf (`values.to_int64`) and back (`from_int64`); each
+  returns 0, or 1 + the index of the first cell that does not round-trip
+  exactly: NaN, -inf, a fraction or past 2^53 one way, past 2^53 the other.
 
 Every array goes in as a `c_void_p` address (`a.ctypes.data`) and every size
 as a plain integer: ctypes' `ndpointer` conversion cost more than the C work
@@ -256,6 +260,41 @@ void level_scan_many(const int64_t *lv, int64_t L, int64_t n, int64_t *adds,
         out[i] = u[i] == v[i] ? 0.0 : level_scan(lv, L, n, adds, u[i], v[i], h[i]);
 }
 
+/* Snapshot cells each way: float64 to int64 with INT64_MAX for +inf, and
+   back.  Each returns 0, or 1 + i at the first cell i that does not
+   round-trip exactly: one that is NaN, -inf, a fraction or past 2^53, or
+   one past 2^53 that is not INT64_MAX.  src may be unaligned, as the
+   cells in a snapshot's bytes are. */
+int64_t pack_cells(const char *restrict src, int64_t *restrict dst, int64_t count)
+{
+    for (int64_t i = 0; i < count; i++) {
+        double x;
+        memcpy(&x, src + 8 * i, 8);
+        if (fabs(x) <= 0x1p53 && x == (double)(int64_t)x)
+            dst[i] = (int64_t)x;
+        else if (x == INFINITY)
+            dst[i] = INT64_MAX;
+        else
+            return 1 + i;
+    }
+    return 0;
+}
+
+int64_t unpack_cells(const char *restrict src, double *restrict dst, int64_t count)
+{
+    for (int64_t i = 0; i < count; i++) {
+        int64_t x;
+        memcpy(&x, src + 8 * i, 8);
+        if (x >= -(INT64_C(1) << 53) && x <= INT64_C(1) << 53)
+            dst[i] = (double)x;
+        else if (x == INT64_MAX)
+            dst[i] = INFINITY;
+        else
+            return 1 + i;
+    }
+    return 0;
+}
+
 static char *put_int(char *p, int64_t x)
 {
     char digits[20];
@@ -358,6 +397,8 @@ def _load():
         ("render_records", [P, P, I, I, P, I, I, ctypes.c_char_p], I),
         ("level_scan", [P, I, I, P, I, I, I], ctypes.c_double),
         ("level_scan_many", [P, I, I, P, P, P, P, I, P], None),
+        ("pack_cells", [P, P, I], I),
+        ("unpack_cells", [P, P, I], I),
     ):
         fn = getattr(lib, name)
         fn.argtypes, fn.restype = argtypes, restype

@@ -25,7 +25,7 @@ import numpy as np
 
 from .graph import Graph, weight_matrix
 from .matrices import identity_rows
-from .minplus import mp_array, relax_hops
+from .minplus import mp_array, relax_hops, running_min
 from .values import INF
 
 
@@ -79,7 +79,8 @@ def _bf_multi(g: Graph, sources, L: int, with_exact: bool) -> AllHopsTable:
     ex = np.empty(le.shape)
     ex[0] = le[0]
     relax_hops(ex, 0, edges, exact=True)
-    np.minimum.accumulate(ex, axis=0, out=le)
+    le[1:] = ex[1:]
+    running_min(le)
     return AllHopsTable(sources, L, le, ex)
 
 

@@ -60,6 +60,7 @@ from .solvers import (
     single_source_allhops,
 )
 from .records import VerificationError
+from .values import from_int64, pack_cells, to_int64, unpack_cells
 
 
 class UsageError(ValueError):
@@ -478,6 +479,14 @@ def _selftest_kernels(rng: np.random.Generator) -> bool:
             relax_hops(got, 1, edges, exact=exact)
             relax_hops_numpy(want, 1, edges, exact=exact)
             ok &= np.array_equal(got, want)
+        # the active snapshot cell conversion against the numpy bodies,
+        # both ways, on this trial's tables
+        for table in (A.data, B.data, *lows, got):
+            cells, back = np.empty(table.shape, np.int64), np.empty(table.shape)
+            pack_cells(table, cells)
+            unpack_cells(cells, back)
+            ok &= np.array_equal(cells, to_int64(table))
+            ok &= np.array_equal(back, from_int64(cells))
         # the active record renderer against the Python one
         ok &= records.renderers_agree(rng)
     return ok & _selftest_scans(rng)

@@ -43,11 +43,11 @@ Five kinds share one query contract (d_{<=h}(u,v) for 1 <= h <= n-1):
 
 Oracles are immutable after build; `query` only touches the work counters.
 A versioned binary snapshot (magic AHDO1) makes build and query separable
-processes; int64 cells with the maximum value reserved for +inf.  As with
-`pickle.dump` and `dumps`, `dump_oracle` streams one into a binary file
-and `save_oracle` returns its bytes, through the one writer.  `LevelOracle`
-refuses a seed outside [0, 2^64) and a crossover outside int64, so no
-write fails half-way on a header field it cannot pack.
+processes; int64 cells within +-2^53, with the maximum value reserved for
++inf.  As with `pickle.dump` and `dumps`, `dump_oracle` streams one into a
+binary file and `save_oracle` returns its bytes, through the one writer.
+`LevelOracle` refuses a seed outside [0, 2^64) and a crossover outside
+int64, so no write fails half-way on a header field it cannot pack.
 """
 
 from __future__ import annotations
@@ -66,7 +66,7 @@ from .graph import Graph, ParseError, require_no_neg_cycle, reverse, weight_matr
 from .matrices import identity_rows
 from .minplus import extend_hops, mp_array, relax, relax_hops
 from .sampling import SamplePlan, geometric_ladder, level_size, nested_samples, round_sample
-from .values import INF, from_int64, to_int64
+from .values import INF, SaturationError, pack_cells, unpack_cells
 
 MAGIC = b"AHDO1"
 KINDS = ("powers", "bf", "mn", "mpp", "bounded")
@@ -523,27 +523,40 @@ def build_oracle_bounded(
 # sample (int64 each), then its arrays: count (I), per array ndim (I), shape
 # (Q each) and int64 cells.  A full table is one level over all of V.
 
+# Cells per write of `dump_oracle`: the int64 buffer they pass through.
+_CHUNK = 1 << 15
 
-def _pack_arrays(f, arrays) -> None:
-    """Each array's header, then its int64 cells through the buffer
-    protocol, with no bytes copy."""
+
+def _pack_arrays(f, arrays, buf: np.ndarray) -> None:
+    """Each array's header, then its cells, a chunk at a time converted
+    into `buf` (`values.pack_cells`) and written from it."""
     f.write(struct.pack("<I", len(arrays)))
     for a in arrays:
         f.write(struct.pack("<I", a.ndim))
         f.write(struct.pack(f"<{a.ndim}Q", *a.shape))
-        f.write(to_int64(a.astype(np.float64, copy=False)))
+        cells = np.ascontiguousarray(a, dtype=np.float64).reshape(-1)
+        for i in range(0, cells.size, buf.size):
+            part = cells[i : i + buf.size]
+            pack_cells(part, buf[: part.size])
+            f.write(buf[: part.size])
 
 
 def dump_oracle(oracle, f) -> None:
-    """Write the AHDO1 snapshot of `oracle` to the binary file `f`."""
+    """Write the AHDO1 snapshot of `oracle` to the binary file `f`, its cells
+    through one int64 buffer of at most `_CHUNK` cells.  A cell that the
+    format cannot hold exactly (NaN, -inf, a fraction or past +-2^53) is a
+    SaturationError; by then `f` holds the snapshot up to the start of the
+    chunk of the refused cell, and nothing of that chunk."""
     seed, C, kstar, levels = oracle._snapshot()
     f.write(MAGIC)
     header = (KINDS.index(oracle.kind), oracle.n, seed, C, kstar, len(levels))
     f.write(struct.pack("<BIQdqI", *header))
+    largest = max(a.size for _, _, arrays in levels for a in arrays)
+    buf = np.empty(min(_CHUNK, max(largest, 1)), dtype="<i8")
     for budget, sample, arrays in levels:
         f.write(struct.pack("<II", budget, sample.size))
         f.write(sample.astype("<i8"))
-        _pack_arrays(f, arrays)
+        _pack_arrays(f, arrays, buf)
 
 
 def save_oracle(oracle) -> bytes:
@@ -606,6 +619,15 @@ def _read_level(r: _Reader, n: int, full: bool):
     return budget, sample, arrays
 
 
+def _unpacked(cells: np.ndarray) -> np.ndarray:
+    """float64 distances of snapshot cells, in one pass
+    (`values.unpack_cells`); a cell that float64 cannot hold exactly is a
+    SaturationError."""
+    out = np.empty(cells.shape)
+    unpack_cells(cells, out)
+    return out
+
+
 def _loaded_tables(
     n: int, ks: list[int], samples: list[np.ndarray], cells: list[np.ndarray]
 ) -> list[np.ndarray]:
@@ -614,14 +636,14 @@ def _loaded_tables(
     full level's is a read-only prefix view of that level's table."""
     full = [j for j, s in enumerate(samples) if s.size == n]
     if not full:
-        return [from_int64(c) for c in cells]
+        return [_unpacked(c) for c in cells]
     top_cells = cells[full[-1]]
-    top = from_int64(top_cells)
+    top = _unpacked(top_cells)
     top.flags.writeable = False
     return [
         top[: k + 1]
         if s.size == n and (c is top_cells or np.array_equal(c, top_cells[: k + 1]))
-        else from_int64(c)
+        else _unpacked(c)
         for k, s, c in zip(ks, samples, cells)
     ]
 
@@ -645,12 +667,12 @@ def load_oracle(data: bytes):
     ks = [budget for budget, _, _ in levels]
     if ks != sorted(ks):
         raise ParseError("oracle snapshot: level budgets decrease")
-    if full:
-        return FullTableOracle(kind, n, ks[0], from_int64(levels[0][2][0]))
-    samples = [sample for _, sample, _ in levels]
-    fwd, bwd = (_loaded_tables(n, ks, samples, [arrays[i] for _, _, arrays in levels])
-                for i in (0, 1))
     try:
+        if full:
+            return FullTableOracle(kind, n, ks[0], _unpacked(levels[0][2][0]))
+        samples = [sample for _, sample, _ in levels]
+        fwd, bwd = (_loaded_tables(n, ks, samples, [arrays[i] for _, _, arrays in levels])
+                    for i in (0, 1))
         return LevelOracle(kind, n, seed, C, ks, samples, fwd, bwd, kstar)
-    except ValueError as e:
+    except (ValueError, SaturationError) as e:
         raise ParseError(f"oracle snapshot: {e}") from None

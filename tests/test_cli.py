@@ -22,6 +22,7 @@ from allhops import (
     parse_graph,
     save_oracle,
 )
+from allhops import values
 from allhops.cli import main
 from allhops.oracles import KINDS
 
@@ -607,8 +608,27 @@ def _library(**entry_points):
 
     return types.SimpleNamespace(**{
         "conv_window": conv_window, "relax": relax, "relax_hops": relax_hops,
-        "render_records": render_records, **_scan_entry_points(), **entry_points,
+        "render_records": render_records, **_scan_entry_points(),
+        "pack_cells": _cell_entry_point(values.to_int64, np.float64, np.int64),
+        "unpack_cells": _cell_entry_point(values.from_int64, np.int64, np.float64),
+        **entry_points,
     })
+
+
+def _cell_entry_point(body, src_dtype, dst_dtype, off_by=0):
+    """`pack_cells` or `unpack_cells` on its numpy body: 0, or 1 + the
+    index of the cell it refuses; with `off_by`, every written cell that is
+    not +inf is that much higher."""
+    def convert(src, dst, count):
+        dst = _view(dst, dst_dtype, count)
+        try:
+            body(_view(src, src_dtype, count), dst)
+        except values.SaturationError as e:
+            return 1 + e.index
+        dst[np.isfinite(dst) & (dst != values.INT64_INF)] += off_by
+        return 0
+
+    return convert
 
 
 def test_selftest_fails_on_a_wrong_kernel(capsys, monkeypatch):
@@ -673,6 +693,23 @@ def test_selftest_fails_on_a_wrong_relax(capsys, monkeypatch, entry_point):
     code, out, err = run_cli(capsys, "selftest")
     assert code == 3 and "selftest suite(s) failed" in err
     assert "selftest kernel equivalence: FAILED" in out
+
+
+@pytest.mark.parametrize("entry_point", [
+    {"pack_cells": _cell_entry_point(values.to_int64, np.float64, np.int64, off_by=1)},
+    {"unpack_cells": _cell_entry_point(values.from_int64, np.int64, np.float64, off_by=-1)},
+], ids=["pack_cells", "unpack_cells"])
+def test_selftest_fails_on_a_wrong_cell_conversion(capsys, monkeypatch, entry_point):
+    """A compiled snapshot cell conversion one off on its finite cells fails
+    the kernel suite, and only it: the other suites write no snapshot."""
+    from allhops import _native
+
+    monkeypatch.setattr(_native, "_BACKEND", "c")
+    monkeypatch.setattr(_native, "_lib", _library(**entry_point))
+    code, out, err = run_cli(capsys, "selftest")
+    assert code == 3 and "selftest suite(s) failed" in err
+    assert "selftest kernel equivalence: FAILED" in out
+    assert out.count("FAILED") == 1
 
 
 def _render_one_digit_off(buf, keys, ld, nk, d, lo, hi, lits):

@@ -5,6 +5,7 @@ another exception."""
 
 import contextlib
 import io
+import struct
 
 import pytest
 from hypothesis import given, settings
@@ -34,10 +35,11 @@ GADGETS = {
     "conv": b"2\n# A\n1 2\n3 4\n5 6\n7 8\n",
 }
 _G = parse_graph(GRAPH)
-SNAPSHOTS = {
-    "mpp": save_oracle(build_oracle_mpp(_G, SamplePlan(seed=2))),
-    "bf": save_oracle(build_oracle_bf(_G)),
-}
+_ORACLES = {"mpp": build_oracle_mpp(_G, SamplePlan(seed=2)), "bf": build_oracle_bf(_G)}
+SNAPSHOTS = {name: save_oracle(o) for name, o in _ORACLES.items()}
+# Cells of each snapshot's last array, which ends it: the last level's
+# backward table, or the one full table.
+TAIL_CELLS = {"mpp": _ORACLES["mpp"].bwd[-1].size, "bf": _ORACLES["bf"].le.size}
 
 # Bytes that the formats give meaning to, next to any byte at all.
 _BYTE = st.one_of(st.sampled_from(b"0123456789 -\n#M"), st.integers(0, 255))
@@ -99,6 +101,26 @@ def test_parse_graph_returns_a_graph_or_raises_parse_error(data):
 def test_load_oracle_raises_only_parse_error(data):
     try:
         load_oracle(data)
+    except ParseError:
+        pass
+
+
+@FUZZ
+@given(st.data())
+def test_load_oracle_refuses_cells_past_2_53(data):
+    """A snapshot with one to four cells past +-2^53 (and not the +inf
+    marker INT64_MAX) is a ParseError; with bytes mutated on top of that,
+    the loader still raises nothing else."""
+    name = data.draw(st.sampled_from(sorted(SNAPSHOTS)))
+    blob = bytearray(SNAPSHOTS[name])
+    past = st.one_of(st.integers(2**53 + 1, 2**63 - 2), st.integers(-(2**63), -(2**53) - 1))
+    for _ in range(data.draw(st.integers(1, 4))):
+        at = len(blob) - 8 * data.draw(st.integers(1, TAIL_CELLS[name]))
+        struct.pack_into("<q", blob, at, data.draw(past))
+    with pytest.raises(ParseError, match="cell"):
+        load_oracle(bytes(blob))
+    try:
+        load_oracle(data.draw(mutated(bytes(blob))))
     except ParseError:
         pass
 

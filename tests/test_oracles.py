@@ -753,6 +753,91 @@ def test_snapshot_increasing_along_the_hop_axis_is_refused(capsys, tmp_path):
         LevelOracle(o.kind, o.n, o.seed, o.C, o.ks, o.samples, o.fwd, bwd)
 
 
+def _full_cell_offset(o, hop, row, col):
+    """Byte offset of one int64 cell of a FullTableOracle snapshot (AHDO1):
+    its one array is the snapshot's last bytes."""
+    return 38 + 8 + 8 * o.n + 4 + 4 + 24 + 8 * np.ravel_multi_index((hop, row, col), o.le.shape)
+
+
+@pytest.mark.parametrize("backend", ["c", "numpy"])
+@pytest.mark.parametrize("kind", ["bf", "mpp"])
+@pytest.mark.parametrize("cell", [2**53 + 1, -(2**53) - 1, -(2**63), 2**63 - 2],
+                         ids=["past-2^53", "past--2^53", "INT64_MIN", "INT64_MAX-1"])
+def test_snapshot_cell_past_2_53_is_refused(capsys, tmp_path, backend, kind, cell):
+    """A cell that float64 cannot hold exactly, past +-2^53 and not the +inf
+    marker INT64_MAX, is a ParseError at load and exit 1 from `oracle
+    query`, on both backends, never a rounded distance.  On a sampled level the cell's whole column along the hop axis is set, so
+    no other check refuses it; +-2^53 itself loads and is written back
+    with the same bytes."""
+    g = gen_random_graph(6, 14, 3, 1, require_no_neg_cycle=True)
+    if kind == "bf":
+        o = build_oracle_bf(g)
+        k, at = o.H, [_full_cell_offset(o, o.H, 2, 3)]
+    else:
+        o = build_oracle_mpp(g, SamplePlan(C=1.0, seed=3))
+        j = len(o.ks) - 1
+        k, at = o.ks[j], [_cell_offset(save_oracle(o), j, 0, h, 0, 3) for h in range(o.ks[j] + 1)]
+        assert 0 < o.samples[j].size < o.n
+    blob = save_oracle(o)
+
+    def edit(value):
+        data = blob
+        for pos in at:
+            data = _patch(data, pos, "<q", value)
+        return data
+
+    snap, queries = tmp_path / "edited.ahdo", tmp_path / "queries.txt"
+    queries.write_text(f"2 3 {k}\n")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_native, "_BACKEND", backend)
+        with pytest.raises(ParseError, match="oracle snapshot: cell"):
+            load_oracle(edit(cell))
+        snap.write_bytes(edit(cell))
+        code = main(["oracle", "query", "--oracle", str(snap), "--queries", str(queries)])
+        out, err = capsys.readouterr()
+        assert code == 1 and out == "" and err.startswith("allhops: ") and err.count("\n") == 1
+        for edge in (2**53, -(2**53)):
+            again = load_oracle(edit(edge))
+            assert save_oracle(again) == edit(edge)
+            if kind == "bf":
+                assert again.query(2, 3, k) == edge
+
+
+@pytest.mark.parametrize("backend", ["c", "numpy"])
+@pytest.mark.parametrize("bad", [np.nan, -np.inf, 0.5, -2.5, 2.0**53 + 2, -(2.0**53) - 2],
+                         ids=["nan", "-inf", "half", "-2.5", "past-2^53", "past--2^53"])
+def test_writer_refuses_cells_it_cannot_write_exactly(backend, bad):
+    """A cell that is NaN, -inf, a fraction or past +-2^53 is a
+    SaturationError on both backends, never a cell that reloads as
+    another value.  By then `dump_oracle` has streamed the
+    snapshot up to the chunk that holds the refused cell, and no further.
+    A table full of -inf is refused too, and +-2^53 round-trips."""
+    from allhops.values import SaturationError
+
+    g = gen_random_graph(48, 192, 8, 3, require_no_neg_cycle=True)
+    o = build_oracle_bf(g)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_native, "_BACKEND", backend)
+        with pytest.raises(SaturationError):
+            save_oracle(oracles.FullTableOracle("bf", 3, 2, np.full((3, 3, 3), -np.inf)))
+        chunk = oracles._CHUNK
+        assert o.le.size > 2 * chunk
+        blob = save_oracle(o)
+        head = len(blob) - 8 * o.le.size
+        for at in (0, chunk - 1, chunk, o.le.size - 1):
+            le = o.le.copy()
+            le.flat[at] = bad
+            f = io.BytesIO()
+            with pytest.raises(SaturationError):
+                dump_oracle(oracles.FullTableOracle("bf", o.n, o.H, le), f)
+            assert f.getvalue() == blob[: head + 8 * (at // chunk * chunk)]
+        for edge in (2.0**53, -(2.0**53)):
+            le = o.le.copy()
+            le.flat[chunk] = edge
+            again = load_oracle(save_oracle(oracles.FullTableOracle("bf", o.n, o.H, le)))
+            assert np.array_equal(again.le, le)
+
+
 # sha256 of save_oracle at the default C = 4 on a sparse graph whose
 # tables settle at H* = 9: the levels with K_j = 12, 18, 26 and 39 hold
 # only settled rows.  Computed before settled rows were copied forward.
