@@ -39,13 +39,16 @@ Five kinds share one query contract (d_{<=h}(u,v) for 1 <= h <= n-1):
   oracle and one lookup on a full table.
   Every level over all of V holds exact d_{<=h}(V, V), so all of them are
   read-only prefix views of one table, the top full level's, at build and
-  at load; a snapshot still writes each level out whole.
+  at load.
 
 Oracles are immutable after build; `query` only touches the work counters.
-A versioned binary snapshot (magic AHDO1) makes build and query separable
+A versioned binary snapshot (magic AHDO2) makes build and query separable
 processes; int64 cells within +-2^53, with the maximum value reserved for
-+inf.  As with `pickle.dump` and `dumps`, `dump_oracle` streams one into a
-binary file and `save_oracle` returns its bytes, through the one writer.
++inf.  It stores each table only up to its last change, a copy level and a
+full level below the top one as a one-byte marker; the loader rebuilds the
+same oracle, and reads the older AHDO1 (every table whole) too.  As with
+`pickle.dump` and `dumps`, `dump_oracle` streams one into a binary file
+and `save_oracle` returns its bytes, through the one writer.
 `LevelOracle` refuses a seed outside [0, 2^64) and a crossover outside
 int64, so no write fails half-way on a header field it cannot pack.
 """
@@ -68,7 +71,8 @@ from .minplus import extend_hops, mp_array, relax, relax_hops
 from .sampling import SamplePlan, geometric_ladder, level_size, nested_samples, round_sample
 from .values import INF, SaturationError, pack_cells, unpack_cells
 
-MAGIC = b"AHDO1"
+MAGIC = b"AHDO2"
+AHDO1 = b"AHDO1"  # read, never written
 KINDS = ("powers", "bf", "mn", "mpp", "bounded")
 
 
@@ -150,8 +154,11 @@ class FullTableOracle:
         return self.le[np.minimum(h, self.H), u, v]
 
     def _snapshot(self):
-        """(seed, C, kstar, [(budget, sample, arrays)]) as save_oracle writes it."""
-        return 0, 1.0, 0, [(self.H, np.arange(self.n), [self.le])]
+        """(seed, C, kstar, [(budget, sample, marker, [(t, table)])]) as
+        `dump_oracle` writes it: the table stored to its last change, or
+        whole past max(1, n - 1) hops, where `load_oracle` repeats no hop."""
+        t = self.H if self.H > max(1, self.n - 1) else _last_change(self.le)
+        return 0, 1.0, 0, [(self.H, np.arange(self.n), _STORED, [(t, self.le)])]
 
 
 def _check_mem(cells: int, mem_cap_bytes: int) -> None:
@@ -351,8 +358,20 @@ class LevelOracle:
         return best
 
     def _snapshot(self):
-        levels = zip(self.ks, self.samples, self.fwd, self.bwd)
-        return self.seed, self.C, self.kstar, [(k, s, [f, b]) for k, s, f, b in levels]
+        """As `FullTableOracle._snapshot`: a full level below the top one
+        whose tables are its prefix is a prefix marker, any other copy
+        level a copy marker, and every other level stored to tf_j / tb_j."""
+        full = [j for j, s in enumerate(self.samples) if s.size == self.n]
+        top = full[-1] if full else -1
+        levels = []
+        for j, (k, s, f, b) in enumerate(zip(self.ks, self.samples, self.fwd, self.bwd)):
+            if j in full and j != top and _is_prefix(f, self.fwd[top]) and _is_prefix(b, self.bwd[top]):
+                levels.append((k, s, _PREFIX, []))
+            elif self.copies[j] and j != top:
+                levels.append((k, s, _COPY, []))
+            else:
+                levels.append((k, s, _STORED, [(self.tf[j], f), (self.tb[j], b)]))
+        return self.seed, self.C, self.kstar, levels
 
 
 def scans_agree(oracle: LevelOracle) -> bool:
@@ -378,6 +397,13 @@ def _positions(below: np.ndarray, verts: np.ndarray) -> np.ndarray | None:
     if sel.size and (sel[-1] >= below.size or (below[sel] != verts).any()):
         return None
     return sel
+
+
+def _is_prefix(t: np.ndarray, top: np.ndarray) -> bool:
+    """Whether t holds hops 0..len(t)-1 of top: a view of its start (as the
+    full levels of a build are) or equal cells."""
+    view = t.ctypes.data == top.ctypes.data and t.strides == top.strides
+    return view or np.array_equal(t, top[: len(t)])
 
 
 def _last_change(t: np.ndarray) -> int:
@@ -518,23 +544,30 @@ def build_oracle_bounded(
 # ---------------------------------------------------------------------------
 # snapshots
 #
-# AHDO1 layout, little-endian: magic, kind index (B), n (I), seed (Q), C (d),
+# AHDO2 layout, little-endian: magic, kind index (B), n (I), seed (Q), C (d),
 # kstar (q), level count (I); per level: budget (I), sample size (I), the
-# sample (int64 each), then its arrays: count (I), per array ndim (I), shape
-# (Q each) and int64 cells.  A full table is one level over all of V.
+# sample (int64 each) and a marker (B).  Marker 0 (stored) is followed by
+# the level's tables (one for a full table, else fwd then bwd), each as its
+# stored hop count t (I) and the int64 cells of hops 0..t; every later hop
+# repeats hop t.  Marker 1 (copy): level j-1 restricted to S_j, its last
+# slice repeated.  Marker 2 (prefix): a level over all of V that holds the
+# first hops of the top full level, which is stored.  A full table is one
+# level over all of V.  AHDO1 stores every table whole, with no markers:
+# per level the sample is followed by an array count (I) and, per array,
+# ndim (I), shape (Q each) and the cells.
+
+_STORED, _COPY, _PREFIX = 0, 1, 2
 
 # Cells per write of `dump_oracle`: the int64 buffer they pass through.
 _CHUNK = 1 << 15
 
 
-def _pack_arrays(f, arrays, buf: np.ndarray) -> None:
-    """Each array's header, then its cells, a chunk at a time converted
-    into `buf` (`values.pack_cells`) and written from it."""
-    f.write(struct.pack("<I", len(arrays)))
-    for a in arrays:
-        f.write(struct.pack("<I", a.ndim))
-        f.write(struct.pack(f"<{a.ndim}Q", *a.shape))
-        cells = np.ascontiguousarray(a, dtype=np.float64).reshape(-1)
+def _pack_tables(f, tables, buf: np.ndarray) -> None:
+    """Each (t, table): t, then the cells of hops 0..t, a chunk at a time
+    converted into `buf` (`values.pack_cells`) and written from it."""
+    for t, a in tables:
+        f.write(struct.pack("<I", t))
+        cells = np.ascontiguousarray(a[: t + 1], dtype=np.float64).reshape(-1)
         for i in range(0, cells.size, buf.size):
             part = cells[i : i + buf.size]
             pack_cells(part, buf[: part.size])
@@ -542,7 +575,7 @@ def _pack_arrays(f, arrays, buf: np.ndarray) -> None:
 
 
 def dump_oracle(oracle, f) -> None:
-    """Write the AHDO1 snapshot of `oracle` to the binary file `f`, its cells
+    """Write the AHDO2 snapshot of `oracle` to the binary file `f`, its cells
     through one int64 buffer of at most `_CHUNK` cells.  A cell that the
     format cannot hold exactly (NaN, -inf, a fraction or past +-2^53) is a
     SaturationError; by then `f` holds the snapshot up to the start of the
@@ -551,16 +584,17 @@ def dump_oracle(oracle, f) -> None:
     f.write(MAGIC)
     header = (KINDS.index(oracle.kind), oracle.n, seed, C, kstar, len(levels))
     f.write(struct.pack("<BIQdqI", *header))
-    largest = max(a.size for _, _, arrays in levels for a in arrays)
+    largest = max((a[: t + 1].size for *_, tables in levels for t, a in tables), default=0)
     buf = np.empty(min(_CHUNK, max(largest, 1)), dtype="<i8")
-    for budget, sample, arrays in levels:
+    for budget, sample, marker, tables in levels:
         f.write(struct.pack("<II", budget, sample.size))
         f.write(sample.astype("<i8"))
-        _pack_arrays(f, arrays, buf)
+        f.write(struct.pack("<B", marker))
+        _pack_tables(f, tables, buf)
 
 
 def save_oracle(oracle) -> bytes:
-    """The AHDO1 snapshot of `oracle`, as `dump_oracle` writes it."""
+    """The AHDO2 snapshot of `oracle`, as `dump_oracle` writes it."""
     buf = io.BytesIO()
     dump_oracle(oracle, buf)
     return buf.getvalue()
@@ -587,15 +621,16 @@ class _Reader:
         return np.frombuffer(self.take(8 * count), dtype="<i8")
 
 
-def _read_level(r: _Reader, n: int, full: bool):
+def _read_level(r: _Reader, n: int, full: bool, ahdo1: bool):
     """One level, checked against n: a sorted sample of distinct vertices
-    (all of V for a full table) and arrays of shape (budget+1, |S|, n), as
-    int64 views of the snapshot's cells.  A
-    sampled level's budget is at most max(1, n - 1), the most any build
-    writes: an empty level holds no cells whatever its budget, yet
-    `LevelOracle` allocates along its whole hop axis.  A full table's
-    budget is at least 1, as every build's is: with budget 0 it would
-    answer no query."""
+    (all of V for a full table), its marker and its stored tables, int64
+    views of the snapshot's cells of shape (t+1, |S|, n) with t <= budget.
+    AHDO1 reads as stored tables with t = budget.  A sampled level's budget
+    is at most max(1, n - 1), the most any build writes: an empty level
+    holds no cells whatever its budget, yet `LevelOracle` allocates along
+    its whole hop axis.  For the same reason only a table stored whole may
+    have a budget past max(1, n - 1).  A full table's budget is at least 1,
+    as every build's is: with budget 0 it would answer no query."""
     budget, size = r.unpack("<II")
     if not full and budget > max(1, n - 1):
         raise ParseError(f"oracle snapshot: sampled level budget {budget} exceeds n - 1")
@@ -606,52 +641,88 @@ def _read_level(r: _Reader, n: int, full: bool):
         raise ParseError("oracle snapshot: sample is not sorted distinct vertices of [0, n)")
     if full and size != n:
         raise ParseError("oracle snapshot: full table must cover every vertex")
-    (count,) = r.unpack("<I")
-    if count != (1 if full else 2):
-        raise ParseError(f"oracle snapshot: {count} arrays in a level")
-    arrays = []
-    for _ in range(count):
-        (ndim,) = r.unpack("<I")
-        shape = r.unpack(f"<{ndim}Q")
-        if shape != (budget + 1, size, n):
-            raise ParseError(f"oracle snapshot: array shape {shape} does not match its level")
-        arrays.append(r.int64s(math.prod(shape)).reshape(shape))
-    return budget, sample, arrays
+    count = 1 if full else 2
+    if ahdo1:
+        marker, (arrays,) = _STORED, r.unpack("<I")
+        if arrays != count:
+            raise ParseError(f"oracle snapshot: {arrays} arrays in a level")
+    else:
+        (marker,) = r.unpack("<B")
+        if marker not in (_STORED, _COPY, _PREFIX):
+            raise ParseError(f"oracle snapshot: unknown level marker {marker}")
+        if marker != _STORED and full:
+            raise ParseError("oracle snapshot: a full table holds a marker")
+        if marker == _PREFIX and size != n:
+            raise ParseError("oracle snapshot: prefix marker on a level not over all of V")
+    tables = []
+    for _ in range(count if marker == _STORED else 0):
+        if ahdo1:
+            (ndim,) = r.unpack("<I")
+            shape = r.unpack(f"<{ndim}Q")
+            if shape != (budget + 1, size, n):
+                raise ParseError(f"oracle snapshot: array shape {shape} does not match its level")
+            t = budget
+        else:
+            (t,) = r.unpack("<I")
+            if t > budget:
+                raise ParseError(f"oracle snapshot: {t} hops stored past budget {budget}")
+            if t < budget and budget > max(1, n - 1):
+                raise ParseError(f"oracle snapshot: budget {budget} past n - 1 on a cut table")
+        tables.append(r.int64s((t + 1) * size * n).reshape(t + 1, size, n))
+    return budget, sample, marker, tables
 
 
-def _unpacked(cells: np.ndarray) -> np.ndarray:
-    """float64 distances of snapshot cells, in one pass
-    (`values.unpack_cells`); a cell that float64 cannot hold exactly is a
-    SaturationError."""
-    out = np.empty(cells.shape)
-    unpack_cells(cells, out)
+def _table(k: int, head: np.ndarray) -> np.ndarray:
+    """float64 hops 0..k: `head`, hops 0..t as snapshot cells (converted in
+    one pass, `values.unpack_cells`) or as a float64 table, then hop t
+    repeated.  A cell that float64 cannot hold exactly is a SaturationError."""
+    out = np.empty((k + 1,) + head.shape[1:])
+    if head.dtype == np.float64:
+        out[: len(head)] = head
+    else:
+        unpack_cells(head, out[: len(head)])
+    out[len(head) :] = out[len(head) - 1]
     return out
 
 
-def _loaded_tables(
-    n: int, ks: list[int], samples: list[np.ndarray], cells: list[np.ndarray]
+def _assembled(
+    n: int, ks: list[int], samples: list[np.ndarray], markers: list[int], cells: list
 ) -> list[np.ndarray]:
-    """One direction's float64 tables from their snapshot cells.  As at
-    build, a level over all of V whose cells equal hops 0..K_j of the top
-    full level's is a read-only prefix view of that level's table."""
+    """One direction's float64 tables from their levels' markers and stored
+    cells.  A copy level is level j-1 restricted to S_j, last slice
+    repeated (`LevelOracle._repeats`).  As at build, the levels over all of
+    V share the top full level's table, which must be stored: a prefix
+    marker, and a stored level whose cells equal its first hops, is a
+    read-only prefix view of it."""
     full = [j for j, s in enumerate(samples) if s.size == n]
-    if not full:
-        return [_unpacked(c) for c in cells]
-    top_cells = cells[full[-1]]
-    top = _unpacked(top_cells)
-    top.flags.writeable = False
-    return [
-        top[: k + 1]
-        if s.size == n and (c is top_cells or np.array_equal(c, top_cells[: k + 1]))
-        else _unpacked(c)
-        for k, s, c in zip(ks, samples, cells)
-    ]
+    top = None
+    if full and markers[full[-1]] == _STORED:
+        top = _table(ks[full[-1]], cells[full[-1]])
+        top.flags.writeable = False
+    tables = []
+    for j, (k, s, marker, c) in enumerate(zip(ks, samples, markers, cells)):
+        if marker == _COPY:
+            sel = _positions(samples[j - 1], s) if j else None
+            if sel is None:
+                raise ParseError(f"copy marker on level {j}, whose sample is not in the level below")
+            t = _table(k, tables[j - 1][:, sel])
+        elif top is not None and (marker == _PREFIX or j == full[-1]):
+            t = top[: k + 1]
+        elif marker == _PREFIX:
+            raise ParseError("prefix marker with no stored full level above it")
+        else:
+            t = _table(k, c)
+            if top is not None and s.size == n and np.array_equal(t, top[: k + 1]):
+                t = top[: k + 1]
+        tables.append(t)
+    return tables
 
 
 def load_oracle(data: bytes):
-    """Parse an AHDO1 snapshot; any malformed input raises ParseError."""
-    if data[: len(MAGIC)] != MAGIC:
-        raise ParseError("not an AHDO1 oracle snapshot")
+    """Parse an AHDO2 or AHDO1 snapshot; any malformed input raises ParseError."""
+    magic = bytes(data[: len(MAGIC)])
+    if magic not in (MAGIC, AHDO1):
+        raise ParseError("not an AHDO2 or AHDO1 oracle snapshot")
     r = _Reader(data)
     r.take(len(MAGIC))
     kind_idx, n, seed, C, kstar, level_count = r.unpack("<BIQdqI")
@@ -661,17 +732,16 @@ def load_oracle(data: bytes):
     full = kind in ("powers", "bf")
     if n < 1 or level_count < 1 or (full and level_count != 1):
         raise ParseError(f"oracle snapshot: {level_count} levels over {n} vertices")
-    levels = [_read_level(r, n, full) for _ in range(level_count)]
+    levels = [_read_level(r, n, full, magic == AHDO1) for _ in range(level_count)]
     if r.pos != len(data):
         raise ParseError("oracle snapshot: trailing bytes")
-    ks = [budget for budget, _, _ in levels]
+    ks, samples, markers, cells = (list(x) for x in zip(*levels))
     if ks != sorted(ks):
         raise ParseError("oracle snapshot: level budgets decrease")
     try:
         if full:
-            return FullTableOracle(kind, n, ks[0], _unpacked(levels[0][2][0]))
-        samples = [sample for _, sample, _ in levels]
-        fwd, bwd = (_loaded_tables(n, ks, samples, [arrays[i] for _, _, arrays in levels])
+            return FullTableOracle(kind, n, ks[0], _table(ks[0], cells[0][0]))
+        fwd, bwd = (_assembled(n, ks, samples, markers, [c[i] if c else None for c in cells])
                     for i in (0, 1))
         return LevelOracle(kind, n, seed, C, ks, samples, fwd, bwd, kstar)
     except (ValueError, SaturationError) as e:

@@ -86,7 +86,10 @@ def unpack_cells(src: np.ndarray, dst: np.ndarray) -> None:
 def _convert(src, dst, name, body) -> None:
     """body(src, dst), or the compiled entry point `name` where the library
     loads, both arrays are contiguous and in native byte order, and `dst`
-    is aligned (the C loop reads `src` a cell at a time with memcpy)."""
+    is aligned (the C loop reads `src` a cell at a time with memcpy).
+    Arrays of different shapes are a ValueError, before any pointer passes."""
+    if src.shape != dst.shape:
+        raise ValueError(f"cells of shape {src.shape} into an array of shape {dst.shape}")
     lib = _native.library()
     arrays_fit = dst.flags.aligned and all(
         a.dtype.isnative and a.flags.c_contiguous for a in (src, dst))

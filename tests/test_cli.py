@@ -18,10 +18,13 @@ from allhops import (
     build_oracle_mn,
     build_oracle_mpp,
     build_oracle_powers,
+    gen_random_graph,
     load_oracle,
     parse_graph,
+    render_graph,
     save_oracle,
 )
+from _snapshots import fixture
 from allhops import values
 from allhops.cli import main
 from allhops.oracles import KINDS
@@ -493,6 +496,27 @@ def test_oracle_query_bad_snapshot_is_input_error(capsys, tmp_path, f1_path):
         code, out, err = run_cli(capsys, "oracle", "query", "--oracle", str(bad),
                                  "--queries", str(queries))
         assert (code, out) == (1, "") and err.startswith("allhops: "), name
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_oracle_query_reads_an_ahdo1_snapshot(capsys, tmp_path, kind):
+    """`oracle query` on an AHDO1 fixture exits 0 and prints what it prints
+    on the AHDO2 file that `oracle build` writes from the same graph and
+    plan, for every query of the fixture's graph."""
+    g = gen_random_graph(24, 72, 4, 2, require_no_neg_cycle=True)
+    graph, new, old = tmp_path / "g.el", tmp_path / "g.ahdo", tmp_path / "g.ahdo1"
+    graph.write_text(render_graph(g))
+    old.write_bytes(fixture(f"golden-{kind}"))
+    assert run_cli(capsys, "oracle", "build", "--kind", kind, "--graph", str(graph),
+                   "--C", "1", "--seed", "5", "--out", str(new)) == (0, "", "")
+    assert new.read_bytes()[:5] == b"AHDO2"
+    queries = tmp_path / "q.txt"
+    queries.write_text("".join(f"{u} {v} {h}\n" for u in range(24) for v in range(24)
+                               for h in range(1, 24)))
+    outs = [run_cli(capsys, "oracle", "query", "--oracle", str(path), "--queries", str(queries))
+            for path in (old, new)]
+    assert outs[0] == outs[1] and outs[0][0] == 0 and outs[0][2] == ""
+    assert len(outs[0][1].splitlines()) == 1 + 24 * 24 * 23  # a header line
 
 
 def test_gadget_emits_graph_and_names(capsys, tmp_path):

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from _snapshots import fixture, stored_tables
 from allhops import (
     Graph,
     ParseError,
@@ -36,10 +37,19 @@ GADGETS = {
 }
 _G = parse_graph(GRAPH)
 _ORACLES = {"mpp": build_oracle_mpp(_G, SamplePlan(seed=2)), "bf": build_oracle_bf(_G)}
+# AHDO2 snapshots of both kinds, and one AHDO1 fixture (n = 24, C = 1).
 SNAPSHOTS = {name: save_oracle(o) for name, o in _ORACLES.items()}
-# Cells of each snapshot's last array, which ends it: the last level's
-# backward table, or the one full table.
-TAIL_CELLS = {"mpp": _ORACLES["mpp"].bwd[-1].size, "bf": _ORACLES["bf"].le.size}
+SNAPSHOTS["mpp-ahdo1"] = fixture("golden-mpp")
+
+
+def _tail(blob: bytes) -> tuple[int, int]:
+    """(end, cells) of the last table that `blob` stores: the byte offset
+    just past its cells, and their count.  Marker levels may follow it."""
+    *_, at, (hops, rows, cols) = stored_tables(blob)[-1]
+    return at + 8 * hops * rows * cols, hops * rows * cols
+
+
+TAIL_CELLS = {name: _tail(blob) for name, blob in SNAPSHOTS.items()}
 
 # Bytes that the formats give meaning to, next to any byte at all.
 _BYTE = st.one_of(st.sampled_from(b"0123456789 -\n#M"), st.integers(0, 255))
@@ -97,7 +107,7 @@ def test_parse_graph_returns_a_graph_or_raises_parse_error(data):
 
 
 @FUZZ
-@given(data=st.one_of(st.binary(max_size=200), mutated(SNAPSHOTS["mpp"]), mutated(SNAPSHOTS["bf"])))
+@given(data=st.one_of(st.binary(max_size=200), *(mutated(blob) for blob in SNAPSHOTS.values())))
 def test_load_oracle_raises_only_parse_error(data):
     try:
         load_oracle(data)
@@ -114,8 +124,9 @@ def test_load_oracle_refuses_cells_past_2_53(data):
     name = data.draw(st.sampled_from(sorted(SNAPSHOTS)))
     blob = bytearray(SNAPSHOTS[name])
     past = st.one_of(st.integers(2**53 + 1, 2**63 - 2), st.integers(-(2**63), -(2**53) - 1))
+    end, cells = TAIL_CELLS[name]
     for _ in range(data.draw(st.integers(1, 4))):
-        at = len(blob) - 8 * data.draw(st.integers(1, TAIL_CELLS[name]))
+        at = end - 8 * data.draw(st.integers(1, cells))
         struct.pack_into("<q", blob, at, data.draw(past))
     with pytest.raises(ParseError, match="cell"):
         load_oracle(bytes(blob))

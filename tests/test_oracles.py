@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from _snapshots import cell_offset, fixture, same_oracle, stored_tables
 from allhops import _native, oracles
 from allhops.cli import main
 
@@ -235,7 +236,7 @@ def test_snapshot_roundtrip_bit_exact():
     g = gen_random_graph(13, 35, 4, 2, require_no_neg_cycle=True)
     for name, o in _all_builders(g).items():
         blob = save_oracle(o)
-        assert blob[:5] == b"AHDO1"
+        assert blob[:5] == b"AHDO2"
         again = load_oracle(blob)
         assert save_oracle(again) == blob, name
         for u, v, h in ((0, 5, 3), (2, 2, 1), (4, 11, 12)):
@@ -249,7 +250,9 @@ def test_snapshot_rejects_garbage():
 
 # sha256 of save_oracle on one sampled graph (C=1 leaves levels 3.. of mpp
 # and bounded proper subsets; bounded's crossover kstar=6 runs both table
-# paths).  Pins the AHDO1 bytes, not just a self round trip.
+# paths).  Pins the bytes, not just a self round trip: GOLDEN_SNAPSHOTS
+# those of the last AHDO1 writer, kept as the fixtures
+# tests/data/golden-<kind>.ahdo1.gz, and GOLDEN_AHDO2 the writer's.
 GOLDEN_SNAPSHOTS = {
     "powers": "b418d55e75d25fc5d59461a841fc2c47c217d2b4a66a4dfcb27d429aacbedd3a",
     "bf": "c8ef5ee34a36565d2c33a12d2b38b08c59bb5b71b9867147a96d21cf592b62b1",
@@ -257,12 +260,29 @@ GOLDEN_SNAPSHOTS = {
     "mpp": "760bc9e64eed3b712d81a7a7ae1cce4b690d04491538be48776ae06ad9ac5d8a",
     "bounded": "538a65ba64d2dab192fe2440a3f42e3f2042e176da6ccaab65d09a43e5d92790",
 }
+GOLDEN_AHDO2 = {
+    "powers": "6fce8bb46e53bc314919231165b8ce32fde7b6440cb9a6eb0873e65fcc1d5893",
+    "bf": "c7816a8310c7503eda99cd1cf3c8da5fe35156f9fd4eba68098c86444e719517",
+    "mn": "d0c0de9deeef97b48bfafe135885f0a91ba761a8f5249b90c874e165e4fee53e",
+    "mpp": "d023ffb3dd9cfeff09c2a0093df617600d78a0b63703b3306c190a133da1010d",
+    "bounded": "9bf838b3d877073f068b8032707d62bc0f6686b12644960f8a3488fcfd3875e5",
+}
+
+
+def _sha256(blob: bytes) -> str:
+    return hashlib.sha256(blob).hexdigest()
 
 
 def test_snapshot_golden_sha256():
+    """The writer's AHDO2 bytes are pinned; each AHDO1 fixture holds its
+    pinned bytes and is written back as the AHDO2 bytes of a fresh build."""
     g = gen_random_graph(24, 72, 4, 2, require_no_neg_cycle=True)
     for name, o in _all_builders(g, SamplePlan(C=1.0, seed=5)).items():
-        assert hashlib.sha256(save_oracle(o)).hexdigest() == GOLDEN_SNAPSHOTS[name], name
+        blob = save_oracle(o)
+        assert _sha256(blob) == GOLDEN_AHDO2[name], name
+        old = fixture(f"golden-{name}")
+        assert _sha256(old) == GOLDEN_SNAPSHOTS[name], name
+        assert save_oracle(load_oracle(old)) == blob, name
 
 
 def test_dump_oracle_streams_what_save_oracle_returns(tmp_path):
@@ -339,16 +359,18 @@ def test_sampled_level_budget_past_n_is_refused(capsys, tmp_path):
     budget = 1 << 20
     header = struct.pack("<BIQdqI", oracles.KINDS.index("mn"), 2, 0, 4.0, 0, 1)
     shape = struct.pack("<3Q", budget + 1, 0, 2)
-    level = struct.pack("<II", budget, 0) + struct.pack("<I", 2) + 2 * (struct.pack("<I", 3) + shape)
-    blob = oracles.MAGIC + header + level
-    with pytest.raises(ParseError, match="budget"):
-        load_oracle(blob)
+    level = struct.pack("<II", budget, 0)
+    ahdo1 = b"AHDO1" + header + level + struct.pack("<I", 2) + 2 * (struct.pack("<I", 3) + shape)
+    ahdo2 = b"AHDO2" + header + level + struct.pack("<B", 0) + 2 * struct.pack("<I", budget)
     snap, queries = tmp_path / "wide.ahdo", tmp_path / "queries.txt"
-    snap.write_bytes(blob)
     queries.write_text("0 1 1\n")
-    code = main(["oracle", "query", "--oracle", str(snap), "--queries", str(queries)])
-    out, err = capsys.readouterr()
-    assert code == 1 and out == "" and err.startswith("allhops: ") and err.count("\n") == 1
+    for blob in (ahdo1, ahdo2):
+        with pytest.raises(ParseError, match="budget"):
+            load_oracle(blob)
+        snap.write_bytes(blob)
+        code = main(["oracle", "query", "--oracle", str(snap), "--queries", str(queries)])
+        out, err = capsys.readouterr()
+        assert code == 1 and out == "" and err.startswith("allhops: ") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("kind", ["powers", "bf"])
@@ -677,17 +699,24 @@ def test_copies_and_pickles_scan_their_own_tables():
 
 def test_loaded_full_level_that_differs_keeps_its_own_table():
     """A snapshot whose lower full level is not a prefix of the top one
-    (hand-edited: one lower cell at its last hop) loads that level as its
-    own table, and answers from it."""
+    (one lower cell edited at its last hop) loads that level as its own
+    table, and answers from it: in AHDO2, where the writer stores such a
+    level instead of a prefix marker, and in AHDO1 (the golden mpp
+    fixture), where every level is stored and the cell is edited in place."""
     g = gen_random_graph(24, 72, 6, 1, require_no_neg_cycle=True)
     o = build_oracle_mpp(g, SamplePlan(C=4.0, seed=2))
-    blob = save_oracle(o)
     k0 = o.ks[0]
-    edited = load_oracle(_patch(blob, _cell_offset(blob, 0, 0, k0, 3, 7), "<q", -100))
-    assert edited.fwd[0][k0, 3, 7] == -100 and edited.fwd[1][k0, 3, 7] != -100
-    assert not np.shares_memory(edited.fwd[0], edited.fwd[1])
-    assert np.shares_memory(edited.bwd[0], edited.bwd[1])
-    assert edited.query(3, 7, k0) == -100
+    fwd = [t.copy() for t in o.fwd]
+    fwd[0][k0, 3, 7] = -100
+    hand_made = LevelOracle(o.kind, o.n, o.seed, o.C, o.ks, o.samples, fwd, o.bwd, o.kstar)
+    ahdo1 = fixture("golden-mpp")
+    assert load_oracle(ahdo1).ks[0] == k0
+    for blob in (save_oracle(hand_made), _patch(ahdo1, cell_offset(ahdo1, 0, 0, k0, 3, 7), "<q", -100)):
+        edited = load_oracle(blob)
+        assert edited.fwd[0][k0, 3, 7] == -100 and edited.fwd[1][k0, 3, 7] != -100
+        assert not np.shares_memory(edited.fwd[0], edited.fwd[1])
+        assert np.shares_memory(edited.bwd[0], edited.bwd[1])
+        assert edited.query(3, 7, k0) == -100
 
 
 def test_settled_rows_never_change_a_table():
@@ -714,49 +743,30 @@ def test_settled_rows_never_change_a_table():
         assert np.array_equal(a, b)
 
 
-def _cell_offset(blob, level, array, hop, row, col):
-    """Byte offset of one int64 cell of a LevelOracle snapshot (AHDO1)."""
-    n = struct.unpack_from("<I", blob, 6)[0]
-    pos = 38  # magic(5) + "<BIQdqI"(33)
-    for j in range(level + 1):
-        budget, size = struct.unpack_from("<II", blob, pos)
-        pos += 8 + 8 * size + 4
-        for i in range(2):
-            pos += 4 + 8 * 3
-            if (j, i) == (level, array):
-                return pos + 8 * ((hop * size + row) * n + col)
-            pos += 8 * (budget + 1) * size * n
-    raise AssertionError("no such level")
-
-
 def test_snapshot_increasing_along_the_hop_axis_is_refused(capsys, tmp_path):
     """A hand-edited snapshot whose table grows along the hop axis is a
-    ParseError at load and exit 1 from `oracle query`; a LevelOracle built
-    directly from that table is a ValueError."""
+    ParseError at load and exit 1 from `oracle query`, in AHDO2 and in AHDO1
+    (the golden mpp fixture); a LevelOracle built directly from that table
+    is a ValueError.  The edited level is the last one stored with a row 3."""
     g = gen_random_graph(24, 72, 6, 1, require_no_neg_cycle=True)
     o = build_oracle_mpp(g, SamplePlan(C=4.0, seed=2))
-    j = 5
-    blob = save_oracle(o)
-    at = _cell_offset(blob, j, 1, 0, 3, 7)  # bwd hop 0: d_<=0(7, s_3)
-    edited = _patch(blob, at, "<q", -100)
-    with pytest.raises(ParseError, match="hop axis"):
-        load_oracle(edited)
     snap, queries = tmp_path / "edited.ahdo", tmp_path / "queries.txt"
-    snap.write_bytes(edited)
     queries.write_text("7 0 9\n")
-    code = main(["oracle", "query", "--oracle", str(snap), "--queries", str(queries)])
-    out, err = capsys.readouterr()
-    assert code == 1 and out == "" and err.startswith("allhops: ") and "hop axis" in err
+    for blob in (save_oracle(o), fixture("golden-mpp")):
+        j = max(level for level, _, _, shape in stored_tables(blob) if shape[1] > 3)
+        at = cell_offset(blob, j, 1, 0, 3, 7)  # bwd hop 0: d_<=0(7, s_3)
+        edited = _patch(blob, at, "<q", -100)
+        with pytest.raises(ParseError, match="hop axis"):
+            load_oracle(edited)
+        snap.write_bytes(edited)
+        code = main(["oracle", "query", "--oracle", str(snap), "--queries", str(queries)])
+        out, err = capsys.readouterr()
+        assert code == 1 and out == "" and err.startswith("allhops: ") and "hop axis" in err
+    j = max(level for level, _, _, shape in stored_tables(save_oracle(o)) if shape[1] > 3)
     bwd = [b.copy() for b in o.bwd]
     bwd[j][0, 3, 7] = -100
     with pytest.raises(ValueError, match="hop axis"):
         LevelOracle(o.kind, o.n, o.seed, o.C, o.ks, o.samples, o.fwd, bwd)
-
-
-def _full_cell_offset(o, hop, row, col):
-    """Byte offset of one int64 cell of a FullTableOracle snapshot (AHDO1):
-    its one array is the snapshot's last bytes."""
-    return 38 + 8 + 8 * o.n + 4 + 4 + 24 + 8 * np.ravel_multi_index((hop, row, col), o.le.shape)
 
 
 @pytest.mark.parametrize("backend", ["c", "numpy"])
@@ -766,41 +776,47 @@ def _full_cell_offset(o, hop, row, col):
 def test_snapshot_cell_past_2_53_is_refused(capsys, tmp_path, backend, kind, cell):
     """A cell that float64 cannot hold exactly, past +-2^53 and not the +inf
     marker INT64_MAX, is a ParseError at load and exit 1 from `oracle
-    query`, on both backends, never a rounded distance.  On a sampled level the cell's whole column along the hop axis is set, so
-    no other check refuses it; +-2^53 itself loads and is written back
-    with the same bytes."""
+    query`, on both backends, never a rounded distance, in AHDO2 and in
+    AHDO1 (the golden fixture of the kind).  The cell is on the last
+    stored hop, which the loader repeats to the budget; on a sampled level
+    (the last one stored) its whole stored column along the hop axis is
+    set, so no other check refuses it.  +-2^53 itself loads, and is
+    written back with the same bytes (AHDO2) or as an oracle that
+    reloads the same (AHDO1)."""
     g = gen_random_graph(6, 14, 3, 1, require_no_neg_cycle=True)
-    if kind == "bf":
-        o = build_oracle_bf(g)
-        k, at = o.H, [_full_cell_offset(o, o.H, 2, 3)]
-    else:
-        o = build_oracle_mpp(g, SamplePlan(C=1.0, seed=3))
-        j = len(o.ks) - 1
-        k, at = o.ks[j], [_cell_offset(save_oracle(o), j, 0, h, 0, 3) for h in range(o.ks[j] + 1)]
-        assert 0 < o.samples[j].size < o.n
-    blob = save_oracle(o)
-
-    def edit(value):
-        data = blob
-        for pos in at:
-            data = _patch(data, pos, "<q", value)
-        return data
-
+    o = build_oracle_bf(g) if kind == "bf" else build_oracle_mpp(g, SamplePlan(C=1.0, seed=3))
     snap, queries = tmp_path / "edited.ahdo", tmp_path / "queries.txt"
-    queries.write_text(f"2 3 {k}\n")
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(_native, "_BACKEND", backend)
-        with pytest.raises(ParseError, match="oracle snapshot: cell"):
-            load_oracle(edit(cell))
-        snap.write_bytes(edit(cell))
-        code = main(["oracle", "query", "--oracle", str(snap), "--queries", str(queries)])
-        out, err = capsys.readouterr()
-        assert code == 1 and out == "" and err.startswith("allhops: ") and err.count("\n") == 1
-        for edge in (2**53, -(2**53)):
-            again = load_oracle(edit(edge))
-            assert save_oracle(again) == edit(edge)
+        for blob in (save_oracle(o), fixture(f"golden-{kind}")):
+            loaded = load_oracle(blob)
+            j, _, _, shape = [t for t in stored_tables(blob) if t[1] == 0][-1]
             if kind == "bf":
-                assert again.query(2, 3, k) == edge
+                k, at = loaded.H, [cell_offset(blob, 0, 0, shape[0] - 1, 2, 3)]
+            else:
+                k, at = loaded.ks[j], [cell_offset(blob, j, 0, h, 0, 3) for h in range(shape[0])]
+                assert 0 < loaded.samples[j].size < loaded.n
+
+            def edit(value):
+                data = blob
+                for pos in at:
+                    data = _patch(data, pos, "<q", value)
+                return data
+
+            queries.write_text(f"2 3 {k}\n")
+            with pytest.raises(ParseError, match="oracle snapshot: cell"):
+                load_oracle(edit(cell))
+            snap.write_bytes(edit(cell))
+            code = main(["oracle", "query", "--oracle", str(snap), "--queries", str(queries)])
+            out, err = capsys.readouterr()
+            assert code == 1 and out == "" and err.startswith("allhops: ") and err.count("\n") == 1
+            for edge in (2**53, -(2**53)):
+                again = load_oracle(edit(edge))
+                written = save_oracle(again)
+                assert same_oracle(load_oracle(written), again)
+                assert blob[:5] == b"AHDO1" or written == edit(edge)
+                if kind == "bf":
+                    assert again.query(2, 3, k) == edge
 
 
 @pytest.mark.parametrize("backend", ["c", "numpy"])
@@ -822,11 +838,17 @@ def test_writer_refuses_cells_it_cannot_write_exactly(backend, bad):
             save_oracle(oracles.FullTableOracle("bf", 3, 2, np.full((3, 3, 3), -np.inf)))
         chunk = oracles._CHUNK
         assert o.le.size > 2 * chunk
-        blob = save_oracle(o)
-        head = len(blob) - 8 * o.le.size
         for at in (0, chunk - 1, chunk, o.le.size - 1):
-            le = o.le.copy()
-            le.flat[at] = bad
+            # `ok` holds a valid cell that differs from its neighbours
+            # along the hop axis wherever `bad` does, so both tables are
+            # stored to the same last change and `blob` is what would be
+            # written with no refusal.
+            le, ok = o.le.copy(), o.le.copy()
+            le.flat[at], ok.flat[at] = bad, -(2.0**40)
+            assert oracles._last_change(le) == oracles._last_change(ok)
+            blob = save_oracle(oracles.FullTableOracle("bf", o.n, o.H, ok))
+            head = len(blob) - 8 * (oracles._last_change(ok) + 1) * o.n * o.n
+            assert at < (len(blob) - head) // 8
             f = io.BytesIO()
             with pytest.raises(SaturationError):
                 dump_oracle(oracles.FullTableOracle("bf", o.n, o.H, le), f)
@@ -840,10 +862,17 @@ def test_writer_refuses_cells_it_cannot_write_exactly(backend, bad):
 
 # sha256 of save_oracle at the default C = 4 on a sparse graph whose
 # tables settle at H* = 9: the levels with K_j = 12, 18, 26 and 39 hold
-# only settled rows.  Computed before settled rows were copied forward.
+# only settled rows.  GOLDEN_SETTLED was computed, in AHDO1, before
+# settled rows were copied forward; it pins the fixtures
+# tests/data/settled-<kind>.ahdo1.gz.  GOLDEN_SETTLED_AHDO2 pins the
+# writer's bytes.
 GOLDEN_SETTLED = {
     "mpp": "55bfc12ebdc709ac2459f78644db108c4e19dfb6a555cb7ee036fcc8395bdc5c",
     "bounded": "389a94fb9aa8e53ea3f8d39063b57d8e06cfa72dfd3a0a9506dd6d011cfa0764",
+}
+GOLDEN_SETTLED_AHDO2 = {
+    "mpp": "7a42df5de8af587b8f15df075e08a8b91c54aa7558e6b3dd0824ef6744024e35",
+    "bounded": "b6e5650c56cd71b460ead2ff0c1084100910b2d1d44b7372194b62343b87b672",
 }
 
 
@@ -852,7 +881,11 @@ def test_settled_levels_golden_sha256():
     brute = apah_brute(g, with_exact=False).le
     for build in (build_oracle_mpp, build_oracle_bounded):
         o = build(g, SamplePlan())
-        assert hashlib.sha256(save_oracle(o)).hexdigest() == GOLDEN_SETTLED[o.kind], o.kind
+        blob = save_oracle(o)
+        assert _sha256(blob) == GOLDEN_SETTLED_AHDO2[o.kind], o.kind
+        old = fixture(f"settled-{o.kind}")
+        assert _sha256(old) == GOLDEN_SETTLED[o.kind], o.kind
+        assert save_oracle(load_oracle(old)) == blob, o.kind
         for k, s, f, b in zip(o.ks, o.samples, o.fwd, o.bwd):
             assert np.array_equal(f, brute[: k + 1, s, :]), (o.kind, k)
             assert np.array_equal(b, brute[: k + 1][:, :, s].transpose(0, 2, 1)), (o.kind, k)
