@@ -46,7 +46,8 @@ A versioned binary snapshot (magic AHDO2) makes build and query separable
 processes; int64 cells within +-2^53, with the maximum value reserved for
 +inf.  It stores each table only up to its last change, a copy level and a
 full level below the top one as a one-byte marker; the loader rebuilds the
-same oracle, and reads the older AHDO1 (every table whole) too.  As with
+same oracle, and reads the older AHDO1 (every table whole) too; it
+refuses more levels, or more hops over them, than a build's ladder.  As with
 `pickle.dump` and `dumps`, `dump_oracle` streams one into a binary file
 and `save_oracle` returns its bytes, through the one writer.
 `LevelOracle` refuses a seed outside [0, 2^64) and a crossover outside
@@ -417,12 +418,20 @@ def build_oracle_mn(g: Graph, plan: SamplePlan) -> LevelOracle:
     require_no_neg_cycle(g)
     n = g.n
     rng = np.random.default_rng(plan.seed)
-    ks, samples = [], []
-    top = max(0, n.bit_length() - 1)  # floor(log2 n)
-    for i in range(top + 1):
-        samples.append(round_sample(rng, n, level_size(n, plan.C, 2**i), plan.pinned))
-        ks.append(min(2 ** (i + 1), max(1, n - 1)))
+    ks = _ladder("mn", n)
+    samples = [round_sample(rng, n, level_size(n, plan.C, 2**i), plan.pinned)
+               for i in range(len(ks))]
     return _build_levels("mn", g, plan, ks, samples, ks[-1])
+
+
+def _ladder(kind: str, n: int) -> list[int]:
+    """The level budgets of every build of a sampled `kind` over n vertices,
+    so the most levels and hops `load_oracle` takes: for mn 2^(i+1) for
+    i = 0..floor(log2 n), else the (3/2) ladder, each capped at
+    max(1, n - 1)."""
+    if kind == "mn":
+        return [min(2 ** (i + 1), max(1, n - 1)) for i in range(n.bit_length())]
+    return geometric_ladder(n)
 
 
 def _settled(rows: np.ndarray, edges) -> np.ndarray:
@@ -518,7 +527,7 @@ def _build_levels(
 
 def build_oracle_mpp(g: Graph, plan: SamplePlan) -> LevelOracle:
     require_no_neg_cycle(g)
-    ks = geometric_ladder(g.n)
+    ks = _ladder("mpp", g.n)
     samples = nested_samples(g.n, plan, [1.5**j for j in range(len(ks))])
     return _build_levels("mpp", g, plan, ks, samples, 0)
 
@@ -534,7 +543,7 @@ def build_oracle_bounded(
         raise ValueError("bounded oracle needs declared_M on the graph")
     require_no_neg_cycle(g)
     n = g.n
-    ks = geometric_ladder(n)
+    ks = _ladder("bounded", n)
     samples = nested_samples(n, plan, ks)
     if kstar is None:
         kstar = default_crossover(n, g.declared_M)
@@ -719,7 +728,15 @@ def _assembled(
 
 
 def load_oracle(data: bytes):
-    """Parse an AHDO2 or AHDO1 snapshot; any malformed input raises ParseError."""
+    """Parse an AHDO2 or AHDO1 snapshot; any malformed input raises ParseError.
+
+    A sampled oracle may have no more levels, and no more hops over its
+    levels (the sum of K_j + 1), than the `_ladder` of its kind at n, which
+    every build fills exactly.  Each table the loader makes holds K_j + 1
+    hops of rows that the snapshot stores at least once (in its own
+    stored table, the top full level's, or, for a copy, a level below),
+    so its float64 tables take at most that sum of hops (under 4.2 n)
+    times the cells the snapshot stores."""
     magic = bytes(data[: len(MAGIC)])
     if magic not in (MAGIC, AHDO1):
         raise ParseError("not an AHDO2 or AHDO1 oracle snapshot")
@@ -730,7 +747,8 @@ def load_oracle(data: bytes):
         raise ParseError(f"oracle snapshot: unknown kind {kind_idx}")
     kind = KINDS[kind_idx]
     full = kind in ("powers", "bf")
-    if n < 1 or level_count < 1 or (full and level_count != 1):
+    ladder = [] if full else _ladder(kind, n)
+    if n < 1 or level_count < 1 or level_count > (1 if full else len(ladder)):
         raise ParseError(f"oracle snapshot: {level_count} levels over {n} vertices")
     levels = [_read_level(r, n, full, magic == AHDO1) for _ in range(level_count)]
     if r.pos != len(data):
@@ -738,6 +756,9 @@ def load_oracle(data: bytes):
     ks, samples, markers, cells = (list(x) for x in zip(*levels))
     if ks != sorted(ks):
         raise ParseError("oracle snapshot: level budgets decrease")
+    hops, most = sum(ks) + len(ks), sum(ladder) + len(ladder)
+    if not full and hops > most:
+        raise ParseError(f"oracle snapshot: {hops} hops over its levels, past a build's {most}")
     try:
         if full:
             return FullTableOracle(kind, n, ks[0], _table(ks[0], cells[0][0]))

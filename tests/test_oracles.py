@@ -319,8 +319,9 @@ def _small_snapshot():
     return save_oracle(build_oracle_mn(g, PLAN))
 
 
-# AHDO1 layout: magic(5) kind(1) n(4) seed(8) C(8) kstar(8) level_count(4),
-# then per level: k(4) |S|(4) sample(8|S|) array_count(4) arrays.
+# Offsets shared by AHDO1 and AHDO2 (see the layout comment in oracles.py):
+# n in the header, and the first sample vertex of level 0, after magic(5)
+# kind(1) n(4) seed(8) C(8) kstar(8) level_count(4) k(4) |S|(4).
 _N_AT, _SAMPLE_AT = 6, 46
 
 
@@ -593,7 +594,11 @@ def _scan_cases(draw):
         o = build(g, SamplePlan(C=draw(st.sampled_from([1.0, 4.0])), seed=seed))
     else:
         o = _random_level_oracle(rng, n)
-    if draw(st.booleans()) and o.ks[-1] <= max(1, n - 1):  # as a snapshot may hold
+    # As a snapshot may hold: budgets up to max(1, n - 1), and no more
+    # levels, or hops over them, than a build's ladder.
+    ladder = oracles._ladder(o.kind, n)
+    fits = len(o.ks) <= len(ladder) and sum(o.ks) + len(o.ks) <= sum(ladder) + len(ladder)
+    if draw(st.booleans()) and o.ks[-1] <= max(1, n - 1) and fits:
         o = load_oracle(save_oracle(o))
     return o
 

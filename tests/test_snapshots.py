@@ -235,3 +235,48 @@ def test_ahdo2_full_table_refusals(capsys, tmp_path, edit, message):
     blob = save_oracle(long)
     assert [shape[0] for *_, shape in stored_tables(blob)] == [31]
     assert same_oracle(load_oracle(blob), long)
+
+
+def _stub_blob(kind, n, levels) -> bytes:
+    """The AHDO2 writer's bytes for a level list of its own."""
+    return save_oracle(SimpleNamespace(kind=kind, n=n, _snapshot=lambda: (0, 1.0, 0, levels)))
+
+
+def test_ahdo2_more_levels_than_a_build_is_refused(capsys, tmp_path):
+    """A copy marker is a few bytes, yet the loader makes its level's
+    tables: mpp at n = 32, level 0 over V stored to hop 0, then 50 copy
+    levels over V at budget 31, is a 29,945-byte file that would make 102
+    tables of 32 x 32 x 32 cells.  No build writes more levels than the
+    ladder of its kind at n (10 here), so this is refused before any table
+    is made."""
+    n = 32
+    ident = np.where(np.eye(n, dtype=bool), 0.0, np.inf)[None]
+    levels = [(n - 1, np.arange(n), oracles._STORED, [(0, ident), (0, ident)])]
+    levels += [(n - 1, np.arange(n), oracles._COPY, [])] * 50
+    blob = _stub_blob("mpp", n, levels)
+    assert len(blob) == 29945
+    _assert_refused(capsys, tmp_path, blob, "51 levels over 32 vertices")
+    _assert_refused(capsys, tmp_path, _stub_blob("mpp", n, levels[:11]), "11 levels over 32")
+
+
+@pytest.mark.parametrize("kind", ["mn", "mpp", "bounded"])
+def test_ahdo2_more_hops_than_a_build_is_refused(capsys, tmp_path, kind):
+    """One vertex stored to hop 0 on level 0 and copied on every level
+    above takes 2 (K_j + 1) n cells per level from 17 + 8 bytes.  At the
+    budgets of the kind's ladder it loads; with one hop more on level 0 the
+    levels hold more hops than any build's, and it is refused."""
+    n = 32
+    ladder = oracles._ladder(kind, n)
+    row = np.where(np.arange(n) == 0, 0.0, np.inf)[None, None]
+    one = np.array([0])
+
+    def levels(ks):
+        return [(ks[0], one, oracles._STORED, [(0, row), (0, row)])] + [
+            (k, one, oracles._COPY, []) for k in ks[1:]]
+
+    loaded = load_oracle(_stub_blob(kind, n, levels(ladder)))
+    assert loaded.ks == ladder and loaded.copies == [False] + [True] * (len(ladder) - 1)
+    wide = [ladder[0] + 1] + ladder[1:]
+    most = sum(ladder) + len(ladder)
+    _assert_refused(capsys, tmp_path, _stub_blob(kind, n, levels(wide)),
+                    f"{most + 1} hops over its levels, past a build's {most}")
