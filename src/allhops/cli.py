@@ -199,6 +199,10 @@ def _solve(args, solve) -> np.ndarray:
 
 
 def _cmd_single_pair(args) -> None:
+    """--strategy picks how a ladder level that convolves convolves
+    (`auto` is `naive`).  A level whose parent is V, or whose Bellman-Ford
+    costs no more than its convolutions, runs Bellman-Ford under either,
+    so on most inputs both print the same rows by the same route."""
     g = _read_graph(args.graph)
     strategy = "naive" if args.strategy == "auto" else args.strategy
     vals = _solve(args, lambda plan: single_pair_allhops(g, args.s, args.t, args.k, plan, strategy))
@@ -403,12 +407,14 @@ def _cmd_gadget(args) -> None:
 def _sampled_case(n: int, s: int, seed: int):
     """(path, its d_<=h table, plan): the suites' case that splits through
     a sample smaller than V.  The path has weight -1 per edge, so its
-    distances change at every hop.  The plan, at C = 1, pins every vertex
-    but one w != s, so each level it samples is V - w.  A shortest walk
-    can be taken simple and then meets w at most once, so V - w hits every
-    two consecutive vertices of it, and each split through it is exact,
+    distances change at every hop, and n^2 heavier copies of each edge,
+    which change no distance but make Bellman-Ford dearer than the
+    ladder's convolutions.  The plan, at C = 1, pins every vertex but one
+    w != s, so each level it samples is V - w.  A shortest walk can be
+    taken simple and then meets w at most once, so V - w hits every two
+    consecutive vertices of it, and each split through it is exact,
     whatever the seed."""
-    path = graph_from_edges(n, [(v, v + 1, -1) for v in range(n - 1)])
+    path = graph_from_edges(n, [(v, v + 1, w) for v in range(n - 1) for w in range(-1, n * n)])
     w = (s + 1 + seed % (n - 1)) % n
     plan = SamplePlan(C=1.0, seed=seed, pinned=set(range(n)) - {w})
     return path, apah_brute(path, with_exact=False).le, plan

@@ -21,8 +21,9 @@ runs on them: the baselines' `apah_brute` and `bellman_ford_allhops`, the
 `bf` oracle, the sampled oracles' direct levels and settled-row check, and
 in the solvers every level or round whose split set would be all of V.
 Through all of V a split of exact prefix tables is Bellman-Ford itself,
-d_{<=a} (x) d_{<=b} = d_{<=a+b}, so the callers run the hop there and
-keep the convolution for sampled split sets.  The hop is also the
+d_{<=a} (x) d_{<=b} = d_{<=a+b}, so the callers run the hop there; through
+a sampled split set the solvers run whichever of the two `conv_cells` and
+rows * m * hops count as cheaper.  The hop is also the
 cheaper of the two: over V x V at n = 128 it costs 0.27-0.35 ms at
 m = 8128, about 0.6 times one min-plus product of V x V tables
 (0.45-0.61 ms), and 0.04-0.06 ms at m = 512 (2-core x86 VM).
@@ -108,6 +109,17 @@ def conv_window(a3: np.ndarray, b3: np.ndarray, lo: int, hi: int) -> np.ndarray:
         b = np.ascontiguousarray(b3, dtype=np.float64)
         lib.conv_window(a.ctypes.data, b.ctypes.data, out.ctypes.data, la, R, K, lb, C, lo, hi)
     return out
+
+
+def conv_cells(a_shape, b_shape, lo: int, hi: int) -> int:
+    """The work of `conv_window` on (la,R,K) and (lb,K,C) stacks over the
+    output hops [lo, hi]: the splits (x, y) with x + y in the window,
+    times R * K * C, one addition each.  The compiled loop skips some of
+    them; the count does not.  The solvers weigh it, unweighted, against
+    Bellman-Ford's rows * m * hops (see `solvers`)."""
+    (la, R, K), (lb, _, C) = a_shape, b_shape
+    splits = sum(max(0, min(lb - 1, hi - x) - max(0, lo - x) + 1) for x in range(la))
+    return splits * R * K * C
 
 
 def _window_out(a3: np.ndarray, b3: np.ndarray, lo: int, hi: int) -> np.ndarray:

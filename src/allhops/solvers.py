@@ -7,8 +7,8 @@ deterministic):
 
 * single_pair_allhops  - shrinking hierarchy, windowed self-convolutions
   of hop-indexed matrix sequences plus doubling prefix extensions, or
-  Bellman-Ford on a level whose parent is all of V; one Bellman-Ford from
-  s where that level is the last.
+  Bellman-Ford on a level whose parent is all of V or where it costs
+  less; one Bellman-Ford from s where the last level's parent is all of V.
 * single_source_allhops - growing hierarchy; per level either repeated
   pinned-target single-pair solves or prefix tables by Bellman-Ford from
   the previous level's sample, combined with the previous level by one
@@ -18,7 +18,7 @@ deterministic):
   by min-plus convolution through the round's sample plus a stagnation
   candidate; the hop extension is `minplus.extend_hops`, the same kernel
   the sampled oracles build their levels with, or Bellman-Ford in a
-  round whose sample is all of V.
+  round whose sample is all of V or where it costs less.
 
 The schedule lives in `sampling`: every sample holds
 `level_size(n, C, q)` vertices for its stretch q, each hierarchy level
@@ -32,21 +32,28 @@ Every table the solvers build is a prefix table, d_{<=h} for h = 0..H;
 exact-hop tables d_h belong to the ground truth (`baselines`) and to the
 reduction decoders that read them.
 
-Internally everything runs on raw float64 stacks.  One rule holds
-wherever a split set is all of V: the ladder levels whose parent is V
-(level 0 counted as such) and the all-pairs rounds whose sample is V run
-Bellman-Ford (`minplus.relax_hops`), because through V the split of exact
-prefix tables is d_{<=a} (x) d_{<=b} = d_{<=a+b}.  The solvers read only
-the rows they return: where the ladder's last level runs Bellman-Ford
-(its parent S_{k-1} is V, which `sampling.shrinking_parent_is_v` tells
+Internally everything runs on raw float64 stacks.  Bellman-Ford
+(`minplus.relax_hops`) runs wherever a split set is all of V: the ladder
+levels whose parent is V (level 0 counted as such) and the all-pairs
+rounds whose sample is V, because through V the split of exact prefix
+tables is d_{<=a} (x) d_{<=b} = d_{<=a+b}.  Elsewhere one rule picks the
+kernel by counted work: before a ladder level whose parent is a sample,
+and before an all-pairs round whose sample is not V, it counts
+Bellman-Ford as rows * m * hops and the convolution as
+`minplus.conv_cells` summed over the `conv_window` calls the step would
+make, and runs the cheaper, Bellman-Ford on a tie.  Bellman-Ford from a
+step's own rows is exact, so that choice can only make an answer exact.
+The samples are drawn every round either way, so later draws stay the
+same.  The solvers read only the rows they return: where the ladder's
+last level has V as its parent (`sampling.shrinking_parent_is_v` tells
 without drawing the ladder), its rows are Bellman-Ford from their own
 vertices, so the pointwise solvers run it from s alone and build no
 ladder; and a single-source combining step through V leaves exact rows
-as they are.  The convolutions of the ladder's other levels, of the
-single-source combining step through a sample (and through V after one)
-and of the all-pairs rounds through a sample are the windowed kernel
-`minplus.conv_window`, asked for exactly the output hops the caller
-reads.  The ladder's `polynomial` strategy goes through
+as they are.  The convolutions still run in the ladder levels and
+all-pairs rounds that the count gives to them, and in every single-source
+combining step through a sample (and through V after one); they are the
+windowed kernel `minplus.conv_window`, asked for exactly the output hops
+the caller reads.  The ladder's `polynomial` strategy goes through
 `matseq_convolution` instead, which takes every split; the compiled
 kernel skips the splits of prefix tables that another split beats, with
 the same minimum.
@@ -61,7 +68,9 @@ import numpy as np
 from .baselines import AllHopsTable, _bf_multi
 from .graph import Graph, NegativeCycleError, require_no_neg_cycle
 from .matrices import MatrixSeq
-from .minplus import conv_window, extend_hops, matseq_convolution, relax_hops, running_min
+from .minplus import (
+    conv_cells, conv_window, extend_hops, matseq_convolution, relax_hops, running_min,
+)
 from .sampling import (
     SamplePlan,
     checked_pins,
@@ -92,64 +101,85 @@ def _conv(a3, aoff, b3, boff, lo, hi, strategy):
 # single pair
 
 
+def _ladder_steps(H: int, Nr: int):
+    """The hops of a ladder level that convolves, from its parent's budget
+    H >= 2 and its own Nr: window i holds hops spans[i] =
+    (max(2^i - floor(H/2), 0), 2^i + ceil(H/2)), and each prefix
+    extension (i, lo, hi) fills hops lo..hi from window i.  No window past
+    the last extension's is built."""
+    half_lo, half_hi = H // 2, (H + 1) // 2
+    exts, known_hi = [], min(H, Nr)
+    for i in range(Nr.bit_length()):
+        target = min(1 << (i + 1), Nr)
+        if target > known_hi:
+            exts.append((i, known_hi + 1, target))
+            known_hi = target
+    last = exts[-1][0] if exts else 0
+    return [(max((1 << i) - half_lo, 0), (1 << i) + half_hi) for i in range(last + 1)], exts
+
+
+def _ladder_cells(H: int, spans, exts, rows: int, mid: int) -> int:
+    """`conv_cells` summed over the convolutions of `_ladder_steps`."""
+    cells = 0
+    for (a, b), (lo, hi) in zip(spans, spans[1:]):
+        w = (b - a + 1, mid, mid)
+        cells += conv_cells(w, w, lo - 2 * a, hi - 2 * a)
+    for i, lo, hi in exts:
+        a, b = ((1 << i) + 1, rows, mid), ((H + 1) // 2 + 1, mid, mid)
+        cells += conv_cells(a, b, lo - (1 << i), hi - (1 << i))
+    return cells
+
+
 def _sp_level_tables(g: Graph, k: int, plan: SamplePlan, strategy: str = "naive"):
     """Shrinking-hierarchy ladder: returns (levels, tables) where
     tables[r][j] = d_{<=j}(S_r, S_r) for j up to the level's hop budget
     N_r = min(n, ceil(n^(r/k))).
 
-    A level whose parent is V, and level 0 (N_0 = 1), is Bellman-Ford from
-    S_r: every earlier level is V too, so its table is exact.  Each later
-    level doubles windowed sequences of the previous level's matrices and
-    extends its own prefix by convolution through S_{r-1}, always taking
-    entrywise minima with the best previously known values.
+    Level 0 (N_0 = 1), a level whose parent is V, and a level whose
+    Bellman-Ford from S_r costs no more than its convolutions
+    (|S_r| * m * N_r against `_ladder_cells`) run Bellman-Ford from S_r,
+    which is exact.  Each other level doubles windowed sequences of the
+    previous level's matrices and extends its own prefix by convolution
+    through S_{r-1}, always taking entrywise minima with the best
+    previously known values.
     """
     n = g.n
     hier = shrinking_hierarchy(n, k, plan)
     levels = hier.levels
     tables = []
     for r, (cur_verts, Nr) in enumerate(zip(levels, hier.budgets)):
-        if r == 0 or len(levels[r - 1]) == n:
+        prev_verts, rows = levels[r - 1], len(cur_verts)
+        sampled = r > 0 and len(prev_verts) < n
+        if sampled:  # then H >= 2
+            H = hier.budgets[r - 1]
+            spans, exts = _ladder_steps(H, Nr)
+        if not sampled or rows * g.m * Nr <= _ladder_cells(H, spans, exts, rows, len(prev_verts)):
             tables.append(_bf_multi(g, cur_verts, Nr, with_exact=False).le[:, :, cur_verts])
             continue
-        prev_verts = levels[r - 1]
-        prev = tables[r - 1]  # (H+1, nP, nP), H >= 2 since S_{r-1} is sampled
-        H = prev.shape[0] - 1
-        half_lo, half_hi = H // 2, (H + 1) // 2
-        L = max(0, Nr.bit_length() - 1)  # floor(log2(Nr))
+        prev = tables[r - 1]  # (H+1, nP, nP)
 
-        # Window i holds d_{<=j}(S_{r-1}, S_{r-1}) for j in
-        # [max(2^i - half_lo, 0), 2^i + half_hi]: window 0 is read off the
-        # known prefix, each later one is the self-convolution of the one
-        # before, lowered to the known prefix wherever that reaches.
-        lo = max(1 - half_lo, 0)
-        windows = [(prev[lo : 2 + half_hi], lo)]
-        for i in range(1, L + 1):
-            d_win, d_off = windows[-1]
-            lo, hi = max((1 << i) - half_lo, 0), (1 << i) + half_hi
-            conv = _conv(d_win, d_off, d_win, d_off, lo, hi, strategy)
+        # Window i holds d_{<=j}(S_{r-1}, S_{r-1}) for j in spans[i]:
+        # window 0 is read off the known prefix, each later one is the
+        # self-convolution of the one before, lowered to the known prefix
+        # wherever that reaches.
+        windows = [prev[spans[0][0] : spans[0][1] + 1]]
+        for (off, _), (lo, hi) in zip(spans, spans[1:]):
+            conv = _conv(windows[-1], off, windows[-1], off, lo, hi, strategy)
             top = min(hi, H)
             if top >= lo:
                 np.minimum(conv[: top - lo + 1], prev[lo : top + 1], out=conv[: top - lo + 1])
-            windows.append((conv, lo))
+            windows.append(conv)
 
         # Prefix extension: rows S_r, cols S_{r-1}, doubling the known range.
         sel = np.searchsorted(prev_verts, cur_verts)
-        P = np.full((Nr + 1, len(cur_verts), len(prev_verts)), INF)
+        P = np.full((Nr + 1, rows, len(prev_verts)), INF)
         base = min(H, Nr)
         P[: base + 1] = prev[: base + 1][:, sel, :]
-        known_hi = base
-        for i in range(L + 1):
-            target = min(1 << (i + 1), Nr)
-            if target <= known_hi:
-                continue
-            w_data, w_off = windows[i]
-            s_lo, s_hi = 1 << i, (1 << i) + half_hi
-            sub = w_data[s_lo - w_off : s_hi - w_off + 1]
-            lo = known_hi + 1
-            conv = _conv(P[: (1 << i) + 1], 0, sub, s_lo, lo, target, strategy)
+        for i, lo, target in exts:
+            sub = windows[i][(1 << i) - spans[i][0] :]  # hops 2^i .. 2^i + ceil(H/2)
+            conv = _conv(P[: (1 << i) + 1], 0, sub, 1 << i, lo, target, strategy)
             np.minimum(P[lo : target + 1], conv, out=P[lo : target + 1])
-            running_min(P[known_hi : target + 1])
-            known_hi = target
+            running_min(P[lo - 1 : target + 1])
 
         tables.append(P[:, :, sel])
 
@@ -272,9 +302,12 @@ def all_pairs_allhops(g: Graph, plan: SamplePlan) -> AllHopsTable:
     d_{<=h-1}(u, v) closes the short-path case.  A round whose sample is
     all of V runs Bellman-Ford from K_{k-1} instead: the rounds before it
     sampled V too, so the table is exact, and through V the splits give
-    d_{<=h} itself.  Once two consecutive hop slices are identical the
-    table has stabilized and the remaining hops are copies (the one-step
-    recurrence is a function of the previous slice alone).
+    d_{<=h} itself.  So does a round whose Bellman-Ford, n * m *
+    (K_k - K_{k-1}) relaxations, costs no more than its extension by
+    `minplus.conv_cells`; from exact rows it is exact.  Once two
+    consecutive hop slices are identical the table has stabilized and the
+    remaining hops are copies (the one-step recurrence is a function of
+    the previous slice alone).
     """
     n = g.n
     require_no_neg_cycle(g)
@@ -291,7 +324,8 @@ def all_pairs_allhops(g: Graph, plan: SamplePlan) -> AllHopsTable:
             break
         # Drawn even when it is all of V, so later rounds draw the same.
         sample = round_sample(rng, n, level_size(n, plan.C, K_prev), plan.pinned)
-        if len(sample) == n:
+        ends = (K_prev + 1, n, len(sample)), (K_prev + 1, len(sample), n)
+        if len(sample) == n or n * g.m * (K_new - K_prev) <= conv_cells(*ends, K_prev + 1, K_new):
             relax_hops(le[: K_new + 1], K_prev, edges)
         else:
             extend_hops(le[: K_new + 1], le[: K_prev + 1], np.arange(n), sample, sample)

@@ -159,6 +159,35 @@ def test_one_call_carries_nothing_to_the_next(capsys, f1_path, before, cmd, afte
     assert run_cli(capsys, "single-pair", *argv) == (0, "1\t10\n2\t2\n", "")
 
 
+def test_single_pair_strategies_print_the_same_rows_where_the_ladder_convolves(
+        capsys, tmp_path, monkeypatch):
+    """--strategy picks how a convolving ladder level convolves.  On a
+    10-vertex chain DAG with 64 heavier copies of each edge, at C = 1 and
+    k = 3, level 3 splits at a 5-vertex sample and convolves: `naive` and
+    `polynomial` print the same rows, the chain's distances."""
+    from allhops import solvers
+
+    strategies = []
+    conv = solvers._conv
+
+    def conv_spy(*args):
+        strategies.append(args[-1])
+        return conv(*args)
+
+    monkeypatch.setattr(solvers, "_conv", conv_spy)
+    chain = [(i, i + 1, -1) for i in range(9)] + [(0, 5, 1), (2, 9, 3)]
+    edges = chain + [(u, v, w + 1) for u, v, w in chain] * 64
+    p = tmp_path / "multi.el"
+    p.write_text(f"10 {len(edges)}\n" + "".join(f"{u} {v} {w}\n" for u, v, w in edges))
+    argv = ["single-pair", "--graph", str(p), "--s", "0", "--t", "9", "--k", "3", "--C", "1",
+            "--seed", "1", "--strategy"]
+    naive = run_cli(capsys, *argv, "naive")
+    poly = run_cli(capsys, *argv, "polynomial")
+    assert naive[0] == 0 and naive == poly
+    assert naive[1] == "1\tinf\n2\tinf\n3\t1\n4\t1\n5\t-3\n6\t-3\n7\t-3\n8\t-3\n9\t-9\n"
+    assert "naive" in strategies and "polynomial" in strategies
+
+
 def test_help_then_a_call(capsys, f1_path):
     """--help prints usage and raises SystemExit(0), as argparse does; the
     calls after it, and a second --help, behave as in a fresh process."""

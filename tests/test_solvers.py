@@ -70,10 +70,12 @@ def test_single_pair_polynomial_strategy_route(f4):
 @pytest.mark.parametrize("strategy", ["naive", "polynomial"])
 def test_single_pair_strategies_convolve_through_a_sampled_level(monkeypatch, strategy):
     """At C = 1 and k = 3 on a 10-vertex chain DAG the ladder holds
-    [10, 10, 5, 3] vertices, so level 3 splits at the 5 of level 2 and
-    runs the paper's convolutions; both strategies are exact there.  (At
-    C = 1 that holds only with some probability: seeds 0 and 5 miss the
-    9-hop walk.)"""
+    [10, 10, 5, 3] vertices, so level 3 splits at the 5 of level 2.  With
+    its 11 edges, Bellman-Ford from level 3's 3 vertices costs less than
+    the convolutions and runs; with heavier parallel copies of them,
+    which raise m and change no distance, the level runs the paper's
+    convolutions, and both strategies are exact there.  (At C = 1 that
+    holds only with some probability: seeds 0 and 5 miss the 9-hop walk.)"""
     inner = []
     conv = solvers._conv
 
@@ -85,6 +87,9 @@ def test_single_pair_strategies_convolve_through_a_sampled_level(monkeypatch, st
     g = graph_from_edges(10, [(i, i + 1, -1) for i in range(9)] + [(0, 5, 1), (2, 9, 3)])
     brute = apah_brute(g, with_exact=False).le
     got = single_pair_allhops(g, 0, 9, 3, SamplePlan(C=1.0, seed=1), strategy)
+    assert np.array_equal(got, brute[1:, 0, 9])
+    assert inner == []
+    got = single_pair_allhops(_heavier_copies(g), 0, 9, 3, SamplePlan(C=1.0, seed=1), strategy)
     assert np.array_equal(got, brute[1:, 0, 9])
     assert inner and all(size < g.n for size in inner)
 
@@ -247,10 +252,18 @@ def _chain_dag(seed, n=None):
     return graph_from_edges(n, edges), order, rng
 
 
+def _heavier_copies(g, copies=512):
+    """g with `copies` parallel copies of each edge, each one heavier: m
+    grows by that factor and no distance changes.  It makes Bellman-Ford
+    dearer than the convolutions, so the solvers' sampled steps convolve."""
+    return graph_from_edges(g.n, g.edges + tuple((u, v, w + 1) for u, v, w in g.edges) * copies)
+
+
 @pytest.mark.parametrize("seed", _CHAIN_SEEDS)
 def test_sampled_split_sets_on_long_hop_chains(monkeypatch, seed):
     """At C = 1 (sp, ss) and C = 2 (all pairs), some ladder level or round
-    splits at a sample smaller than V, where the convolution, not
+    splits at a sample smaller than V.  On the chain itself Bellman-Ford
+    costs less there and runs; on its heavier copies the convolution, not
     Bellman-Ford, has to find the shortest walks.  The spies record, for
     each ladder convolution and round extension, whether its split set was
     all of V."""
@@ -267,19 +280,23 @@ def test_sampled_split_sets_on_long_hop_chains(monkeypatch, seed):
 
     monkeypatch.setattr(solvers, "_conv", conv_spy)
     monkeypatch.setattr(solvers, "extend_hops", extend_spy)
-    g, order, rng = _chain_dag(seed)
-    n = g.n
-    brute = apah_brute(g, with_exact=False).le
+    chain, order, rng = _chain_dag(seed)
+    n = chain.n
+    brute = apah_brute(chain, with_exact=False).le
     s, t = int(order[rng.integers(0, 3)]), int(order[n - 1 - rng.integers(0, 3)])
-    plan = SamplePlan(C=1.0, seed=seed)
+    heavy, plan = _heavier_copies(chain), SamplePlan(C=1.0, seed=seed)
     runs = {
-        "single-pair": lambda: (single_pair_allhops(g, s, t, 2, plan), brute[1:, s, t]),
-        "single-source": lambda: (single_source_allhops(g, s, 2, plan).le[:, 0], brute[:, s]),
-        "all-pairs": lambda: (all_pairs_allhops(g, SamplePlan(C=2.0, seed=seed)).le, brute),
+        "single-pair": lambda g: (single_pair_allhops(g, s, t, 2, plan), brute[1:, s, t]),
+        "single-source": lambda g: (single_source_allhops(g, s, 2, plan).le[:, 0], brute[:, s]),
+        "all-pairs": lambda g: (all_pairs_allhops(g, SamplePlan(C=2.0, seed=seed)).le, brute),
     }
     for name, run in runs.items():
         flags.clear()
-        got, want = run()
+        got, want = run(chain)
+        assert np.array_equal(got, want), name
+        assert False not in flags, f"{name}: a sampled step convolved on the chain"
+        flags.clear()
+        got, want = run(heavy)
         assert np.array_equal(got, want), name
         assert False in flags, f"{name}: no split set smaller than V"
 
@@ -287,7 +304,10 @@ def test_sampled_split_sets_on_long_hop_chains(monkeypatch, seed):
 def test_all_pairs_rounds_pinned(monkeypatch):
     """The exact rounds (K_prev, K_new, sample) of all pairs at C = 1.  The
     table of a chain does not show its samples, so a drifted round shows
-    only here.  A round whose sample is all of V runs Bellman-Ford."""
+    only here.  A round whose sample is all of V runs Bellman-Ford, and
+    so does every round of the path itself, where it costs less than the
+    extension, so that table is exact; the samples show on its heavier
+    copies, where the extensions through them miss walks."""
     rounds = []
     extend, relax_hops = solvers.extend_hops, solvers.relax_hops
     every = list(range(40))
@@ -303,7 +323,12 @@ def test_all_pairs_rounds_pinned(monkeypatch):
     monkeypatch.setattr(solvers, "extend_hops", extend_spy)
     monkeypatch.setattr(solvers, "relax_hops", relax_hops_spy)
     g = graph_from_edges(40, [(i, i + 1, 1) for i in range(39)])
-    all_pairs_allhops(g, SamplePlan(C=1.0, seed=0))
+    brute = apah_brute(g, with_exact=False).le
+    ks = solvers.geometric_ladder(40)
+    assert np.array_equal(all_pairs_allhops(g, SamplePlan(C=1.0, seed=0)).le, brute)
+    assert rounds == [(a, b, every) for a, b in zip(ks, ks[1:])]
+    rounds.clear()
+    all_pairs_allhops(_heavier_copies(g), SamplePlan(C=1.0, seed=0))
     assert rounds == [
         (1, 2, every),
         (2, 3, every),

@@ -17,7 +17,11 @@ also covers the snapshot file that `allhops oracle build` writes,
 through `cli.main` in this process, for every `--kind` under the same
 plan, from the graph rendered to a file.
 
-    PYTHONPATH=src python3 tools/digest.py
+    PYTHONPATH=src python3 tools/digest.py            # one hash over everything
+    PYTHONPATH=src python3 tools/digest.py --labels   # one hash per output label
+
+With `--labels` each line is the sha256 of one output alone, then its
+label, so two checkouts' lists can be diffed to see which outputs moved.
 """
 
 from __future__ import annotations
@@ -139,19 +143,37 @@ def _answers(key: str, oracle, n: int):
         yield f"{key} {how} adds", np.array([oracle.counters.adds], dtype=np.int64)
 
 
+def _bytes(out) -> bytes:
+    return out if isinstance(out, bytes) else np.ascontiguousarray(out).tobytes()
+
+
 def digest() -> str:
     h = hashlib.sha256()
     with tempfile.TemporaryDirectory() as work:
         for label, out in _outputs(Path(work)):
             h.update(label.encode())
-            h.update(out if isinstance(out, bytes) else np.ascontiguousarray(out).tobytes())
+            h.update(_bytes(out))
     return h.hexdigest()
 
 
-def main() -> int:
-    sys.stdout.write(digest() + "\n")
+def label_digests():
+    """(label, sha256 of that output alone) for every output, in order."""
+    with tempfile.TemporaryDirectory() as work:
+        for label, out in _outputs(Path(work)):
+            yield label, hashlib.sha256(_bytes(out)).hexdigest()
+
+
+def main(argv=()) -> int:
+    if list(argv) == ["--labels"]:
+        for label, h in label_digests():
+            sys.stdout.write(f"{h}  {label}\n")
+    elif argv:
+        sys.stderr.write("usage: digest.py [--labels]\n")
+        return 2
+    else:
+        sys.stdout.write(digest() + "\n")
     return 0
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.argv[1:]))
