@@ -23,7 +23,6 @@ from .graph import (
 from .matrices import DistMatrix, MatrixSeq, matrix_seq, square_matrix, tropical_identity
 from .minplus import StrategyError, matseq_convolution, minplus_product
 from .oracles import (
-    FullTableOracle,
     LevelOracle,
     MemoryBudgetError,
     build_oracle_bf,

@@ -17,9 +17,10 @@ reference in the tests and its fallback):
 * `render_records` — a block of `(u, v, h, d)` or `(h, d)` records as tsv or
   json-lines text, for `records.emit`; it returns -1 - r when the r-th
   distance is neither +inf nor an exact integer;
-* `level_scan`, `level_scan_many` — the split scan of `LevelOracle.query`
-  over every level of one query, or of many into an array, with the
-  additions it made added to an int64 out-cell;
+* `level_scan`, `level_scan_many` — `LevelOracle.query` for one query or
+  many into an array: the one lookup in the top full level, or the split
+  scan over the levels, with the additions it made added to an int64
+  out-cell;
 * `pack_cells`, `unpack_cells` — snapshot cells each way, float64 to int64
   with INT64_MAX for +inf (`values.to_int64`) and back (`from_int64`); each
   returns 0, or 1 + the index of the first cell that does not round-trip
@@ -210,19 +211,24 @@ int relax_hops(double *out, int64_t L, int64_t R, int64_t n, int64_t k0, int exa
     return 0;
 }
 
-/* One query of `LevelOracle.query` for u != v: the minimum over the levels
-   j with K_{j-1} <= h that are not skipped, and over a in [lo, hi],
-   hi = min(h, K_j, tb_j), lo = max(0, min(h - tf_j, hi)), of
-   bwd_j[a][s][u] + fwd_j[min(h - a, tf_j)][s][v] over the |S_j| rows s.
-   lv is (7,L) int64, one column per level: the fwd and bwd addresses, K_j,
-   |S_j|, tf_j, tb_j and the skip flag (a copy level or an empty sample);
-   each table is (K_j+1,|S_j|,n) float64.  Adds the number of additions,
-   the sum of (hi - lo + 1) |S_j|, to *adds. */
+/* One query of `LevelOracle.query`.  lv is 3 + 7 L int64: the top full
+   level's fwd table, (K+1,n,n) float64, its K and the largest h it answers
+   (`lookup_to`), then a column per level: the fwd and bwd addresses, K_j,
+   |S_j|, tf_j, tb_j and the skip flag; each table is (K_j+1,|S_j|,n).
+   Where h <= lookup_to, top[min(h, K)][u][v]; else 0 where u == v; else the
+   minimum over the levels j with K_{j-1} <= h that are not skipped, and
+   over a in [lo, hi], hi = min(h, K_j, tb_j), lo = max(0, min(h - tf_j, hi)),
+   of bwd_j[a][s][u] + fwd_j[min(h - a, tf_j)][s][v] over the rows s.  Adds
+   the number of additions, the sum of (hi - lo + 1) |S_j|, to *adds. */
 double level_scan(const int64_t *lv, int64_t L, int64_t n, int64_t *adds,
                   int64_t u, int64_t v, int64_t h)
 {
-    const int64_t *ks = lv + 2 * L, *size = lv + 3 * L, *tf = lv + 4 * L,
-                  *tb = lv + 5 * L, *skip = lv + 6 * L;
+    if (h <= lv[2])
+        return ((const double *)(intptr_t)lv[0])[((h < lv[1] ? h : lv[1]) * n + u) * n + v];
+    if (u == v)
+        return 0.0;
+    const int64_t *col = lv + 3, *ks = col + 2 * L, *size = col + 3 * L, *tf = col + 4 * L,
+                  *tb = col + 5 * L, *skip = col + 6 * L;
     double best = INFINITY;
     int64_t count = 0;
     for (int64_t j = 0; j < L; j++) {
@@ -235,8 +241,8 @@ double level_scan(const int64_t *lv, int64_t L, int64_t n, int64_t *adds,
         hi = hi < tb[j] ? hi : tb[j];
         int64_t lo = h - tf[j] < hi ? h - tf[j] : hi;
         lo = lo > 0 ? lo : 0;
-        const double *fwd = (const double *)(intptr_t)lv[j];
-        const double *bwd = (const double *)(intptr_t)lv[L + j];
+        const double *fwd = (const double *)(intptr_t)col[j];
+        const double *bwd = (const double *)(intptr_t)col[L + j];
         for (int64_t a = lo; a <= hi; a++) {
             const int64_t fa = h - a < tf[j] ? h - a : tf[j];
             const double *to_s = bwd + a * S * n + u, *from_s = fwd + fa * S * n + v;
@@ -251,13 +257,13 @@ double level_scan(const int64_t *lv, int64_t L, int64_t n, int64_t *adds,
     return best;
 }
 
-/* level_scan over `count` queries into out, 0 where u == v. */
+/* level_scan over `count` queries into out. */
 void level_scan_many(const int64_t *lv, int64_t L, int64_t n, int64_t *adds,
                      const int64_t *u, const int64_t *v, const int64_t *h, int64_t count,
                      double *out)
 {
     for (int64_t i = 0; i < count; i++)
-        out[i] = u[i] == v[i] ? 0.0 : level_scan(lv, L, n, adds, u[i], v[i], h[i]);
+        out[i] = level_scan(lv, L, n, adds, u[i], v[i], h[i]);
 }
 
 /* Snapshot cells each way: float64 to int64 with INT64_MAX for +inf, and

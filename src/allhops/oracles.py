@@ -1,24 +1,26 @@
 """Preprocess/query all-hops distance oracles.
 
-Five kinds share one query contract (d_{<=h}(u,v) for 1 <= h <= n-1):
+Five kinds share one query contract (d_{<=h}(u,v) for 1 <= h <= n-1) and
+one type, `LevelOracle`: levels j of sampled vertices S_j, each with
+forward and backward tables d_{<=h}(S_j, V) and d_{<=h}(V, S_j) for h up
+to a hop budget K_j.
 
-* powers / bf - FullTableOracle: full 3-D tables, O(1) lookup; built either
-  by iterated min-plus powers or by Bellman-Ford from every vertex
-  (`baselines.apah_brute`); bit-identical, with hop budgets of at least 1.
-* mn / mpp / bounded - LevelOracle: levels j of sampled vertices S_j, each
-  with forward and backward tables d_{<=h}(S_j, V) and d_{<=h}(V, S_j) for
-  h up to a hop budget K_j.  A query splits at the sampled vertices of
-  every level with K_{j-1} <= h.  One level build serves all three
-  (`_level`), with one start rule: below level 0 sits a root, the hop-0
-  identity over V, and every level starts from the highest table below it
-  whose sample contains S_j.  Rows that no edge relaxes (`_settled`) are
-  copied forward, and the live rows continue to K_j, by Bellman-Ford
-  (`minplus.relax_hops`) on a direct level and by `minplus.extend_hops`
-  through S_{j-1} on the others, whose nested samples make level j-1
-  their start.  A level is direct when it starts from a table over V (the
-  root, or a level that holds all of V), because through V the split of
-  exact tables is Bellman-Ford itself, or when its budget is at most a
-  direct budget.  The kinds differ only in their schedules:
+* powers / bf: one level over V with budget H, its backward table a
+  transposed view of the forward one; built either by iterated min-plus
+  powers or by Bellman-Ford from every vertex (`baselines.apah_brute`);
+  bit-identical, with hop budgets of at least 1.
+* mn / mpp / bounded: levels over samples.  One level build serves all
+  three (`_level`), with one start rule: below level 0 sits a root, the
+  hop-0 identity over V, and every level starts from the highest table
+  below it whose sample contains S_j.  Rows that no edge relaxes
+  (`_settled`) are copied forward, and the live rows continue to K_j, by
+  Bellman-Ford (`minplus.relax_hops`) on a direct level and by
+  `minplus.extend_hops` through S_{j-1} on the others, whose nested
+  samples make level j-1 their start.  A level is direct when it starts
+  from a table over V (the root, or a level that holds all of V), because
+  through V the split of exact tables is Bellman-Ford itself, or when its
+  budget is at most a direct budget.  The kinds differ only in their
+  schedules:
   - mn: log-many unnested samples, doubling budgets, every level direct;
   - mpp: geometric (3/2) budgets over nested samples, direct on the
     levels that start from V;
@@ -28,30 +30,35 @@ Five kinds share one query contract (d_{<=h}(u,v) for 1 <= h <= n-1):
   `level_size(n, C, 2^j)` vertices, mpp's nested levels are drawn for
   stretches 1.5^j and bounded's for K_j (`nested_samples`), and both
   follow the (3/2) ladder `geometric_ladder`.
-  Tables never increase along the hop axis; `LevelOracle` refuses one
-  that does.  A query scans on each level only the splits up to the last
-  hop at which its tables change, skipping levels that repeat the one
-  below (`LevelOracle.query`).  Neither the copied rows nor the window
-  changes a stored byte or an answer.  The scan runs compiled
-  (`_native.level_scan`, its arguments packed once per oracle) where the
-  library loads, else in Python (`LevelOracle._scan`, the reference);
-  `query_many` answers arrays of queries, in one C loop on a sampled
-  oracle and one lookup on a full table.
-  Every level over all of V holds exact d_{<=h}(V, V), so all of them are
-  read-only prefix views of one table, the top full level's, at build and
-  at load.
+
+Every level over all of V holds exact d_{<=h}(V, V), so each is a
+read-only prefix view of one table, the top full level's, at build and at
+load, and an oracle whose levels over V differ is refused.  A query with
+h at most that level's budget K_top, or any h once its tables stop
+changing below K_top, is the one cell d_{<=min(h, K_top)}(u, v) of it.
+Any other query scans the splits at the sampled vertices of the levels
+from the highest full level that is not a copy upward (`LevelOracle.query`).
+Tables never increase along the hop axis; `LevelOracle` refuses one that
+does.  On each level the scan reads only the splits up to the last hop at
+which its tables change, skipping levels that repeat the one below.
+Neither the copied rows, the lookup nor the window changes a stored byte
+or an answer.  The scan runs compiled (`_native.level_scan`, its
+arguments packed once per oracle) where the library loads, else in Python
+(`LevelOracle._scan`, the reference); `query_many` answers arrays of
+queries in one C loop.
 
 Oracles are immutable after build; `query` only touches the work counters.
 A versioned binary snapshot (magic AHDO2) makes build and query separable
 processes; int64 cells within +-2^53, with the maximum value reserved for
 +inf.  It stores each table only up to its last change, a copy level and a
-full level below the top one as a one-byte marker; the loader rebuilds the
-same oracle, and reads the older AHDO1 (every table whole) too; it
-refuses more levels, or more hops over them, than a build's ladder.  As with
-`pickle.dump` and `dumps`, `dump_oracle` streams one into a binary file
-and `save_oracle` returns its bytes, through the one writer.
-`LevelOracle` refuses a seed outside [0, 2^64) and a crossover outside
-int64, so no write fails half-way on a header field it cannot pack.
+full level below the top one as a one-byte marker, and one table for a
+full kind; the loader rebuilds the same oracle, and reads the older AHDO1
+(every table whole) too; it refuses more levels, or more hops over them,
+than a build's ladder.  As with `pickle.dump` and `dumps`, `dump_oracle`
+streams one into a binary file and `save_oracle` returns its bytes,
+through the one writer.  `LevelOracle` refuses a seed outside [0, 2^64)
+and a crossover outside int64, so no write fails half-way on a header
+field it cannot pack.
 """
 
 from __future__ import annotations
@@ -75,6 +82,7 @@ from .values import INF, SaturationError, pack_cells, unpack_cells
 MAGIC = b"AHDO2"
 AHDO1 = b"AHDO1"  # read, never written
 KINDS = ("powers", "bf", "mn", "mpp", "bounded")
+FULL_KINDS = ("powers", "bf")
 
 
 class MemoryBudgetError(MemoryError):
@@ -95,90 +103,34 @@ class WorkCounters:
         self.relaxations = 0
 
 
-def _check_query(n: int, u: int, v: int, h: int) -> None:
-    if not (0 <= u < n and 0 <= v < n):
-        raise ValueError("query vertex out of range")
-    if not (1 <= h <= n - 1):
-        raise ValueError(f"hop budget {h} outside [1, {n - 1}]")
-
-
-def _query_arrays(oracle, u, v, h, top: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """u, v and h broadcast to C-contiguous int64 arrays of one shape, all
-    checked at once: every vertex in [0, n) and every budget in [1, top].
-    At the first query that fails, `oracle.query` raises its own error."""
-    arrays = np.broadcast_arrays(*(np.asarray(x) for x in (u, v, h)))
-    if any(a.size and a.dtype.kind not in "biu" for a in arrays):
-        raise TypeError("query vertices and hop budgets must be integers")
-    u, v, h = (np.ascontiguousarray(a, dtype=np.int64) for a in arrays)
-    n = oracle.n
-    ok = (0 <= u) & (u < n) & (0 <= v) & (v < n) & (1 <= h) & (h <= top)
-    if not ok.all():
-        i = int(np.argmin(ok.ravel()))
-        oracle.query(int(u.flat[i]), int(v.flat[i]), int(h.flat[i]))
-    return u, v, h
-
-
 # ---------------------------------------------------------------------------
-# full-table oracles (powers / bf)
+# full-table kinds (powers / bf)
 
 
-@dataclass
-class FullTableOracle:
-    """d_{<=h} for h = 0..H.  A budget h > H is answered with d_{<=H} only
-    when the table is stable: H >= n-1, or le[H] == le[H-1], after which
-    no later hop changes a value (le[h+1] is a function of le[h] alone).
-    Otherwise such a budget is out of range."""
-
-    kind: str
-    n: int
-    H: int
-    le: np.ndarray  # (H+1, n, n)
-    counters: WorkCounters = field(default_factory=WorkCounters)
-    stable: bool = field(init=False)
-
-    def __post_init__(self):
-        self.stable = self.H >= self.n - 1 or (
-            self.H >= 1 and np.array_equal(self.le[self.H], self.le[self.H - 1])
-        )
-
-    def query(self, u: int, v: int, h: int):
-        _check_query(self.n, u, v, h)
-        if h > self.H and not self.stable:
-            raise ValueError(f"hop budget {h} outside [1, {self.H}]")
-        return self.le[min(h, self.H), u, v]
-
-    def query_many(self, u, v, h) -> np.ndarray:
-        """`query` over integer arrays of queries, broadcast together, as
-        one lookup; errors as in `LevelOracle.query_many`."""
-        top = self.n - 1 if self.stable else min(self.n - 1, self.H)
-        u, v, h = _query_arrays(self, u, v, h, top)
-        return self.le[np.minimum(h, self.H), u, v]
-
-    def _snapshot(self):
-        """(seed, C, kstar, [(budget, sample, marker, [(t, table)])]) as
-        `dump_oracle` writes it: the table stored to its last change, or
-        whole past max(1, n - 1) hops, where `load_oracle` repeats no hop."""
-        t = self.H if self.H > max(1, self.n - 1) else _last_change(self.le)
-        return 0, 1.0, 0, [(self.H, np.arange(self.n), _STORED, [(t, self.le)])]
+def _full_budget(n: int, H: int | None, mem_cap_bytes: int) -> int:
+    """The budget H of a full table, max(1, n - 1) by default: at least 1,
+    and the (H + 1, n, n) table within the cap."""
+    H = max(1, n - 1) if H is None else H
+    if H < 1:
+        raise ValueError("hop budget must be >= 1")
+    if (H + 1) * n * n * 8 > mem_cap_bytes:
+        raise MemoryBudgetError(f"full table needs {(H + 1) * n * n * 8} bytes, cap is {mem_cap_bytes}")
+    return H
 
 
-def _check_mem(cells: int, mem_cap_bytes: int) -> None:
-    if cells * 8 > mem_cap_bytes:
-        raise MemoryBudgetError(
-            f"full table needs {cells * 8} bytes, cap is {mem_cap_bytes}"
-        )
+def _full_table(kind: str, le: np.ndarray) -> LevelOracle:
+    """The oracle of a full kind over the table d_{<=h} for h = 0..H: one
+    level over V with budget H, whose backward table is a transposed view
+    of `le`, never a copy."""
+    H, n = le.shape[0] - 1, le.shape[1]
+    return LevelOracle(kind, n, 0, 1.0, [H], [np.arange(n)], [le], [le.transpose(0, 2, 1)])
 
 
 def build_oracle_powers(
     g: Graph, H: int | None = None, mem_cap_bytes: int = 4 << 30
-) -> FullTableOracle:
+) -> LevelOracle:
     """Running minima of the min-plus powers W, W^2, ..., W^H."""
-    n = g.n
-    if H is None:
-        H = max(1, n - 1)
-    if H < 1:
-        raise ValueError("hop budget must be >= 1")
-    _check_mem((H + 1) * n * n, mem_cap_bytes)
+    n, H = g.n, _full_budget(g.n, H, mem_cap_bytes)
     le = np.full((H + 1, n, n), INF)
     le[0] = identity_rows(range(n), n)
     power = None
@@ -186,22 +138,18 @@ def build_oracle_powers(
     for h in range(1, H + 1):
         power = w if h == 1 else mp_array(power, w)
         le[h] = np.minimum(le[h - 1], power)
-    return FullTableOracle("powers", n, H, le)
+    return _full_table("powers", le)
 
 
 def build_oracle_bf(
     g: Graph, H: int | None = None, mem_cap_bytes: int = 4 << 30
-) -> FullTableOracle:
+) -> LevelOracle:
     """Bellman-Ford from every vertex; must be bit-identical to powers."""
-    n = g.n
-    if H is None:
-        H = max(1, n - 1)
-    _check_mem((H + 1) * n * n, mem_cap_bytes)
-    return FullTableOracle("bf", n, H, apah_brute(g, H, with_exact=False).le)
+    return _full_table("bf", apah_brute(g, _full_budget(g.n, H, mem_cap_bytes), with_exact=False).le)
 
 
 # ---------------------------------------------------------------------------
-# sampled-level oracles (mn / mpp / bounded)
+# the oracle type
 
 
 @dataclass
@@ -218,12 +166,18 @@ class LevelOracle:
     samples: list[np.ndarray]
     fwd: list[np.ndarray]
     bwd: list[np.ndarray]
-    kstar: int = 0  # bounded's crossover budget; 0 for mn and mpp
+    kstar: int = 0  # bounded's crossover budget; 0 for the other kinds
     counters: WorkCounters = field(default_factory=WorkCounters)
     # Per-level query windows, read off the tables (see __post_init__).
     tf: list[int] = field(init=False, repr=False)
     tb: list[int] = field(init=False, repr=False)
     copies: list[bool] = field(init=False, repr=False)
+    # The top full level, the largest h its one cell answers, the largest
+    # h answered at all, and the levels a scan does not read.
+    top: int | None = field(init=False, repr=False)
+    lookup_to: int = field(init=False, repr=False)
+    hmax: int = field(init=False, repr=False)
+    skip: list[bool] = field(init=False, repr=False)
     # The compiled scan's leading arguments and what they point at.
     _scan_args: tuple = field(init=False, repr=False, compare=False)
     _scan_keep: tuple = field(init=False, repr=False, compare=False)
@@ -234,8 +188,17 @@ class LevelOracle:
         and level j is level j-1 with its last slice repeated.  Both rest on
         tables that do not increase along the hop axis, as every build makes
         them; a table that does (a hand-edited snapshot) is a ValueError, as
-        is one whose shape is not (K_j + 1, |S_j|, n), and so are a seed
-        and a crossover that the snapshot header cannot hold."""
+        is one whose shape is not (K_j + 1, |S_j|, n), a level over all of V
+        that is not the first hops of the top one, and a seed and a
+        crossover that the snapshot header cannot hold.
+
+        The top full level answers every h <= K_top with one cell; once its
+        tables stop changing below K_top (or K_top >= n - 1) it answers
+        every h, and only then is a budget past the last level's answered.
+        Other queries scan from the highest full level that is not a copy:
+        any level below it offers, at each split, a candidate at least the
+        one that level offers there, since its budget is no larger and its
+        tables hold the weights of real walks."""
         if not 0 <= self.seed < 2**64:
             raise ValueError(f"seed {self.seed} outside [0, 2**64)")
         if not -(2**63) <= self.kstar < 2**63:
@@ -244,28 +207,48 @@ class LevelOracle:
         shapes = [(k + 1, s.size, self.n) for k, s in zip(self.ks, self.samples)] * 2
         if len(tables) != len(shapes) or any(t.shape != s for t, s in zip(tables, shapes)):
             raise ValueError("a level's table does not match its budget and sample")
-        if not all((t[1:] <= t[:-1]).all() for t in tables):
-            raise ValueError("a level's table increases along the hop axis")
-        self.tf = [_last_change(f) for f in self.fwd]
-        self.tb = [_last_change(b) for b in self.bwd]
+        last = _last_changes(tables)
+        self.tf, self.tb = last[: len(self.ks)], last[len(self.ks) :]
+        full = [j for j, s in enumerate(self.samples) if s.size == self.n]
+        self.top = top = full[-1] if full else None
+        for j in full[:-1]:  # a view of the top table's first hops, as at build, or its cells
+            if not all(_slices(t[j]) == _slices(t[top]) or np.array_equal(t[j], t[top][: len(t[j])])
+                       for t in (self.fwd, self.bwd)):
+                raise ValueError(f"level {j} over all of V is not the first hops of the top one")
         self.copies = [j > 0 and self._repeats(j) for j in range(len(self.ks))]
+        k = self.ks[top] if full else 0
+        stable = full and (k >= self.n - 1 or max(self.tf[top], self.tb[top]) < k)
+        self.lookup_to = max(k, self.n - 1) if stable else k
+        self.hmax = min(self.n - 1, max(self.ks[-1], self.lookup_to))
+        base = max((j for j in full if not self.copies[j]), default=0)
+        self.skip = [self.lookup_to >= self.hmax or j < base or c or s.size == 0
+                     for j, (c, s) in enumerate(zip(self.copies, self.samples))]
         self._pack_levels()
 
+    @property
+    def le(self) -> np.ndarray | None:
+        """The top full level's forward table, d_{<=h}(V, V) for h = 0..K_top."""
+        return None if self.top is None else self.fwd[self.top]
+
     def _pack_levels(self) -> None:
-        """Take the compiled scan's arguments once per oracle: the (7, L)
-        int64 level array of `_native.level_scan` (table addresses, K_j,
-        |S_j|, tf_j, tb_j, skip flags), L, n and the address of the adds
-        out-cell.  The tables (contiguous float64: the oracle's own where
-        they are), the level array and the cell stay alive in `_scan_keep`."""
-        tables = [np.ascontiguousarray(t, dtype=np.float64) for t in self.fwd + self.bwd]
-        L = len(self.ks)
-        skip = [c or s.size == 0 for c, s in zip(self.copies, self.samples)]
-        columns = ([t.ctypes.data for t in tables[:L]], [t.ctypes.data for t in tables[L:]],
-                   self.ks, [s.size for s in self.samples], self.tf, self.tb, skip)
-        levels = np.array(columns, dtype=np.int64).reshape(7, L)
+        """Take the compiled scan's arguments once per oracle: the int64
+        array of `_native.level_scan` (the lookup: the top table's address,
+        K_top and `lookup_to`; then per level the table addresses, K_j,
+        |S_j|, tf_j, tb_j and skip flags), L, n and the address of the adds
+        out-cell.  Only the levels a scan reads (not `skip`) are packed;
+        their tables (contiguous float64: the oracle's own where they are),
+        the top table, the level array and the cell stay alive in
+        `_scan_keep`."""
+        top = [] if self.top is None else [np.ascontiguousarray(self.le, dtype=np.float64)]
+        tables = [[None if skip else np.ascontiguousarray(t, dtype=np.float64)
+                   for t, skip in zip(half, self.skip)] for half in (self.fwd, self.bwd)]
+        addrs = [[0 if t is None else t.ctypes.data for t in half] for half in tables]
+        head = [top[0].ctypes.data, len(top[0]) - 1] if top else [0, 0]
+        columns = (*addrs, self.ks, [s.size for s in self.samples], self.tf, self.tb, self.skip)
+        levels = np.array(head + [self.lookup_to] + [x for c in columns for x in c], dtype=np.int64)
         cell = ctypes.c_int64(0)
-        self._scan_keep = (levels, tables, cell)
-        self._scan_args = (levels.ctypes.data, L, self.n, ctypes.addressof(cell))
+        self._scan_keep = (levels, top, tables, cell)
+        self._scan_args = (levels.ctypes.data, len(self.ks), self.n, ctypes.addressof(cell))
 
     def __reduce__(self):
         """Copies and pickles are built anew, so that their packed addresses
@@ -284,15 +267,21 @@ class LevelOracle:
         )
 
     def storage_cells(self) -> int:
-        return sum(a.size for a in self.fwd) + sum(a.size for a in self.bwd)
+        """The cells the tables hold, each buffer counted once: a prefix
+        view or a transposed view adds none."""
+        return sum(t.size for t in _longest(self.fwd + self.bwd).values())
 
     def query(self, u: int, v: int, h: int):
-        """Minimum over levels and splits a of d_{<=a}(u, s) + d_{<=h-a}(s, v).
+        """d_{<=h}(u, v): one cell of the top full level where `lookup_to`
+        covers h, else the minimum over levels and splits a of
+        d_{<=a}(u, s) + d_{<=h-a}(s, v), 0 where u == v.
 
         Every candidate is the weight of a walk with at most h hops, so no
         answer undercuts d_{<=h}(u, v); a sampled vertex on a shortest walk
         makes it exact.  Level j serves walks longer than K_{j-1} hops, so
-        the scan stops at the first level with K_{j-1} > h.
+        the scan stops at the first level with K_{j-1} > h; it skips the
+        levels below the highest full one that is not a copy (see
+        __post_init__).
 
         A level scans only a in [lo, hi], hi = min(h, K_j, tb_j) and
         lo = max(0, min(h - tf_j, hi)), and copy levels are skipped.  On
@@ -303,29 +292,37 @@ class LevelOracle:
         the level below's with the fwd hop cut at K_{j-1}.  So the answer
         equals the scan of every split a in [0, min(h, K_j)].
 
-        The scan runs compiled (`_native.level_scan`) when the library
-        loads, else in Python (`_scan`, its reference); both give the same
-        bits and count the same additions.
+        The lookup runs before the u == v shortcut: a full kind's table
+        over a graph with a negative cycle holds d_{<=h}(u, u) < 0.  The
+        scan runs compiled (`_native.level_scan`) when the library loads,
+        else in Python (`_scan`, its reference); both give the same bits
+        and count the same additions.
         """
-        _check_query(self.n, u, v, h)
-        if u == v:
-            return 0.0
-        lib = _native.library()
-        if lib is None:
-            return self._scan(u, v, h)
-        best = lib.level_scan(*self._scan_args, u, v, h)
-        self._count_scanned()
-        return best
+        if not (0 <= u < self.n and 0 <= v < self.n):
+            raise ValueError("query vertex out of range")
+        if not (1 <= h <= self.hmax):
+            raise ValueError(f"hop budget {h} outside [1, {self.hmax}]")
+        if h > self.lookup_to and (lib := _native.library()) is not None:
+            best = lib.level_scan(*self._scan_args, u, v, h)
+            self._count_scanned()
+            return best
+        return self._scan(u, v, h)
 
     def query_many(self, u, v, h) -> np.ndarray:
         """`query` over integer arrays of queries, broadcast together: the
         answers as a float64 array, with the additions of one `query` per
-        query counted.  The first query that `query` refuses raises its
-        error, and then nothing is answered."""
-        u, v, h = _query_arrays(self, u, v, h, self.n - 1)
+        query counted.  All are checked at once; the first query that
+        `query` refuses raises its error, and then nothing is answered."""
+        arrays = np.broadcast_arrays(*(np.asarray(x) for x in (u, v, h)))
+        if any(a.size and a.dtype.kind not in "biu" for a in arrays):
+            raise TypeError("query vertices and hop budgets must be integers")
+        u, v, h = (np.ascontiguousarray(a, dtype=np.int64) for a in arrays)
+        ok = (0 <= u) & (u < self.n) & (0 <= v) & (v < self.n) & (1 <= h) & (h <= self.hmax)
+        if not ok.all():
+            self.query(*(int(a.flat[np.argmin(ok)]) for a in (u, v, h)))
         lib = _native.library()
         if lib is None:
-            answers = [self.query(*q) for q in zip(u.flat, v.flat, h.flat)]
+            answers = [self._scan(*q) for q in zip(u.flat, v.flat, h.flat)]
             return np.array(answers, dtype=np.float64).reshape(u.shape)
         out = np.empty(u.shape)
         lib.level_scan_many(*self._scan_args, u.ctypes.data, v.ctypes.data, h.ctypes.data,
@@ -335,18 +332,23 @@ class LevelOracle:
 
     def _count_scanned(self) -> None:
         """Move the compiled scan's out-cell into the counters."""
-        cell = self._scan_keep[2]
+        cell = self._scan_keep[-1]
         self.counters.adds += cell.value
         cell.value = 0
 
     def _scan(self, u: int, v: int, h: int):
-        """The scan of `query` in Python, for u != v."""
+        """`query` in Python, on a query it has checked."""
+        if h <= self.lookup_to:
+            le = self.le
+            return le[min(h, len(le) - 1), u, v]
         h = int(h)  # an unsigned numpy h would wrap in h - tf
+        if u == v:
+            return 0.0
         best = INF
         for j, k in enumerate(self.ks):
             if j and self.ks[j - 1] > h:
                 break
-            if self.copies[j] or self.samples[j].size == 0:
+            if self.skip[j]:
                 continue
             # fwd hops h-lo..h-hi; past tf (only when lo == hi) read tf
             tf, tb = self.tf[j], self.tb[j]
@@ -359,19 +361,21 @@ class LevelOracle:
         return best
 
     def _snapshot(self):
-        """As `FullTableOracle._snapshot`: a full level below the top one
-        whose tables are its prefix is a prefix marker, any other copy
-        level a copy marker, and every other level stored to tf_j / tb_j."""
-        full = [j for j, s in enumerate(self.samples) if s.size == self.n]
-        top = full[-1] if full else -1
+        """(seed, C, kstar, [(budget, sample, marker, [(t, table)])]) as
+        `dump_oracle` writes it: a level over all of V below the top one is
+        a prefix marker, any other copy level a copy marker, and every
+        other level stored to tf_j / tb_j, or whole past max(1, n - 1) hops,
+        where `load_oracle` repeats no hop; a full kind stores one table."""
         levels = []
         for j, (k, s, f, b) in enumerate(zip(self.ks, self.samples, self.fwd, self.bwd)):
-            if j in full and j != top and _is_prefix(f, self.fwd[top]) and _is_prefix(b, self.bwd[top]):
+            if j != self.top and s.size == self.n:
                 levels.append((k, s, _PREFIX, []))
-            elif self.copies[j] and j != top:
+            elif j != self.top and self.copies[j]:
                 levels.append((k, s, _COPY, []))
             else:
-                levels.append((k, s, _STORED, [(self.tf[j], f), (self.tb[j], b)]))
+                hops = [k if k > max(1, self.n - 1) else x for x in (self.tf[j], self.tb[j])]
+                count = 1 if self.kind in FULL_KINDS else 2
+                levels.append((k, s, _STORED, list(zip(hops, (f, b)))[:count]))
         return self.seed, self.C, self.kstar, levels
 
 
@@ -380,10 +384,10 @@ def scans_agree(oracle: LevelOracle) -> bool:
     answer every query of `oracle` as the Python scan `_scan` does, and
     count the same additions."""
     n, counters = oracle.n, oracle.counters
-    u, v, h = (a.ravel() for a in np.mgrid[0:n, 0:n, 1:n])
+    u, v, h = (a.ravel() for a in np.mgrid[0:n, 0:n, 1 : oracle.hmax + 1])
     queries = list(zip(u.tolist(), v.tolist(), h.tolist()))
     runs = []
-    for answer in (lambda: [0.0 if a == b else oracle._scan(a, b, k) for a, b, k in queries],
+    for answer in (lambda: [oracle._scan(*q) for q in queries],
                    lambda: [oracle.query(*q) for q in queries],
                    lambda: oracle.query_many(u, v, h).tolist()):
         before = counters.adds
@@ -400,17 +404,30 @@ def _positions(below: np.ndarray, verts: np.ndarray) -> np.ndarray | None:
     return sel
 
 
-def _is_prefix(t: np.ndarray, top: np.ndarray) -> bool:
-    """Whether t holds hops 0..len(t)-1 of top: a view of its start (as the
-    full levels of a build are) or equal cells."""
-    view = t.ctypes.data == top.ctypes.data and t.strides == top.strides
-    return view or np.array_equal(t, top[: len(t)])
+def _slices(t: np.ndarray) -> tuple:
+    """What identifies t's hop slices in memory: tables with the same key
+    hold the same slices, each with its axes in either order, one table's
+    hops a prefix of the other's (a level over V and the top one, a full
+    kind's backward and forward table)."""
+    return t.ctypes.data, t.strides[0], tuple(sorted(zip(t.shape[1:], t.strides[1:])))
 
 
-def _last_change(t: np.ndarray) -> int:
-    """The last hop whose slice differs from the one before it; 0 if none."""
-    changed = np.flatnonzero((t[1:] != t[:-1]).any(axis=(1, 2)))
-    return int(changed[-1]) + 1 if changed.size else 0
+def _longest(tables: list[np.ndarray]) -> dict:
+    """The table with the most hops of each `_slices` key."""
+    return {_slices(t): t for t in sorted(tables, key=len)}
+
+
+def _last_changes(tables: list[np.ndarray]) -> list[int]:
+    """For each table, the last hop whose slice differs from the one before
+    it (0 if none), after one pass over each buffer (`_longest`) that
+    refuses a table that increases along the hop axis (ValueError)."""
+    changes = {}
+    for key, t in _longest(tables).items():
+        if not (t[1:] <= t[:-1]).all():
+            raise ValueError("a level's table increases along the hop axis")
+        changes[key] = np.flatnonzero((t[1:] != t[:-1]).any(axis=(1, 2))) + 1
+    hops = [changes[_slices(t)] for t in tables]
+    return [int(np.max(h[h < len(t)], initial=0)) for h, t in zip(hops, tables)]
 
 
 def build_oracle_mn(g: Graph, plan: SamplePlan) -> LevelOracle:
@@ -556,7 +573,7 @@ def build_oracle_bounded(
 # AHDO2 layout, little-endian: magic, kind index (B), n (I), seed (Q), C (d),
 # kstar (q), level count (I); per level: budget (I), sample size (I), the
 # sample (int64 each) and a marker (B).  Marker 0 (stored) is followed by
-# the level's tables (one for a full table, else fwd then bwd), each as its
+# the level's tables (one for a full kind, else fwd then bwd), each as its
 # stored hop count t (I) and the int64 cells of hops 0..t; every later hop
 # repeats hop t.  Marker 1 (copy): level j-1 restricted to S_j, its last
 # slice repeated.  Marker 2 (prefix): a level over all of V that holds the
@@ -702,7 +719,8 @@ def _assembled(
     repeated (`LevelOracle._repeats`).  As at build, the levels over all of
     V share the top full level's table, which must be stored: a prefix
     marker, and a stored level whose cells equal its first hops, is a
-    read-only prefix view of it."""
+    read-only prefix view of it (`LevelOracle` refuses any other level
+    over V)."""
     full = [j for j, s in enumerate(samples) if s.size == n]
     top = None
     if full and markers[full[-1]] == _STORED:
@@ -746,7 +764,7 @@ def load_oracle(data: bytes):
     if kind_idx >= len(KINDS):
         raise ParseError(f"oracle snapshot: unknown kind {kind_idx}")
     kind = KINDS[kind_idx]
-    full = kind in ("powers", "bf")
+    full = kind in FULL_KINDS
     ladder = [] if full else _ladder(kind, n)
     if n < 1 or level_count < 1 or level_count > (1 if full else len(ladder)):
         raise ParseError(f"oracle snapshot: {level_count} levels over {n} vertices")
@@ -760,10 +778,10 @@ def load_oracle(data: bytes):
     if not full and hops > most:
         raise ParseError(f"oracle snapshot: {hops} hops over its levels, past a build's {most}")
     try:
+        fwd = _assembled(n, ks, samples, markers, [c[0] if c else None for c in cells])
         if full:
-            return FullTableOracle(kind, n, ks[0], _table(ks[0], cells[0][0]))
-        fwd, bwd = (_assembled(n, ks, samples, markers, [c[i] if c else None for c in cells])
-                    for i in (0, 1))
+            return _full_table(kind, fwd[0])
+        bwd = _assembled(n, ks, samples, markers, [c[1] if c else None for c in cells])
         return LevelOracle(kind, n, seed, C, ks, samples, fwd, bwd, kstar)
     except (ValueError, SaturationError) as e:
         raise ParseError(f"oracle snapshot: {e}") from None

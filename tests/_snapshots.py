@@ -63,14 +63,12 @@ def cell_offset(blob: bytes, level: int, array: int, hop: int, row: int, col: in
 
 def same_oracle(a, b) -> bool:
     """Whether two oracles hold the same tables (shapes and bits), budgets,
-    samples, and, for sampled ones, tf / tb / copies and header fields."""
-    if isinstance(a, oracles.FullTableOracle):
-        return (type(b) is type(a) and (a.kind, a.n, a.H, a.stable) == (b.kind, b.n, b.H, b.stable)
-                and a.le.shape == b.le.shape and np.array_equal(a.le, b.le))
+    samples, header fields, tf / tb / copies and query rule."""
     return (
         type(b) is type(a)
         and (a.kind, a.n, a.seed, a.C, a.kstar, a.ks) == (b.kind, b.n, b.seed, b.C, b.kstar, b.ks)
         and (a.tf, a.tb, a.copies) == (b.tf, b.tb, b.copies)
+        and (a.top, a.lookup_to, a.hmax, a.skip) == (b.top, b.lookup_to, b.hmax, b.skip)
         and all(np.array_equal(x, y) for x, y in zip(a.samples, b.samples))
         and all(x.shape == y.shape and np.array_equal(x, y)
                 for x, y in zip(a.fwd + a.bwd, b.fwd + b.bwd))

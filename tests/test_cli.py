@@ -590,16 +590,19 @@ def _edges(tails, ws, heads, starts, nh, m):
 
 @functools.lru_cache(maxsize=16)
 def _level_views(levels: bytes, n: int) -> dict:
-    """The fields of `_scanned_levels` for a level array's bytes: views at
-    its addresses, so they hold whatever the oracle there holds."""
-    fwd, bwd, ks, sizes, tf, tb, skip = np.frombuffer(levels, np.int64).reshape(7, -1).tolist()
+    """The fields of `_scanned_levels` for a level array's bytes (the
+    lookup, then the level columns): views at its addresses, so they hold
+    whatever the oracle there holds.  A skipped level may have no tables."""
+    top, k_top, lookup_to, *columns = np.frombuffer(levels, np.int64).tolist()
+    fwd, bwd, ks, sizes, tf, tb, skip = np.reshape(columns, (7, -1)).tolist()
 
     def tables(addrs):
-        return [_view(a, np.float64, k + 1, s, n) if s else np.empty((k + 1, 0, n))
+        return [_view(a, np.float64, k + 1, s, n) if s and a else np.empty((k + 1, 0, n))
                 for a, k, s in zip(addrs, ks, sizes)]
 
-    return {"ks": ks, "samples": [np.empty(s) for s in sizes], "tf": tf, "tb": tb,
-            "copies": skip, "fwd": tables(fwd), "bwd": tables(bwd)}
+    le = _view(top, np.float64, k_top + 1, n, n) if top else None
+    return {"le": le, "lookup_to": lookup_to, "ks": ks, "samples": [np.empty(s) for s in sizes],
+            "tf": tf, "tb": tb, "skip": skip, "fwd": tables(fwd), "bwd": tables(bwd)}
 
 
 def _scanned_levels(lv, L, n, lower_sampled=False):
@@ -608,7 +611,7 @@ def _scanned_levels(lv, L, n, lower_sampled=False):
     levels that sample part of V are copies one lower."""
     from allhops.oracles import WorkCounters
 
-    fields = dict(_level_views(ctypes.string_at(lv, 7 * 8 * L), n))
+    fields = dict(_level_views(ctypes.string_at(lv, 8 * (3 + 7 * L)), n))
     if lower_sampled:
         fields["fwd"] = [t - 1 if 0 < t.shape[1] < n else t for t in fields["fwd"]]
     return types.SimpleNamespace(**fields, counters=WorkCounters())
@@ -627,7 +630,7 @@ def _scan_entry_points(lower_sampled=False):
     def level_scan_many(lv, L, n, adds, u, v, h, count, out):
         u, v, h = (_view(a, np.int64, count) for a in (u, v, h))
         _view(out, np.float64, count)[:] = [
-            0.0 if a == b else level_scan(lv, L, n, adds, a, b, k) for a, b, k in zip(u, v, h)
+            level_scan(lv, L, n, adds, a, b, k) for a, b, k in zip(u, v, h)
         ]
 
     return {"level_scan": level_scan, "level_scan_many": level_scan_many}

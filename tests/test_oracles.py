@@ -4,6 +4,7 @@ import hashlib
 import io
 import pickle
 import struct
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -31,6 +32,7 @@ from allhops import (
     gen_random_graph,
     graph_from_edges,
     load_oracle,
+    render_graph,
     reverse,
     save_oracle,
     weight_matrix,
@@ -88,6 +90,65 @@ def test_full_table_past_its_horizon(f1):
             assert o.query(0, 2, 4) == 2 and o.query(0, 1, 4) == 1
         with pytest.raises(ValueError):
             build(f1, 0).query(0, 1, 1)
+
+
+NEG_CYCLE = "3 3\n0 1 -2\n1 0 1\n1 2 3\n"  # the cycle 0 -> 1 -> 0 weighs -1
+
+
+@pytest.mark.parametrize("kind", ["powers", "bf"])
+def test_full_table_answers_a_negative_cycle_through_u_equals_v(capsys, tmp_path, kind):
+    """A full kind's table over a graph with a negative cycle holds
+    d_<=2(0, 0) = -1, and every route answers it from the table, not with
+    the 0 of u == v: `query`, `query_many`, a snapshot round trip and
+    `oracle build` / `oracle query`."""
+    from allhops import parse_graph
+
+    build = build_oracle_powers if kind == "powers" else build_oracle_bf
+    o = build(parse_graph(NEG_CYCLE))
+    for x in (o, load_oracle(save_oracle(o))):
+        assert x.query(0, 0, 2) == -1 and x.query(0, 0, 1) == 0
+        assert x.query_many([0, 0, 1], [0, 0, 1], [1, 2, 2]).tolist() == [0, -1, -1]
+    graph, snap, queries = tmp_path / "g.el", tmp_path / "g.ahdo", tmp_path / "q.txt"
+    graph.write_text(NEG_CYCLE)
+    queries.write_text("0 0 2\n")
+    assert main(["oracle", "build", "--kind", kind, "--graph", str(graph), "--out", str(snap)]) == 0
+    code = main(["oracle", "query", "--oracle", str(snap), "--queries", str(queries)])
+    out, _ = capsys.readouterr()
+    assert code == 0 and out.splitlines()[-1] == "0\t0\t2\t-1"
+
+
+def test_cut_table_that_still_changes_refuses_budgets_past_its_cut(capsys, tmp_path):
+    """bf cut at 3 hops on a chain DAG whose distances change at hop 3
+    refuses h = 4 through `query`, `query_many` and `oracle query` (exit
+    2), built and reloaded."""
+    g = _small_chain_dag(12, 0)
+    o = build_oracle_bf(g, 3)
+    assert o.tf == [3] and o.hmax == 3
+    for x in (o, load_oracle(save_oracle(o))):
+        assert x.query(0, 1, 3) == apah_brute(g, 3, with_exact=False).le[3, 0, 1]
+        for ask in (x.query, x.query_many):
+            with pytest.raises(ValueError, match=r"hop budget 4 outside \[1, 3\]"):
+                ask(0, 1, 4)
+    graph, snap, queries = tmp_path / "g.el", tmp_path / "g.ahdo", tmp_path / "q.txt"
+    graph.write_text(render_graph(g))
+    queries.write_text("0 1 3\n0 1 4\n")
+    assert main(["oracle", "build", "--kind", "bf", "--graph", str(graph), "--out", str(snap),
+                 "--max-hop", "3"]) == 0
+    code = main(["oracle", "query", "--oracle", str(snap), "--queries", str(queries)])
+    out, err = capsys.readouterr()
+    assert (code, out) == (2, "") and err.startswith("allhops: hop budget 4 outside [1, 3]")
+
+
+@pytest.mark.parametrize("kind", ["powers", "bf"])
+def test_full_table_storage_cells_count_its_table_once(kind):
+    """The backward table of a full kind is a transposed view of its one
+    table, built and loaded, so storage_cells counts that table once."""
+    g = gen_random_graph(12, 36, 4, 3, require_no_neg_cycle=True)
+    o = _all_builders(g)[kind]
+    for x in (o, load_oracle(save_oracle(o))):
+        assert np.shares_memory(x.fwd[0], x.bwd[0])
+        assert np.array_equal(x.bwd[0], x.le.transpose(0, 2, 1))
+        assert x.storage_cells() == x.le.size == 12**3
 
 
 def test_memory_cap():
@@ -296,7 +357,7 @@ def test_dump_oracle_streams_what_save_oracle_returns(tmp_path):
             dump_oracle(o, f)
         assert buf.getvalue() == path.read_bytes() == save_oracle(o), name
     o = build_oracle_bf(g)
-    fortran = oracles.FullTableOracle("bf", o.n, o.H, np.asfortranarray(o.le))
+    fortran = oracles._full_table("bf", np.asfortranarray(o.le))
     assert save_oracle(fortran) == save_oracle(o)
 
 
@@ -379,7 +440,7 @@ def test_full_table_budget_zero_is_refused(f1, kind, capsys, tmp_path):
     """No build writes a full table with budget 0, and one would answer no
     query: a ParseError at load and exit 1 from `oracle query`."""
     le = apah_brute(f1, 1, with_exact=False).le[:1]
-    blob = save_oracle(oracles.FullTableOracle(kind, f1.n, 0, le))
+    blob = save_oracle(oracles._full_table(kind, le))
     with pytest.raises(ParseError, match="budget 0"):
         load_oracle(blob)
     snap, queries = tmp_path / "zero.ahdo", tmp_path / "queries.txt"
@@ -458,8 +519,10 @@ def test_mn_build_reruns_no_level_below():
 
 
 def test_counters_track_and_reset():
+    """At C = 1 the top full level (budget 4) still changes at hop 4, so a
+    query at h = 15 scans the sampled levels above it."""
     g = gen_random_graph(16, 45, 4, 6, require_no_neg_cycle=True)
-    o = build_oracle_mn(g, PLAN)
+    o = build_oracle_mn(g, SamplePlan(C=1.0, seed=PLAN.seed))
     assert o.counters.relaxations > 0
     o.counters.reset()
     o.query(0, 1, 15)
@@ -467,7 +530,11 @@ def test_counters_track_and_reset():
     assert per_query > 0
     o.query(0, 1, 15)
     assert o.counters.adds == 2 * per_query
-    assert o.storage_cells() == sum(f.size + b.size for f, b in zip(o.fwd, o.bwd))
+    # each buffer once: the levels over V below the top one are its prefixes
+    below_top = [j for j, s in enumerate(o.samples) if s.size == o.n][:-1]
+    assert below_top
+    assert o.storage_cells() == sum(f.size + b.size for j, (f, b) in enumerate(zip(o.fwd, o.bwd))
+                                    if j not in below_top)
 
 
 # ---------------------------------------------------------------------------
@@ -490,11 +557,16 @@ def _full_scan(o, h):
 
 
 def _assert_answers(o, want):
-    """o.query(u, v, h) == want[h][u, v] for every u, v and h = 1..n-1."""
+    """o.query(u, v, h) == want[h][u, v] for every u, v and h = 1..hmax,
+    and every larger h refused."""
     for h in range(1, o.n):
         for u in range(o.n):
             for v in range(o.n):
-                assert o.query(u, v, h) == want[h][u, v], (o.kind, u, v, h)
+                if h > o.hmax:
+                    with pytest.raises(ValueError, match=f"hop budget {h} outside"):
+                        o.query(u, v, h)
+                else:
+                    assert o.query(u, v, h) == want[h][u, v], (o.kind, u, v, h)
 
 
 def _small_chain_dag(n, seed):
@@ -519,26 +591,59 @@ _WINDOW_GRAPHS = {
 }
 
 
-@pytest.mark.parametrize("C", [1.0, 4.0])
+def _windowed_adds(o, u, v, h):
+    """The additions of the windowed scan of every level from level 0, with
+    no lookup: how every query of a sampled kind was answered before the
+    top full level answered h <= K_top with one cell."""
+    if u == v:
+        return 0
+    adds = 0
+    for j, k in enumerate(o.ks):
+        if j and o.ks[j - 1] > h:
+            break
+        if not (o.copies[j] or o.samples[j].size == 0):
+            hi = min(h, k, o.tb[j])
+            adds += (hi - max(0, min(h - o.tf[j], hi)) + 1) * o.samples[j].size
+    return adds
+
+
+@pytest.mark.parametrize("C", [1.0, 2.0, 4.0])
 @pytest.mark.parametrize("family", sorted(_WINDOW_GRAPHS))
 def test_query_window_equals_full_scan(family, C):
-    """The windowed query (cut splits, skipped copy levels) answers every
-    (u, v, h) as the full scan does, and both equal apah_brute."""
+    """The query (the lookup in the top full level, else the windowed scan
+    from the highest full level that is not a copy) answers every (u, v, h)
+    as the full scan of every level does, built and reloaded, and both
+    equal apah_brute; each query makes at most the additions of the
+    windowed scan of every level, and where the lookup leaves queries to
+    scan, some of those make fewer too: they skip the levels below."""
     g = _WINDOW_GRAPHS[family]()
     brute = apah_brute(g, with_exact=False).le
     for build in (build_oracle_mn, build_oracle_mpp, build_oracle_bounded):
-        o = build(g, SamplePlan(C=C, seed=2))
-        full = [None] + [_full_scan(o, h) for h in range(1, g.n)]
+        built = build(g, SamplePlan(C=C, seed=2))
+        full = [None] + [_full_scan(built, h) for h in range(1, g.n)]
         for h in range(1, g.n):
-            assert np.array_equal(full[h], brute[h]), (o.kind, h)
-        _assert_answers(o, full)
+            assert np.array_equal(full[h], brute[h]), (built.kind, h)
+        for o in (built, load_oracle(save_oracle(built))):
+            _assert_answers(o, full)
+            fewer = [0, 0]  # by lookup, by scan
+            for h in range(1, g.n):
+                for u in range(g.n):
+                    for v in range(g.n):
+                        before = o.counters.adds
+                        o.query(u, v, h)
+                        adds, most = o.counters.adds - before, _windowed_adds(o, u, v, h)
+                        assert adds <= most, (o.kind, u, v, h)
+                        fewer[h > o.lookup_to] += adds < most
+            assert fewer[0] > 0 and (fewer[1] > 0 or o.lookup_to >= o.hmax), (o.kind, fewer)
 
 
-def _random_level_oracle(rng, n):
+def _random_level_oracle(rng, n, full=True):
     """A LevelOracle over random tables that are non-increasing in the hop
     and freeze at a random hop per level, with random (sometimes nested,
     sometimes repeated, sometimes empty) levels and budgets from 0, as a
-    snapshot may hold: not the tables of any graph, so splits rarely tie."""
+    snapshot may hold: not the tables of any graph, so splits rarely tie.
+    With `full`, levels may hold all of V, each below the top one holding
+    its first hops; else none does, so every query scans every level."""
     ks, samples, fwd, bwd = [], [], [], []
     for j in range(int(rng.integers(1, 6))):
         k = int(rng.integers(0, n)) if not ks else int(rng.integers(ks[-1], n + 2))
@@ -549,7 +654,7 @@ def _random_level_oracle(rng, n):
             tabs = [np.concatenate([t[:, sel], np.repeat(t[kp:, sel], k - kp, axis=0)])
                     for t in (fwd[-1], bwd[-1])]
         else:
-            s = np.sort(rng.choice(n, size=int(rng.integers(0, n + 1)), replace=False))
+            s = np.sort(rng.choice(n, size=int(rng.integers(0, n + full)), replace=False))
             tabs = []
             for _ in range(2):
                 t = rng.integers(-20, 40, size=(k + 1, s.size, n)).astype(float)
@@ -562,6 +667,9 @@ def _random_level_oracle(rng, n):
         samples.append(s)
         fwd.append(tabs[0])
         bwd.append(tabs[1])
+    over_v = [j for j, s in enumerate(samples) if s.size == n]
+    for j in over_v[:-1]:
+        fwd[j], bwd[j] = fwd[over_v[-1]][: ks[j] + 1], bwd[over_v[-1]][: ks[j] + 1]
     return LevelOracle("mpp", n, 0, 1.0, ks, samples, fwd, bwd)
 
 
@@ -572,7 +680,7 @@ def test_query_window_on_random_monotone_tables():
     rng = np.random.default_rng(4)
     copies = 0
     for _ in range(60):
-        o = _random_level_oracle(rng, int(rng.integers(2, 9)))
+        o = _random_level_oracle(rng, int(rng.integers(2, 9)), full=False)
         copies += sum(o.copies)
         _assert_answers(o, [None] + [_full_scan(o, h) for h in range(1, o.n)])
     assert copies > 0
@@ -583,8 +691,8 @@ def _scan_cases(draw):
     """A LevelOracle, sometimes reloaded from its snapshot: built by a drawn
     kind from a small random graph at C = 1 or 4 (sampled levels, copy
     levels), or random monotone tables (`_random_level_oracle`: copy
-    levels, empty samples, budgets from 0 and below n - 1, so that some h
-    is past every budget)."""
+    levels, levels over V, empty samples, budgets from 0 and below n - 1,
+    so that some h is past every budget and refused)."""
     seed = draw(st.integers(0, 2**32 - 1))
     rng = np.random.default_rng(seed)
     n = draw(st.integers(2, 12))
@@ -608,24 +716,29 @@ def _scan_cases(draw):
        as_int=st.sampled_from([int, np.int64, np.int32, np.uint16]))
 def test_compiled_scan_equals_the_python_scan(o, backend, as_int):
     """`query` (the compiled scan on the C backend) gives the Python scan's
-    answers and additions on every query, u == v among them, with Python
-    or numpy integers; `query_many` gives `query`'s, in any shape."""
-    n = o.n
-    queries = [(u, v, h) for u in range(n) for v in range(n) for h in range(1, n)]
+    answers and additions on every query it answers, u == v among them,
+    with Python or numpy integers; `query_many` gives `query`'s, in any
+    shape.  Both refuse a budget past `hmax`."""
+    n, hmax = o.n, o.hmax
+    grid = [a.astype(as_int) for a in np.mgrid[0:n, 0:n, 1 : hmax + 1]]
+    queries = list(zip(*(a.ravel().tolist() for a in grid)))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(_native, "_BACKEND", backend)
         o.counters.reset()
-        want = [0.0 if u == v else o._scan(u, v, h) for u, v, h in queries]
+        want = [o._scan(u, v, h) for u, v, h in queries]
         want_adds = o.counters.adds
         o.counters.reset()
         got = [o.query(as_int(u), as_int(v), as_int(h)) for u, v, h in queries]
         assert got == want and o.counters.adds == want_adds
         o.counters.reset()
-        u, v, h = (np.array(a, dtype=as_int).reshape(n, n, n - 1) for a in zip(*queries))
-        many = o.query_many(u, v, h)
-        assert many.shape == (n, n, n - 1) and many.dtype == np.float64
+        many = o.query_many(*grid)
+        assert many.shape == (n, n, hmax) and many.dtype == np.float64
         assert many.ravel().tolist() == want and o.counters.adds == want_adds
         assert o.query_many([], [], []).shape == (0,)
+        if hmax < n - 1:
+            for ask in (o.query, o.query_many):
+                with pytest.raises(ValueError, match=f"hop budget {hmax + 1} outside"):
+                    ask(0, 0, hmax + 1)
 
 
 def test_query_many_refuses_the_first_bad_query_as_query_does():
@@ -642,7 +755,7 @@ def test_query_many_refuses_the_first_bad_query_as_query_does():
             o.query_many([0.5], [1], [1])
         assert o.counters.adds == 0
     cut = build_oracle_bf(_small_chain_dag(12, 0), 3)
-    assert not cut.stable
+    assert cut.hmax == 3
     with pytest.raises(ValueError, match=r"hop budget 4 outside \[1, 3\]"):
         cut.query_many([0, 0], [1, 1], [3, 4])
 
@@ -675,7 +788,8 @@ def test_full_levels_share_the_top_table(build):
             hops = brute[: x.ks[j] + 1]
             assert np.array_equal(x.fwd[j], hops), (x.kind, j)
             assert np.array_equal(x.bwd[j], hops.transpose(0, 2, 1)), (x.kind, j)
-        assert x.storage_cells() == copied.storage_cells()
+        shared = sum(x.fwd[j].size + x.bwd[j].size for j in full[:-1])
+        assert x.storage_cells() == copied.storage_cells() - shared
         assert save_oracle(x) == blob
 
 
@@ -702,26 +816,35 @@ def test_copies_and_pickles_scan_their_own_tables():
         assert [c.query(*q) for q in queries] == want
 
 
-def test_loaded_full_level_that_differs_keeps_its_own_table():
-    """A snapshot whose lower full level is not a prefix of the top one
-    (one lower cell edited at its last hop) loads that level as its own
-    table, and answers from it: in AHDO2, where the writer stores such a
-    level instead of a prefix marker, and in AHDO1 (the golden mpp
-    fixture), where every level is stored and the cell is edited in place."""
+def test_loaded_full_level_that_differs_is_refused(capsys, tmp_path):
+    """A level over all of V that is not the first hops of the top one (one
+    lower cell edited at its last hop) is a ValueError where the oracle is
+    made, and a ParseError at load with exit 1 from `oracle query`: in
+    AHDO2, where such a level is stored instead of a prefix marker, and in
+    AHDO1 (the golden mpp fixture), where every level is stored and the
+    cell is edited in place."""
     g = gen_random_graph(24, 72, 6, 1, require_no_neg_cycle=True)
     o = build_oracle_mpp(g, SamplePlan(C=4.0, seed=2))
     k0 = o.ks[0]
     fwd = [t.copy() for t in o.fwd]
     fwd[0][k0, 3, 7] = -100
-    hand_made = LevelOracle(o.kind, o.n, o.seed, o.C, o.ks, o.samples, fwd, o.bwd, o.kstar)
+    with pytest.raises(ValueError, match="level 0 over all of V is not the first hops"):
+        LevelOracle(o.kind, o.n, o.seed, o.C, o.ks, o.samples, fwd, o.bwd, o.kstar)
+    seed, C, kstar, levels = o._snapshot()
+    assert levels[0][2] == oracles._PREFIX
+    levels[0] = (k0, o.samples[0], oracles._STORED, [(k0, fwd[0]), (k0, o.bwd[0])])
+    ahdo2 = save_oracle(SimpleNamespace(kind=o.kind, n=o.n, _snapshot=lambda: (seed, C, kstar, levels)))
     ahdo1 = fixture("golden-mpp")
     assert load_oracle(ahdo1).ks[0] == k0
-    for blob in (save_oracle(hand_made), _patch(ahdo1, cell_offset(ahdo1, 0, 0, k0, 3, 7), "<q", -100)):
-        edited = load_oracle(blob)
-        assert edited.fwd[0][k0, 3, 7] == -100 and edited.fwd[1][k0, 3, 7] != -100
-        assert not np.shares_memory(edited.fwd[0], edited.fwd[1])
-        assert np.shares_memory(edited.bwd[0], edited.bwd[1])
-        assert edited.query(3, 7, k0) == -100
+    snap, queries = tmp_path / "edited.ahdo", tmp_path / "queries.txt"
+    queries.write_text("3 7 1\n")
+    for blob in (ahdo2, _patch(ahdo1, cell_offset(ahdo1, 0, 0, k0, 3, 7), "<q", -100)):
+        with pytest.raises(ParseError, match="level 0 over all of V is not the first hops"):
+            load_oracle(blob)
+        snap.write_bytes(blob)
+        code = main(["oracle", "query", "--oracle", str(snap), "--queries", str(queries)])
+        out, err = capsys.readouterr()
+        assert code == 1 and out == "" and "first hops of the top one" in err
 
 
 def test_settled_rows_never_change_a_table():
@@ -748,19 +871,21 @@ def test_settled_rows_never_change_a_table():
         assert np.array_equal(a, b)
 
 
-def test_snapshot_increasing_along_the_hop_axis_is_refused(capsys, tmp_path):
+def _assert_rising_table_refused(capsys, tmp_path, kind):
     """A hand-edited snapshot whose table grows along the hop axis is a
     ParseError at load and exit 1 from `oracle query`, in AHDO2 and in AHDO1
-    (the golden mpp fixture); a LevelOracle built directly from that table
-    is a ValueError.  The edited level is the last one stored with a row 3."""
+    (the golden fixture of the kind); an oracle made directly from that
+    table is a ValueError.  The edited cell is d_<=0(7, s_3) in the bwd
+    table of the last sampled level stored with a row 3, or d_<=0(3, 7) in
+    a full kind's one table."""
     g = gen_random_graph(24, 72, 6, 1, require_no_neg_cycle=True)
-    o = build_oracle_mpp(g, SamplePlan(C=4.0, seed=2))
+    o = _all_builders(g, SamplePlan(C=4.0, seed=2))[kind]
+    array = 0 if kind in oracles.FULL_KINDS else 1
     snap, queries = tmp_path / "edited.ahdo", tmp_path / "queries.txt"
     queries.write_text("7 0 9\n")
-    for blob in (save_oracle(o), fixture("golden-mpp")):
+    for blob in (save_oracle(o), fixture(f"golden-{kind}")):
         j = max(level for level, _, _, shape in stored_tables(blob) if shape[1] > 3)
-        at = cell_offset(blob, j, 1, 0, 3, 7)  # bwd hop 0: d_<=0(7, s_3)
-        edited = _patch(blob, at, "<q", -100)
+        edited = _patch(blob, cell_offset(blob, j, array, 0, 3, 7), "<q", -100)
         with pytest.raises(ParseError, match="hop axis"):
             load_oracle(edited)
         snap.write_bytes(edited)
@@ -768,10 +893,24 @@ def test_snapshot_increasing_along_the_hop_axis_is_refused(capsys, tmp_path):
         out, err = capsys.readouterr()
         assert code == 1 and out == "" and err.startswith("allhops: ") and "hop axis" in err
     j = max(level for level, _, _, shape in stored_tables(save_oracle(o)) if shape[1] > 3)
-    bwd = [b.copy() for b in o.bwd]
-    bwd[j][0, 3, 7] = -100
+    tables = [t.copy() for t in (o.fwd, o.bwd)[array]]
+    tables[j][0, 3, 7] = -100
     with pytest.raises(ValueError, match="hop axis"):
-        LevelOracle(o.kind, o.n, o.seed, o.C, o.ks, o.samples, o.fwd, bwd)
+        if array == 0:
+            oracles._full_table(kind, tables[j])
+        else:
+            LevelOracle(o.kind, o.n, o.seed, o.C, o.ks, o.samples, o.fwd, tables)
+
+
+def test_snapshot_increasing_along_the_hop_axis_is_refused(capsys, tmp_path):
+    _assert_rising_table_refused(capsys, tmp_path, "mpp")
+
+
+@pytest.mark.parametrize("kind", ["powers", "bf"])
+def test_full_table_increasing_along_the_hop_axis_is_refused(capsys, tmp_path, kind):
+    """As a sampled snapshot: the full kinds made no such check before they
+    became one-level oracles."""
+    _assert_rising_table_refused(capsys, tmp_path, kind)
 
 
 @pytest.mark.parametrize("backend", ["c", "numpy"])
@@ -783,9 +922,9 @@ def test_snapshot_cell_past_2_53_is_refused(capsys, tmp_path, backend, kind, cel
     marker INT64_MAX, is a ParseError at load and exit 1 from `oracle
     query`, on both backends, never a rounded distance, in AHDO2 and in
     AHDO1 (the golden fixture of the kind).  The cell is on the last
-    stored hop, which the loader repeats to the budget; on a sampled level
-    (the last one stored) its whole stored column along the hop axis is
-    set, so no other check refuses it.  +-2^53 itself loads, and is
+    stored hop, which the loader repeats to the budget, of the full table
+    or of the last sampled level stored; its whole stored column along the
+    hop axis is set, so no other check refuses it.  +-2^53 itself loads, and is
     written back with the same bytes (AHDO2) or as an oracle that
     reloads the same (AHDO1)."""
     g = gen_random_graph(6, 14, 3, 1, require_no_neg_cycle=True)
@@ -796,11 +935,9 @@ def test_snapshot_cell_past_2_53_is_refused(capsys, tmp_path, backend, kind, cel
         for blob in (save_oracle(o), fixture(f"golden-{kind}")):
             loaded = load_oracle(blob)
             j, _, _, shape = [t for t in stored_tables(blob) if t[1] == 0][-1]
-            if kind == "bf":
-                k, at = loaded.H, [cell_offset(blob, 0, 0, shape[0] - 1, 2, 3)]
-            else:
-                k, at = loaded.ks[j], [cell_offset(blob, j, 0, h, 0, 3) for h in range(shape[0])]
-                assert 0 < loaded.samples[j].size < loaded.n
+            row = 2 if kind == "bf" else 0
+            k, at = loaded.ks[j], [cell_offset(blob, j, 0, h, row, 3) for h in range(shape[0])]
+            assert kind == "bf" or 0 < loaded.samples[j].size < loaded.n
 
             def edit(value):
                 data = blob
@@ -835,14 +972,25 @@ def test_writer_refuses_cells_it_cannot_write_exactly(backend, bad):
     A table full of -inf is refused too, and +-2^53 round-trips."""
     from allhops.values import SaturationError
 
+    def last_change(t):
+        changed = np.flatnonzero((t[1:] != t[:-1]).any(axis=(1, 2)))
+        return int(changed[-1]) + 1 if changed.size else 0
+
+    def full_table(le):
+        """A writer's stand-in for a bf oracle over `le`, which `LevelOracle`
+        would refuse where `bad` makes it rise along the hop axis."""
+        level = (len(le) - 1, np.arange(le.shape[1]), oracles._STORED, [(last_change(le), le)])
+        return SimpleNamespace(kind="bf", n=le.shape[1], _snapshot=lambda: (0, 1.0, 0, [level]))
+
     g = gen_random_graph(48, 192, 8, 3, require_no_neg_cycle=True)
     o = build_oracle_bf(g)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(_native, "_BACKEND", backend)
         with pytest.raises(SaturationError):
-            save_oracle(oracles.FullTableOracle("bf", 3, 2, np.full((3, 3, 3), -np.inf)))
+            save_oracle(oracles._full_table("bf", np.full((3, 3, 3), -np.inf)))
         chunk = oracles._CHUNK
         assert o.le.size > 2 * chunk
+        assert save_oracle(full_table(o.le)) == save_oracle(o)
         for at in (0, chunk - 1, chunk, o.le.size - 1):
             # `ok` holds a valid cell that differs from its neighbours
             # along the hop axis wherever `bad` does, so both tables are
@@ -850,18 +998,19 @@ def test_writer_refuses_cells_it_cannot_write_exactly(backend, bad):
             # written with no refusal.
             le, ok = o.le.copy(), o.le.copy()
             le.flat[at], ok.flat[at] = bad, -(2.0**40)
-            assert oracles._last_change(le) == oracles._last_change(ok)
-            blob = save_oracle(oracles.FullTableOracle("bf", o.n, o.H, ok))
-            head = len(blob) - 8 * (oracles._last_change(ok) + 1) * o.n * o.n
+            assert last_change(le) == last_change(ok)
+            blob = save_oracle(full_table(ok))
+            head = len(blob) - 8 * (last_change(ok) + 1) * o.n * o.n
             assert at < (len(blob) - head) // 8
             f = io.BytesIO()
             with pytest.raises(SaturationError):
-                dump_oracle(oracles.FullTableOracle("bf", o.n, o.H, le), f)
+                dump_oracle(full_table(le), f)
             assert f.getvalue() == blob[: head + 8 * (at // chunk * chunk)]
         for edge in (2.0**53, -(2.0**53)):
+            # the whole hop column of the cell, so the table does not rise
             le = o.le.copy()
-            le.flat[chunk] = edge
-            again = load_oracle(save_oracle(oracles.FullTableOracle("bf", o.n, o.H, le)))
+            le[(slice(None),) + np.unravel_index(chunk, le.shape)[1:]] = edge
+            again = load_oracle(save_oracle(oracles._full_table("bf", le)))
             assert np.array_equal(again.le, le)
 
 

@@ -9,9 +9,11 @@ seeded Hamiltonian path plus heavier forward chords) and a tree gadget
 1..3, the `naive` strategy, and the `polynomial` one on the small chain),
 the single-source tables (k = 1..3, at every split 0..k), the all-pairs
 table and the `mn`, `mpp` and `bounded` snapshot bytes.  For each of
-those oracles, built and reloaded from its snapshot, it also covers the
-answers to a fixed set of queries, asked one `query` at a time and as
-one `query_many`, and the additions each way counted.  A checkout
+those oracles, and for the `powers` and `bf` oracles of each graph (at
+their default budget, under no plan), built and reloaded from its
+snapshot, it also covers the answers to a fixed set of queries, asked
+one `query` at a time and as one `query_many`, and the additions each way
+counted.  A checkout
 without `query_many` answers that set with one `query` per query.  It
 also covers the snapshot file that `allhops oracle build` writes,
 through `cli.main` in this process, for every `--kind` under the same
@@ -36,9 +38,11 @@ import numpy as np
 from allhops import (
     SamplePlan,
     all_pairs_allhops,
+    build_oracle_bf,
     build_oracle_bounded,
     build_oracle_mn,
     build_oracle_mpp,
+    build_oracle_powers,
     build_tree_gadget,
     gen_random_graph,
     graph_from_edges,
@@ -86,6 +90,10 @@ def _outputs(work: Path):
         n = g.n
         graph = work / f"{name}.el"
         graph.write_text(render_graph(g))
+        for build in (build_oracle_powers, build_oracle_bf):
+            oracle = build(g)
+            yield from _answers(f"{name} {build.__name__}", oracle, n)
+            yield from _answers(f"{name} {build.__name__} loaded", load_oracle(save_oracle(oracle)), n)
         for C in (1.0, 4.0):
             for seed in (0, 1):
                 plan = SamplePlan(C=C, seed=seed)
